@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import GateDef, matrix_of
-from .states import MAX_QUBITS, StateVector, apply_unitary, init_state
+from .states import MAX_QUBITS, StateVector, evolve, init_state
 
 
 class CircuitError(ValueError):
@@ -197,15 +197,15 @@ class CountsHistogram:
         return {k: v / self.shots for k, v in sorted(self.counts.items())}
 
 
+def gate_ops(circuit: Circuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """(matrix, targets) of every gate in circuit order, for states.evolve."""
+    return [(matrix_of(inst.gate), inst.qubits) for inst in circuit.gate_instructions()]
+
+
 def simulate_ideal(circuit: Circuit) -> StateVector:
     """Exact statevector after all gates (measures and barriers skipped)."""
-    amps = init_state(circuit.num_qubits).amplitudes
-    for inst in circuit.instructions:
-        if inst.kind == "gate":
-            amps = apply_unitary(
-                amps, matrix_of(inst.gate), inst.qubits, circuit.num_qubits
-            )
-    return StateVector(circuit.num_qubits, amps)
+    n = circuit.num_qubits
+    return StateVector(n, evolve(init_state(n).amplitudes, gate_ops(circuit), n))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -216,17 +216,6 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         )
     if any(inst.kind == "measure" for inst in circuit.instructions):
         raise CircuitError("cannot extract a unitary from a measured circuit")
-    dim = 2**circuit.num_qubits
-    # evolve all basis columns at once: treat the column index as a free axis
-    u = np.eye(dim, dtype=complex)
-    for inst in circuit.instructions:
-        if inst.kind != "gate":
-            continue
-        m = matrix_of(inst.gate)
-        k = len(inst.qubits)
-        tensor = u.reshape([2] * circuit.num_qubits + [dim])
-        tensor = np.moveaxis(tensor, inst.qubits, range(k))
-        shape = tensor.shape
-        tensor = m @ tensor.reshape(2**k, -1)
-        u = np.moveaxis(tensor.reshape(shape), range(k), inst.qubits).reshape(dim, dim)
-    return u
+    # evolve every basis column at once: the column index is a batch axis
+    n = circuit.num_qubits
+    return evolve(np.eye(2**n, dtype=complex), gate_ops(circuit), n)

@@ -281,16 +281,9 @@ def _sweep_point_rows(
     repeats: int,
     mitigate_flag: bool,
 ) -> list[dict]:
-    labeling = "multi-stage" if spec.kind == "general-bomb" else None
     circuit = spec.build()
-    state = simulate_ideal(circuit)
-    exact_dist = state.probability_dict()
-    if spec.kind == "general-bomb":
-        exact_value = eta_from_counts(exact_dist, labeling=labeling)
-        observable = "eta"
-    else:
-        exact_value = gamma_from_counts(exact_dist)
-        observable = "gamma"
+    exact_value = _observable_value(spec, simulate_ideal(circuit).probability_dict())
+    observable = spec.observable()
     theory = spec.theory()
 
     def row(value, shots_cell, seed_cell, dev_cell, mitigated, std=""):
@@ -309,14 +302,12 @@ def _sweep_point_rows(
     for r in range(repeats):
         seed_r = _derived_seed(base_seed, point_index, r)
         counts = simulate_noisy(circuit, device, shots, seed_r)
-        value = (eta_from_counts(counts, labeling=labeling)
-                 if labeling else gamma_from_counts(counts))
+        value = _observable_value(spec, counts)
         noisy_vals.append(value)
         noisy_rows.append(row(value, shots, seed_r, device_label, "false"))
         if mitigate_flag:
             corrected = mitigate(counts, confusion)
-            mvalue = (eta_from_counts(corrected, labeling=labeling)
-                      if labeling else gamma_from_counts(corrected))
+            mvalue = _observable_value(spec, corrected)
             mitig_vals.append(mvalue)
             mitig_rows.append(row(mvalue, shots, seed_r, device_label, "true"))
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
+from .analysis import _as_distribution
 from .circuit import CountsHistogram
 from .noise import DeviceModel
 from .states import bitstring_of
@@ -107,11 +108,7 @@ def build_confusion_matrix(
 
 def _as_probability_vector(data, num_qubits: int | None = None) -> tuple[np.ndarray, int]:
     """Accept a CountsHistogram, a bitstring->weight mapping, or a vector."""
-    if isinstance(data, CountsHistogram):
-        mapping = data.counts
-    elif isinstance(data, dict):
-        mapping = data
-    else:
+    if not isinstance(data, (CountsHistogram, dict)):
         vec = np.asarray(data, dtype=float).ravel()
         n = int(np.log2(len(vec)))
         if 2**n != len(vec):
@@ -120,20 +117,14 @@ def _as_probability_vector(data, num_qubits: int | None = None) -> tuple[np.ndar
         if total <= 0:
             raise ValueError("probability vector has no weight")
         return vec / total, n
-    if not mapping:
-        raise ValueError("empty distribution")
-    n = len(next(iter(mapping)))
-    if num_qubits is not None:
-        n = num_qubits
+    dist = _as_distribution(data)
+    n = len(next(iter(dist))) if num_qubits is None else num_qubits
     vec = np.zeros(2**n)
-    for key, weight in mapping.items():
+    for key, p in dist.items():
         if len(key) != n:
             raise ValueError(f"key {key!r} does not have {n} bits")
-        vec[int(key, 2)] += float(weight)
-    total = vec.sum()
-    if total <= 0:
-        raise ValueError("distribution has no weight")
-    return vec / total, n
+        vec[int(key, 2)] = p
+    return vec, n
 
 
 def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:

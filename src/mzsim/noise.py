@@ -14,13 +14,26 @@ Gate rates are keyed by arity: 1-qubit gates use `single_qubit_error`
 (default cnot_error/10), 2-qubit gates use `cnot_error`, and a bare CCX
 uses 1-(1-cnot_error)**6, the cost of its six-CNOT expansion.
 
+Sampling takes one path.  Every shot's outcome is a basis index drawn
+from the ideal state exactly as `sample_counts` draws it.  A shot whose
+trajectory draws a gate fault re-evolves the circuit from |0...0> with
+the fault's Paulis spliced in right after the failing gate, on the same
+(matrix, targets) list and `states.evolve` loop, and redraws its index
+from that state with the same uniform.  Readout flips XOR the measured
+bits of the index, and one tally turns indices into histogram keys.
+
 Reproducibility contract (bit-exact for a fixed numpy generation):
 the measurement outcome of shot i consumes the i-th value of a PCG64
 stream seeded with `seed`; the noise draws of trajectory i come from an
-independent PCG64 stream seeded with (seed, i); events with probability 0
-consume no randomness.  Consequently a device with all rates zero
-reproduces ideal sampling bit for bit at the same seed, and trajectories
-can be evaluated in parallel without changing results.
+independent PCG64 stream seeded with (seed, i), in this order: one
+uniform per gate whose rate is above zero, in circuit order; on a hit,
+one integer in {0, 1, 2} (X, Y, Z) per touched qubit in target order;
+then one uniform per measured qubit, in ascending qubit order, whose flip
+probability for its current bit is above zero.  Events with probability
+0 consume no randomness.  Consequently a device with all rates zero
+reproduces ideal sampling bit for bit at the same seed (it returns before
+any trajectory is drawn), and trajectories can be evaluated in parallel
+without changing results.
 """
 
 from __future__ import annotations
@@ -31,9 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CountsHistogram, simulate_ideal
-from .gates import matrix_of
-from .states import StateVector, apply_unitary
+from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
+from .states import StateVector, evolve, init_state
 
 #: canonical 5-qubit T-shaped coupling (hub at qubit 1, tail 3-4)
 T_COUPLING: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (1, 3), (3, 4))
@@ -252,14 +264,25 @@ class NoiseChannel:
         )
 
 
-def _cumulative(probs: np.ndarray) -> np.ndarray:
+def _inverse_cdf(probs: np.ndarray, us):
+    """Basis index that each uniform in `us` selects from the distribution `probs`."""
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)  # guard the top edge against rounding
-    return cum
+    return np.minimum(np.searchsorted(cum, us, side="right"), len(probs) - 1)
 
 
-def _extract_bits(index: int, qubits: tuple[int, ...], num_qubits: int) -> list[int]:
-    return [(index >> (num_qubits - 1 - q)) & 1 for q in qubits]
+def _tally(outcomes, qubits: tuple[int, ...], num_qubits: int) -> CountsHistogram:
+    """Count basis-index outcomes under keys made of the bits of `qubits`.
+
+    Keys are listed in the order in which their first outcome appears.
+    """
+    values, first, tallies = np.unique(outcomes, return_index=True, return_counts=True)
+    counts: dict[str, int] = {}
+    for j in np.argsort(first):
+        index = int(values[j])
+        key = "".join(str((index >> (num_qubits - 1 - q)) & 1) for q in qubits)
+        counts[key] = counts.get(key, 0) + int(tallies[j])
+    return CountsHistogram(shots=len(outcomes), counts=counts)
 
 
 def sample_counts(
@@ -271,7 +294,8 @@ def sample_counts(
     """Multinomial sampling of a statevector's distribution.
 
     Shot i consumes the i-th uniform of the PCG64 stream seeded with
-    `seed`, so histograms are reproducible and batch-splittable.
+    `seed`, so histograms are reproducible and batch-splittable.  Keys are
+    listed in basis-index order.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -279,20 +303,18 @@ def sample_counts(
         raise ValueError(f"seed must be >= 0, got {seed}")
     n = state.num_qubits
     qubits = tuple(range(n)) if measured_qubits is None else tuple(measured_qubits)
-    cum = _cumulative(state.probabilities())
     us = np.random.default_rng(seed).random(shots)
-    outcomes = np.minimum(np.searchsorted(cum, us, side="right"), 2**n - 1)
-    counts: dict[str, int] = {}
-    for index, tally in zip(*np.unique(outcomes, return_counts=True)):
-        key = "".join(str(b) for b in _extract_bits(int(index), qubits, n))
-        counts[key] = counts.get(key, 0) + int(tally)
-    return CountsHistogram(shots=shots, counts=counts)
+    return _tally(np.sort(_inverse_cdf(state.probabilities(), us)), qubits, n)
 
 
 def simulate_noisy(
     circuit: Circuit, device: DeviceModel, shots: int, seed: int
 ) -> CountsHistogram:
-    """Trajectory sampling of `circuit` under `device`'s noise model."""
+    """Trajectory sampling of `circuit` under `device`'s noise model.
+
+    Follows the shared sampling path described in the module docstring;
+    keys are listed in the order in which they first occur among the shots.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if seed < 0:
@@ -304,55 +326,36 @@ def simulate_noisy(
         )
     n = circuit.num_qubits
     channel = NoiseChannel.from_device(device)
-    gates = circuit.gate_instructions()
-    rates = [channel.gate_error.get(len(inst.qubits), 0.0) for inst in gates]
+    ops = gate_ops(circuit)
+    start = init_state(n).amplitudes
     measured = circuit.measured_qubits or tuple(range(n))
-    readout = [channel.readout[q] if q < len(channel.readout) else (0.0, 0.0) for q in measured]
+    rates = [channel.gate_error.get(len(targets), 0.0) for _, targets in ops]
+    fallible = [(pos, rate) for pos, rate in enumerate(rates) if rate > 0.0]
+    # (index bit, p01, p10) of every measured qubit, in qubit order
+    readout = [(1 << (n - 1 - q), *channel.readout[q]) for q in measured]
 
-    ideal = simulate_ideal(circuit)
-    ideal_cum = _cumulative(ideal.probabilities())
-
-    any_gate_noise = any(r > 0 for r in rates)
-    any_readout_noise = any(p01 > 0 or p10 > 0 for p01, p10 in readout)
-
-    # measurement uniforms come first, from the same stream ideal sampling uses
     us = np.random.default_rng(seed).random(shots)
-
-    counts: dict[str, int] = {}
+    outcomes = _inverse_cdf(np.abs(evolve(start, ops, n)) ** 2, us)
+    if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
+        return _tally(outcomes, measured, n)  # exactly ideal sampling
+    outcomes = outcomes.tolist()
     for i in range(shots):
-        traj = (
-            np.random.default_rng((seed, i))
-            if any_gate_noise or any_readout_noise
-            else None
-        )
-        cum = ideal_cum
-        if any_gate_noise:
-            flips = []  # (gate position, pauli index per touched qubit)
-            for pos, rate in enumerate(rates):
-                if rate > 0.0 and traj.random() < rate:
-                    flips.append(
-                        (pos, [int(traj.integers(3)) for _ in gates[pos].qubits])
-                    )
-            if flips:
-                amps = np.zeros(2**n, dtype=complex)
-                amps[0] = 1.0
-                marks = dict(flips)
-                for pos, inst in enumerate(gates):
-                    amps = apply_unitary(amps, matrix_of(inst.gate), inst.qubits, n)
-                    if pos in marks:
-                        for q, pauli in zip(inst.qubits, marks[pos]):
-                            amps = apply_unitary(amps, _PAULIS[pauli], (q,), n)
-                cum = _cumulative(np.abs(amps) ** 2)
-        index = min(int(np.searchsorted(cum, us[i], side="right")), 2**n - 1)
-        bits = _extract_bits(index, measured, n)
-        if any_readout_noise:
-            for k, (p01, p10) in enumerate(readout):
-                p = p10 if bits[k] else p01
-                if p > 0.0 and traj.random() < p:
-                    bits[k] ^= 1
-        key = "".join(str(b) for b in bits)
-        counts[key] = counts.get(key, 0) + 1
-    return CountsHistogram(shots=shots, counts=counts)
+        traj = np.random.default_rng((seed, i))
+        faults = {}  # gate position -> Pauli index per touched qubit
+        for pos, rate in fallible:
+            if traj.random() < rate:
+                faults[pos] = [int(traj.integers(3)) for _ in ops[pos][1]]
+        if faults:
+            path = []
+            for pos, (matrix, targets) in enumerate(ops):
+                path.append((matrix, targets))
+                path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, faults.get(pos, ())))
+            outcomes[i] = int(_inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[i]))
+        for bit, p01, p10 in readout:
+            p = p10 if outcomes[i] & bit else p01
+            if p > 0.0 and traj.random() < p:
+                outcomes[i] ^= bit
+    return _tally(outcomes, measured, n)
 
 
 def ideal_counts(circuit: Circuit, shots: int, seed: int) -> CountsHistogram:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CircuitError
-from .gates import GateDef
+from .gates import GATE_SIGNATURES, GateDef
 
 GATE_NAMES = {
     "h": "H",
@@ -46,9 +46,6 @@ GATE_NAMES = {
     "u3": "U3",
 }
 _EMIT_NAMES = {v: k for k, v in GATE_NAMES.items()}
-_PARAM_COUNTS = {"ry": 1, "u1": 1, "u2": 2, "u3": 3}
-_GATE_ARITIES = {"h": 1, "x": 1, "ry": 1, "u1": 1, "u2": 1, "u3": 1,
-                 "cx": 2, "swap": 2, "ccx": 3}
 
 
 class QasmError(ValueError):
@@ -247,8 +244,9 @@ class _Parser:
         if name.text not in GATE_NAMES:
             raise QasmSemanticError(name.line, name.column,
                                     f"unsupported gate {name.text!r}")
+        canonical = GATE_NAMES[name.text]
+        arity, want = GATE_SIGNATURES[canonical]
         params: list[float] = []
-        want = _PARAM_COUNTS.get(name.text, 0)
         if self.peek().kind == "SYMBOL" and self.peek().text == "(":
             self.advance()
             params.append(self._expression())
@@ -265,8 +263,6 @@ class _Parser:
             args.append(self._argument())
         self.expect("SYMBOL", ";")
 
-        arity = _GATE_ARITIES[name.text]
-        canonical = GATE_NAMES[name.text]
         if arity == 1 and len(args) == 1 and args[0][1] is None:
             # broadcast over the whole register
             targets = self._resolve(self.qregs, args[0][0], None, "quantum")

@@ -91,9 +91,12 @@ def apply_unitary(
 ) -> np.ndarray:
     """Linear kernel: apply a 2**k x 2**k matrix to the target qubits.
 
-    targets are ordered: targets[0] is the most significant bit of the
-    matrix's own index space.  No normalization check happens here, so the
-    map is linear in the input (used directly by the property tests).
+    amplitudes has shape (2**num_qubits, *batch): any trailing axes are
+    batch axes carried along untouched, so an identity matrix evolves into
+    a circuit's unitary column by column.  targets are ordered: targets[0]
+    is the most significant bit of the matrix's own index space.  No
+    normalization check happens here, so the map is linear in the input
+    (used directly by the property tests).
     """
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
@@ -105,12 +108,22 @@ def apply_unitary(
             raise ValueError(f"target qubit {q} out of range for {num_qubits} qubits")
 
     # axis j of the reshaped tensor is qubit j (q0 = axis 0 = MSB)
-    tensor = np.asarray(amplitudes, dtype=complex).reshape([2] * num_qubits)
+    amps = np.asarray(amplitudes, dtype=complex)
+    tensor = amps.reshape((2,) * num_qubits + amps.shape[1:])
     tensor = np.moveaxis(tensor, targets, range(k))
     shape = tensor.shape
     tensor = matrix @ tensor.reshape(2**k, -1)
     tensor = np.moveaxis(tensor.reshape(shape), range(k), targets)
-    return tensor.reshape(2**num_qubits)
+    return tensor.reshape(amps.shape)
+
+
+def evolve(
+    amplitudes: np.ndarray, ops: list[tuple[np.ndarray, tuple[int, ...]]], num_qubits: int
+) -> np.ndarray:
+    """Apply a sequence of (matrix, targets) pairs in order; see apply_unitary."""
+    for matrix, targets in ops:
+        amplitudes = apply_unitary(amplitudes, matrix, targets, num_qubits)
+    return amplitudes
 
 
 def apply_gate(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...]) -> StateVector:

@@ -143,6 +143,14 @@ class TestApplyUnitary:
             lhs = apply_unitary(a * x + b * y, u, targets, 3)
             rhs = a * apply_unitary(x, u, targets, 3) + b * apply_unitary(y, u, targets, 3)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+            # trailing batch axes: each column evolves on its own
+            m = int(rng.integers(1, 5))
+            batch = rng.normal(size=(8, m)) + 1j * rng.normal(size=(8, m))
+            out = apply_unitary(batch, u, targets, 3)
+            assert out.shape == (8, m)
+            for j in range(m):
+                np.testing.assert_allclose(
+                    out[:, j], apply_unitary(batch[:, j], u, targets, 3), atol=1e-12)
 
     def test_norm_preserved_by_random_unitaries(self):
         rng = np.random.default_rng(3)
