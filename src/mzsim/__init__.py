@@ -49,7 +49,6 @@ from .mitigation import (
 from .noise import (
     DEVICE_PRESETS,
     DeviceModel,
-    NoiseChannel,
     device_preset,
     ideal_counts,
     ideal_device,

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .analysis import eta_from_counts, gamma_from_counts, run_statistics
+from .analysis import _as_distribution, eta_from_counts, gamma_from_counts, run_statistics
 from .circuit import CircuitError, simulate_ideal
 from .experiments import ExperimentSpec, chain_angles_for_sweep, eta_general, gamma_closed
 from .mitigation import exact_confusion_matrix, mitigate
@@ -59,22 +59,43 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Explicit flag > config file > default."""
+def _merged(args: argparse.Namespace, config: dict, key: str, convert, default=None):
+    """Explicit flag > config file > default; the value found goes through
+    `convert`, whose TypeError or ValueError becomes a ConfigError (exit 2)."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+    if value is None:
+        value = config.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected a JSON boolean (true or false)")
+    return value
+
+
+def _split(text) -> list:
+    """A comma list's non-blank items; a JSON list passes through."""
+    if isinstance(text, (list, tuple)):
+        return list(text)
+    return [v for v in str(text).split(",") if v.strip()]
+
+
+def _int_list(text) -> tuple[int, ...]:
+    return tuple(int(v) for v in _split(text))
 
 
 def _parse_angle_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) * np.pi for v in text)
     try:
-        return tuple(float(v) * np.pi for v in str(text).split(",") if v.strip())
-    except ValueError as exc:
+        return tuple(float(v) * np.pi for v in _split(text))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad angle list {text!r}: {exc}") from exc
 
 
@@ -97,28 +118,25 @@ def _resolve_device(label: str) -> DeviceModel | None:
 
 
 def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
-    kind = _merged(args, config, "experiment")
+    kind = _merged(args, config, "experiment", str)
     if kind is None:
         raise ConfigError("an experiment is required (--experiment or config file)")
-    kind = str(kind)
     try:
         if kind == "eraser":
-            return ExperimentSpec("eraser", erase=bool(_merged(args, config, "erase", True)))
+            return ExperimentSpec("eraser", erase=_merged(args, config, "erase", _boolean, True))
         if kind == "bomb":
-            return ExperimentSpec("bomb", present=bool(_merged(args, config, "bomb", True)))
+            return ExperimentSpec("bomb", present=_merged(args, config, "bomb", _boolean, True))
         if kind == "general-bomb":
-            angles = _merged(args, config, "angles")
+            angles = _merged(args, config, "angles", _parse_angle_list)
             if angles is None:
                 raise ConfigError("general-bomb requires --angles (units of pi)")
-            return ExperimentSpec("general-bomb", angles=_parse_angle_list(angles))
+            return ExperimentSpec("general-bomb", angles=angles)
         if kind == "hardy":
-            theta0 = _merged(args, config, "theta0")
-            theta1 = _merged(args, config, "theta1")
+            theta0 = _merged(args, config, "theta0", float)
+            theta1 = _merged(args, config, "theta1", float)
             if theta0 is None or theta1 is None:
                 raise ConfigError("hardy requires --theta0 and --theta1 (units of pi)")
-            return ExperimentSpec(
-                "hardy", theta0=float(theta0) * np.pi, theta1=float(theta1) * np.pi
-            )
+            return ExperimentSpec("hardy", theta0=theta0 * np.pi, theta1=theta1 * np.pi)
         raise ConfigError(f"unknown experiment {kind!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -132,10 +150,7 @@ def _observable_value(spec: ExperimentSpec, dist) -> float | dict:
     """Extract this experiment's observable from a distribution/counts."""
     name = spec.observable()
     if name == "distribution":
-        if hasattr(dist, "probabilities"):
-            return dist.probabilities()
-        total = sum(dist.values())
-        return {k: v / total for k, v in sorted(dist.items())}
+        return dict(sorted(_as_distribution(dist).items()))
     if name == "eta":
         labeling = "single-stage" if spec.kind == "bomb" else "multi-stage"
         return eta_from_counts(dist, labeling=labeling)
@@ -205,7 +220,7 @@ def execute_run(
     doc["value"] = _observable_value(spec, counts)
 
     if mitigate_flag:
-        confusion = exact_confusion_matrix(device, len(circuit.measured_qubits))
+        confusion = exact_confusion_matrix(device, circuit.measured_qubits)
         corrected = mitigate(counts, confusion)
         doc["mitigated_probabilities"] = dict(sorted(corrected.items()))
         doc["mitigated_value"] = _observable_value(spec, corrected)
@@ -298,7 +313,7 @@ def _sweep_point_rows(
 
     noisy_rows, mitig_rows = [], []
     noisy_vals, mitig_vals = [], []
-    confusion = exact_confusion_matrix(device, circuit.num_qubits) if mitigate_flag else None
+    confusion = exact_confusion_matrix(device, circuit.measured_qubits) if mitigate_flag else None
     for r in range(repeats):
         seed_r = _derived_seed(base_seed, point_index, r)
         counts = simulate_noisy(circuit, device, shots, seed_r)
@@ -414,7 +429,7 @@ def _dump_json(payload) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     spec = _experiment_from(args, config)
-    device_label = str(_merged(args, config, "device", "ideal"))
+    device_label = _merged(args, config, "device", str, "ideal")
     device = _resolve_device(device_label)
     if device is not None:
         device_label = device.name
@@ -422,61 +437,57 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec,
         device,
         device_label,
-        shots=int(_merged(args, config, "shots", 8192)),
-        seed=int(_merged(args, config, "seed", 0)),
-        mitigate_flag=bool(_merged(args, config, "mitigate", False)),
-        exact=bool(_merged(args, config, "exact", False)),
+        shots=_merged(args, config, "shots", int, 8192),
+        seed=_merged(args, config, "seed", int, 0),
+        mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
+        exact=_merged(args, config, "exact", _boolean, False),
     )
-    fmt = str(_merged(args, config, "format", "json"))
+    fmt = _merged(args, config, "format", str, "json")
     if fmt == "json":
         text = _dump_json(doc)
     elif fmt == "csv":
         text = _rows_to_csv(_run_rows(doc, spec))
     else:
         raise ConfigError(f"unknown format {fmt!r} (expected json or csv)")
-    _write_text(text, _merged(args, config, "output"))
+    _write_text(text, _merged(args, config, "output", str))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
-    experiment = _merged(args, config, "experiment")
+    experiment = _merged(args, config, "experiment", str)
     if experiment is None:
         raise ConfigError("a sweep experiment is required (--experiment)")
-    n_values = _merged(args, config, "n_values", "")
-    if isinstance(n_values, str):
-        n_values = tuple(int(v) for v in n_values.split(",") if v.strip())
-    else:
-        n_values = tuple(int(v) for v in n_values)
-    start = _merged(args, config, "theta_start")
-    stop = _merged(args, config, "theta_stop")
-    step = _merged(args, config, "theta_step")
+    n_values = _merged(args, config, "n_values", _int_list, ())
+    start = _merged(args, config, "theta_start", float)
+    stop = _merged(args, config, "theta_stop", float)
+    step = _merged(args, config, "theta_step", float)
     if start is None or stop is None or step is None:
         raise ConfigError("sweep needs --theta-start, --theta-stop, --theta-step (units of pi)")
-    device_label = str(_merged(args, config, "device", "ideal"))
+    device_label = _merged(args, config, "device", str, "ideal")
     device = _resolve_device(device_label)
     if device is not None:
         device_label = device.name
     rows = execute_sweep(
-        str(experiment),
+        experiment,
         n_values,
-        _grid(float(start), float(stop), float(step)),
-        str(_merged(args, config, "hardy_grid", "diagonal")),
+        _grid(start, stop, step),
+        _merged(args, config, "hardy_grid", str, "diagonal"),
         device,
         device_label,
-        shots=int(_merged(args, config, "shots", 8192)),
-        seed=int(_merged(args, config, "seed", 0)),
-        repeats=int(_merged(args, config, "repeats", 1)),
-        mitigate_flag=bool(_merged(args, config, "mitigate", False)),
+        shots=_merged(args, config, "shots", int, 8192),
+        seed=_merged(args, config, "seed", int, 0),
+        repeats=_merged(args, config, "repeats", int, 1),
+        mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
     )
-    fmt = str(_merged(args, config, "format", "csv"))
+    fmt = _merged(args, config, "format", str, "csv")
     if fmt == "csv":
         text = _rows_to_csv(rows)
     elif fmt == "json":
         text = _dump_json({"rows": rows})
     else:
         raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")
-    _write_text(text, _merged(args, config, "output"))
+    _write_text(text, _merged(args, config, "output", str))
     return 0
 
 
@@ -489,9 +500,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     device = _resolve_device(args.device)
     if device is None:
         raise ConfigError("transpile requires a real device (--device PRESET|FILE)")
-    layout = None
-    if args.layout:
-        layout = tuple(int(v) for v in args.layout.split(","))
+    layout = _merged(args, {}, "layout", _int_list) or None
     result = transpile(circuit, device, initial_layout=layout, fuse=args.fuse)
     fidelity, error = estimate_fidelity(result, device)
     counts = result.circuit.count_gates()

@@ -67,32 +67,38 @@ class ConfusionMatrix:
         return cls(num_qubits=int(doc["num_qubits"]), matrix=np.array(doc["matrix"]))
 
 
-def exact_confusion_matrix(device: DeviceModel, num_qubits: int) -> ConfusionMatrix:
-    """Tensor product of per-qubit flip matrices [[1-p01, p10], [p01, 1-p10]]."""
+def _readout_pairs(device: DeviceModel, qubits: int | tuple[int, ...]) -> list:
+    """(p01, p10) of each qubit in `qubits`, a sequence or a count k for 0..k-1."""
+    qubits = range(qubits) if isinstance(qubits, (int, np.integer)) else tuple(qubits)
+    if any(not 0 <= q < device.num_qubits for q in qubits):
+        raise ValueError(f"asked for qubits {list(qubits)} on {device.num_qubits}-qubit device")
+    return [device.readout[q] for q in qubits]
+
+
+def exact_confusion_matrix(device: DeviceModel, qubits: int | tuple[int, ...]) -> ConfusionMatrix:
+    """Tensor product of the flip matrices [[1-p01, p10], [p01, 1-p10]] of `qubits`,
+    the measured qubits in key order (an int k means qubits 0..k-1)."""
+    pairs = _readout_pairs(device, qubits)
     m = np.array([[1.0]])
-    for q in range(num_qubits):
-        p01, p10 = device.readout[q]
+    for p01, p10 in pairs:
         m = np.kron(m, np.array([[1 - p01, p10], [p01, 1 - p10]]))
-    return ConfusionMatrix(num_qubits=num_qubits, matrix=m)
+    return ConfusionMatrix(num_qubits=len(pairs), matrix=m)
 
 
 def build_confusion_matrix(
-    device: DeviceModel, num_qubits: int, shots: int, seed: int
+    device: DeviceModel, qubits: int | tuple[int, ...], shots: int, seed: int
 ) -> ConfusionMatrix:
     """Estimate the confusion matrix by calibration sampling.
 
-    Column j: prepare basis state j exactly (X on its 1-bits), read it out
-    `shots` times under the device's readout flips, tally the results.
+    Column j: prepare basis state j of `qubits` (as in `exact_confusion_matrix`)
+    exactly, read it out `shots` times under their readout flips, tally the results.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if num_qubits > device.num_qubits:
-        raise ValueError(
-            f"asked for {num_qubits} qubits on {device.num_qubits}-qubit device"
-        )
+    pairs = _readout_pairs(device, qubits)
+    num_qubits = len(pairs)
     dim = 2**num_qubits
-    p01 = np.array([device.readout[q][0] for q in range(num_qubits)])
-    p10 = np.array([device.readout[q][1] for q in range(num_qubits)])
+    p01, p10 = np.array(pairs, dtype=float).reshape(-1, 2).T
     m = np.zeros((dim, dim))
     rng = np.random.default_rng(seed)
     weights = 1 << np.arange(num_qubits - 1, -1, -1)  # q0 is the MSB

@@ -10,9 +10,14 @@ model:
 * each measured bit then flips asymmetrically: 0->1 with probability p01,
   1->0 with probability p10.
 
-Gate rates are keyed by arity: 1-qubit gates use `single_qubit_error`
-(default cnot_error/10), 2-qubit gates use `cnot_error`, and a bare CCX
-uses 1-(1-cnot_error)**6, the cost of its six-CNOT expansion.
+`DeviceModel.gate_error(arity)` is the one function that prices a gate:
+1-qubit gates cost `single_qubit_error` (default cnot_error/10), 2-qubit
+gates `cnot_error`, a bare CCX 1-(1-cnot_error)**6 (its six CNOTs).  The
+sampler prices the logical circuit and `transpile.estimate_fidelity` the
+transpiled one, so the two differ on CCX and SWAP: the sampler leaves out
+CCX's nine 1-qubit gates, prices a SWAP as one 2-qubit gate, not three
+CNOTs, and never sees routing SWAPs.  Pricing the transpiled circuit in
+the sampler would move every seeded histogram.
 
 Sampling takes one path.  Every shot's outcome is a basis index drawn
 from the ideal state exactly as `sample_counts` draws it.  A shot whose
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +67,73 @@ _PAULIS = (
 )
 
 
+def _edge(pair) -> tuple[int, int]:
+    a, b = sorted(map(int, pair))
+    return a, b
+
+
+@dataclass(frozen=True)
+class CouplingGraph:
+    """Undirected connectivity between physical qubits; must be connected."""
+
+    num_qubits: int
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        edges = frozenset(map(_edge, self.edges))
+        for a, b in edges:
+            if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
+                raise ValueError(f"bad edge {(a, b)} in coupling graph")
+        object.__setattr__(self, "edges", edges)
+        if self.num_qubits > 1 and len(self._bfs(0)) != self.num_qubits:
+            raise ValueError("coupling graph must be connected")
+
+    @classmethod
+    def from_device(cls, device: "DeviceModel") -> "CouplingGraph":
+        return device.graph
+
+    def neighbors(self, q: int) -> list[int]:
+        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
+        return sorted(out)
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return tuple(sorted((a, b))) in self.edges
+
+    def degree(self, q: int) -> int:
+        return len(self.neighbors(q))
+
+    def _bfs(self, start: int, goal: int | None = None) -> dict[int, int]:
+        """BFS predecessor of each qubit reached from `start`, stopping at `goal`."""
+        prev = {start: start}
+        frontier = deque([start])
+        while frontier:
+            u = frontier.popleft()
+            for v in self.neighbors(u):
+                if v not in prev:
+                    prev[v] = u
+                    if v == goal:
+                        return prev
+                    frontier.append(v)
+        return prev
+
+    def shortest_path(self, start: int, goal: int) -> list[int]:
+        """BFS path [start, ..., goal]; ties broken toward lower qubit index."""
+        prev = self._bfs(start, goal)
+        if goal not in prev:
+            raise ValueError(f"no path between {start} and {goal}")
+        path = [goal]
+        while path[-1] != start:
+            path.append(prev[path[-1]])
+        return path[::-1]
+
+
 @dataclass(frozen=True)
 class DeviceModel:
     """Calibration summary of a backend.
 
     readout holds one (p01, p10) pair per qubit: p01 is the probability
-    of reading 1 when the true bit is 0, p10 the reverse.
+    of reading 1 when the true bit is 0, p10 the reverse.  `graph` is the
+    validated coupling graph, built once here.
     """
 
     name: str
@@ -78,6 +145,7 @@ class DeviceModel:
     coupling: tuple[tuple[int, int], ...]
     single_qubit_error: float = None  # type: ignore[assignment]
     calibration_date: str = ""
+    graph: CouplingGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.single_qubit_error is None:
@@ -102,11 +170,14 @@ class DeviceModel:
             if not (0.0 <= p01 < 1.0 and 0.0 <= p10 < 1.0):
                 raise ValueError(f"readout probabilities must be in [0, 1): {(p01, p10)}")
         object.__setattr__(self, "readout", readout)
-        coupling = tuple(tuple(sorted(map(int, e))) for e in self.coupling)
-        for a, b in coupling:
-            if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValueError(f"bad coupling edge {(a, b)}")
+        coupling = tuple(map(_edge, self.coupling))
+        object.__setattr__(self, "graph", CouplingGraph(self.num_qubits, frozenset(coupling)))
         object.__setattr__(self, "coupling", coupling)
+
+    def gate_error(self, arity: int) -> float:
+        """Error probability of one gate on `arity` qubits; see the module docstring."""
+        p2 = self.cnot_error
+        return {1: self.single_qubit_error, 2: p2, 3: 1.0 - (1.0 - p2) ** 6}.get(arity, 0.0)
 
     @property
     def mean_readout_error(self) -> float:
@@ -200,15 +271,10 @@ def load_device(source: str) -> DeviceModel:
     missing = [k for k in required if k not in doc]
     if missing:
         raise ValueError(f"calibration document missing field(s): {', '.join(missing)}")
-    num_qubits = int(doc["num_qubits"])
-    ro = doc["readout_error"]
-    if isinstance(ro, (int, float)):
-        if not 0.0 <= ro < 1.0:
-            raise ValueError(f"readout_error must be in [0, 1), got {ro}")
-        readout = _symmetric_readout(float(ro), num_qubits)
-    else:
-        readout = tuple((float(p[0]), float(p[1])) for p in ro)
     try:
+        num_qubits = int(doc["num_qubits"])
+        ro = doc["readout_error"]
+        sq = doc.get("single_qubit_error")
         return DeviceModel(
             name=str(doc["name"]),
             calibration_date=str(doc.get("calibration_date", "")),
@@ -216,15 +282,14 @@ def load_device(source: str) -> DeviceModel:
             t1_us=float(doc["t1_us"]),
             t2_us=float(doc["t2_us"]),
             cnot_error=float(doc["cnot_error"]),
-            single_qubit_error=(
-                float(doc["single_qubit_error"])
-                if doc.get("single_qubit_error") is not None
-                else None
+            single_qubit_error=None if sq is None else float(sq),
+            readout=(
+                _symmetric_readout(ro, num_qubits)
+                if isinstance(ro, (int, float)) else ro
             ),
-            readout=readout,
-            coupling=tuple(tuple(e) for e in doc["coupling"]),
+            coupling=doc["coupling"],
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid calibration document: {exc}") from exc
 
 
@@ -242,26 +307,6 @@ def ideal_device(num_qubits: int, coupling: tuple[tuple[int, int], ...] | None =
         readout=_symmetric_readout(0.0, num_qubits),
         coupling=coupling,
     )
-
-
-@dataclass(frozen=True)
-class NoiseChannel:
-    """Arity-keyed gate error probabilities plus per-qubit readout flips."""
-
-    gate_error: dict[int, float] = field(default_factory=dict)
-    readout: tuple[tuple[float, float], ...] = ()
-
-    @classmethod
-    def from_device(cls, device: DeviceModel) -> "NoiseChannel":
-        p2 = device.cnot_error
-        return cls(
-            gate_error={
-                1: device.single_qubit_error,
-                2: p2,
-                3: 1.0 - (1.0 - p2) ** 6,
-            },
-            readout=device.readout,
-        )
 
 
 def _inverse_cdf(probs: np.ndarray, us):
@@ -325,14 +370,13 @@ def simulate_noisy(
             f"{device.name!r} has {device.num_qubits}"
         )
     n = circuit.num_qubits
-    channel = NoiseChannel.from_device(device)
     ops = gate_ops(circuit)
     start = init_state(n).amplitudes
     measured = circuit.measured_qubits or tuple(range(n))
-    rates = [channel.gate_error.get(len(targets), 0.0) for _, targets in ops]
+    rates = [device.gate_error(len(targets)) for _, targets in ops]
     fallible = [(pos, rate) for pos, rate in enumerate(rates) if rate > 0.0]
     # (index bit, p01, p10) of every measured qubit, in qubit order
-    readout = [(1 << (n - 1 - q), *channel.readout[q]) for q in measured]
+    readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
 
     us = np.random.default_rng(seed).random(shots)
     outcomes = _inverse_cdf(np.abs(evolve(start, ops, n)) ** 2, us)

@@ -21,73 +21,13 @@ best-connected physical qubit.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, CircuitError
 from .gates import BASIS_GATES, GateDef, matrix_of
-from .noise import DeviceModel
-
-
-@dataclass(frozen=True)
-class CouplingGraph:
-    """Undirected connectivity between physical qubits."""
-
-    num_qubits: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        edges = frozenset(tuple(sorted(map(int, e))) for e in self.edges)
-        for a, b in edges:
-            if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValueError(f"bad edge {(a, b)}")
-        object.__setattr__(self, "edges", edges)
-        if self.num_qubits > 1:
-            seen = {0}
-            frontier = deque([0])
-            while frontier:
-                u = frontier.popleft()
-                for v in self.neighbors(u):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            if len(seen) != self.num_qubits:
-                raise ValueError("coupling graph must be connected")
-
-    @classmethod
-    def from_device(cls, device: DeviceModel) -> "CouplingGraph":
-        return cls(device.num_qubits, frozenset(device.coupling))
-
-    def neighbors(self, q: int) -> list[int]:
-        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
-        return sorted(out)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
-
-    def degree(self, q: int) -> int:
-        return len(self.neighbors(q))
-
-    def shortest_path(self, start: int, goal: int) -> list[int]:
-        """BFS path [start, ..., goal]; ties broken toward lower qubit index."""
-        if start == goal:
-            return [start]
-        prev: dict[int, int] = {start: start}
-        frontier = deque([start])
-        while frontier:
-            u = frontier.popleft()
-            for v in self.neighbors(u):
-                if v not in prev:
-                    prev[v] = u
-                    if v == goal:
-                        path = [goal]
-                        while path[-1] != start:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    frontier.append(v)
-        raise ValueError(f"no path between {start} and {goal}")
+from .noise import CouplingGraph, DeviceModel
 
 
 @dataclass(frozen=True)
@@ -240,7 +180,7 @@ def route(
 
 
 def estimate_fidelity(transpiled, device: DeviceModel) -> tuple[float, float]:
-    """(fidelity, error) of a basis circuit under flat per-gate error rates.
+    """(fidelity, error) of a basis circuit under `DeviceModel.gate_error`.
 
     fidelity = prod over gates of (1 - rate) * prod over measured qubits
     of (1 - readout error); error = 1 - fidelity.
@@ -252,8 +192,7 @@ def estimate_fidelity(transpiled, device: DeviceModel) -> tuple[float, float]:
             raise CircuitError(
                 f"fidelity model covers basis gates only; found {inst.gate.name}"
             )
-        rate = device.cnot_error if len(inst.qubits) == 2 else device.single_qubit_error
-        fidelity *= 1.0 - rate
+        fidelity *= 1.0 - device.gate_error(len(inst.qubits))
     for q in circuit.measured_qubits:
         fidelity *= 1.0 - device.readout_error_of(q)
     return fidelity, 1.0 - fidelity
@@ -320,4 +259,4 @@ def transpile(
     basis = decompose_to_basis(circuit)
     if fuse:
         basis = fuse_single_qubit_runs(basis)
-    return route(basis, CouplingGraph.from_device(device), initial_layout)
+    return route(basis, device.graph, initial_layout)

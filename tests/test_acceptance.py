@@ -36,7 +36,6 @@ from mzsim.mitigation import (
 )
 from mzsim.noise import (
     DeviceModel,
-    NoiseChannel,
     device_preset,
     ideal_counts,
     simulate_noisy,
@@ -66,13 +65,12 @@ def exact_noise_averaged(circuit: Circuit, device: DeviceModel) -> np.ndarray:
     chosen X/Y/Z.  Enumerating all insertion patterns gives the exact
     average that sampling only approaches.
     """
-    channel = NoiseChannel.from_device(device)
     n = circuit.num_qubits
     init = np.zeros(2**n, dtype=complex)
     init[0] = 1.0
     branches = [(init, 1.0)]
     for inst in circuit.gate_instructions():
-        rate = channel.gate_error.get(len(inst.qubits), 0.0)
+        rate = device.gate_error(len(inst.qubits))
         matrix = matrix_of(inst.gate)
         grown = []
         for amps, weight in branches:

@@ -5,10 +5,14 @@ parsing, config merging, and the exit-code contract exactly as a shell
 user would hit them.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim.cli import CSV_COLUMNS, main
 from mzsim.experiments import (
@@ -566,3 +570,90 @@ class TestTranspileCommand:
             main(["transpile", eraser_qasm])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def calibration(**changes) -> str:
+    """A valid 5-qubit T-coupled calibration document with `changes` applied."""
+    doc = {"name": "toy", "num_qubits": 5, "t1_us": 50.0, "t2_us": 50.0,
+           "cnot_error": 0.01, "readout_error": 0.02,
+           "coupling": [[0, 1], [1, 2], [1, 3], [3, 4]]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+QASM = object()  # stands for the path of an eraser QASM file
+DISCONNECTED = calibration(coupling=[[0, 1], [2, 3]])
+HARDY_SWEEP = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
+               "--theta-stop", "0.5", "--theta-step", "0.1", "--shots", "64")
+BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "a"), id="layout-a"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "0,1,x"),
+                 id="layout-0,1,x"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "2.5"), id="layout-2.5"),
+    pytest.param(("sweep", "--experiment", "general-bomb", "--n-values", "2,x",
+                  "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
+                 id="n-values-2,x"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "shots": [1]}),
+                 id="config-shots-list"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "shots": "abc"}),
+                 id="config-shots-text"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "device": "vigo",
+                                      "shots": 64, "mitigate": "false"}),
+                 id="config-boolean-as-text"),
+    pytest.param(BOMB_RUN + ("--device", calibration(readout_error=[0.1, 0.2, 0.1, 0.1, 0.1])),
+                 id="readout-list-of-scalars"),
+    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=None)), id="num-qubits-null"),
+    pytest.param(BOMB_RUN + ("--device", DISCONNECTED), id="disconnected-run"),
+    pytest.param(("transpile", QASM, "--device", DISCONNECTED), id="disconnected-transpile"),
+    pytest.param(HARDY_SWEEP + ("--device", DISCONNECTED), id="disconnected-sweep"),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    qasm = tmp_path / "eraser.qasm"
+    qasm.write_text(emit(build_eraser(erase=True)))
+    resolved = []
+    for arg in argv:
+        if arg is QASM:
+            arg = str(qasm)
+        elif isinstance(arg, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(arg))
+            arg = str(cfg)
+        resolved.append(arg)
+    code, _, err = run_cli(capsys, *resolved)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+FIELDS = ("name", "num_qubits", "t1_us", "t2_us", "cnot_error", "single_qubit_error",
+          "readout_error", "coupling", "calibration_date")
+# Numbers stay small: a calibration naming millions of qubits builds a
+# readout table that large before anything rejects it.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(-1.0, 6.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=5),
+                           max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=3),
+       dropped=st.sets(st.sampled_from(FIELDS), max_size=1))
+def test_malformed_calibration_keeps_exit_code_contract(changes, dropped):
+    doc = json.loads(calibration(**changes))
+    for key in dropped:
+        doc.pop(key, None)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--experiment", "bomb", "--shots", "32", "--seed", "0",
+                     "--mitigate", "--device", json.dumps(doc)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert sum(json.loads(out.getvalue())["counts"].values()) == 32
+    else:
+        assert err.getvalue().startswith("error:")

@@ -63,12 +63,35 @@ class TestExactConfusion:
         dev = symmetric_device(0.0, 3)
         np.testing.assert_array_equal(exact_confusion_matrix(dev, 3).matrix, np.eye(8))
 
+    def test_partial_measurement_uses_measured_qubits_rates(self):
+        # x(1) then measure(1, 0): the one key bit is qubit 1, read through (0.2, 0.3)
+        from mzsim.circuit import Circuit
+
+        dev = DeviceModel("p", 2, 50.0, 50.0, 0.0, ((0.0, 0.0), (0.2, 0.3)), ((0, 1),))
+        circ = Circuit(2, 1).x(1).measure(1, 0)
+        exact_readout = {"0": 0.3, "1": 0.7}
+        corrected = mitigate(exact_readout, exact_confusion_matrix(dev, circ.measured_qubits))
+        assert total_variation_distance(corrected, {"1": 1.0}) <= 1e-9
+        # an int k still means qubits 0..k-1
+        np.testing.assert_array_equal(exact_confusion_matrix(dev, 1).matrix, np.eye(2))
+
+    def test_qubit_out_of_range(self):
+        with pytest.raises(ValueError, match="2-qubit device"):
+            exact_confusion_matrix(symmetric_device(0.1, 2), (0, 2))
+
 
 class TestBuildConfusion:
     def test_converges_to_exact(self):
         dev = symmetric_device(0.04, 2)
         est = build_confusion_matrix(dev, 2, shots=200_000, seed=11).matrix
         exact = exact_confusion_matrix(dev, 2).matrix
+        assert np.max(np.abs(est - exact)) < 0.005
+
+    def test_measured_subset_converges_to_exact(self):
+        dev = DeviceModel("p", 3, 50.0, 50.0, 0.0,
+                          ((0.0, 0.0), (0.2, 0.3), (0.05, 0.1)), ((0, 1), (1, 2)))
+        est = build_confusion_matrix(dev, (1, 2), shots=200_000, seed=11).matrix
+        exact = exact_confusion_matrix(dev, (1, 2)).matrix
         assert np.max(np.abs(est - exact)) < 0.005
 
     def test_deterministic(self):

@@ -11,7 +11,6 @@ from mzsim.noise import (
     HOURGLASS_COUPLING,
     T_COUPLING,
     DeviceModel,
-    NoiseChannel,
     device_preset,
     ideal_counts,
     ideal_device,
@@ -154,12 +153,12 @@ def test_ideal_device_has_zero_rates():
 
 
 def test_noise_channel_rates_keyed_by_arity():
-    ch = NoiseChannel.from_device(device_preset("vigo"))
-    p2 = device_preset("vigo").cnot_error
-    assert ch.gate_error[1] == pytest.approx(p2 / 10)
-    assert ch.gate_error[2] == p2
+    dev = device_preset("vigo")
+    p2 = dev.cnot_error
+    assert dev.gate_error(1) == pytest.approx(p2 / 10)
+    assert dev.gate_error(2) == p2
     # three-qubit rate priced as the gate's own 6-CNOT expansion
-    assert ch.gate_error[3] == pytest.approx(1.0 - (1.0 - p2) ** 6)
+    assert dev.gate_error(3) == pytest.approx(1.0 - (1.0 - p2) ** 6)
 
 
 class TestSampleCounts:
