@@ -81,6 +81,13 @@ def _boolean(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer or its decimal text; never a float or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
 def _split(text) -> list:
     """A comma list's non-blank items; a JSON list passes through."""
     if isinstance(text, (list, tuple)):
@@ -89,7 +96,7 @@ def _split(text) -> list:
 
 
 def _int_list(text) -> tuple[int, ...]:
-    return tuple(int(v) for v in _split(text))
+    return tuple(_integer(v) for v in _split(text))
 
 
 def _parse_angle_list(text) -> tuple[float, ...]:
@@ -172,6 +179,8 @@ def execute_run(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if mitigate_flag and device is None:
         raise ConfigError("--mitigate needs a noisy device")
+    if exact and device is not None:
+        raise ConfigError("--exact gives ideal probabilities and cannot take a noisy device")
 
     circuit = spec.build()
     doc: dict = {
@@ -352,6 +361,10 @@ def execute_sweep(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if hardy_grid not in ("diagonal", "full"):
+        raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
     if mitigate_flag and device is None:
         raise ConfigError("--mitigate needs a noisy device")
     rows: list[dict] = []
@@ -437,8 +450,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec,
         device,
         device_label,
-        shots=_merged(args, config, "shots", int, 8192),
-        seed=_merged(args, config, "seed", int, 0),
+        shots=_merged(args, config, "shots", _integer, 8192),
+        seed=_merged(args, config, "seed", _integer, 0),
         mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
         exact=_merged(args, config, "exact", _boolean, False),
     )
@@ -475,9 +488,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _merged(args, config, "hardy_grid", str, "diagonal"),
         device,
         device_label,
-        shots=_merged(args, config, "shots", int, 8192),
-        seed=_merged(args, config, "seed", int, 0),
-        repeats=_merged(args, config, "repeats", int, 1),
+        shots=_merged(args, config, "shots", _integer, 8192),
+        seed=_merged(args, config, "seed", _integer, 0),
+        repeats=_merged(args, config, "repeats", _integer, 1),
         mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
     )
     fmt = _merged(args, config, "format", str, "csv")

@@ -7,8 +7,13 @@ The confusion matrix M is column-stochastic: M[i, j] is the probability of
 
 where p is the empirical distribution.  When the plain linear solve
 M^{-1} p already satisfies the constraints it *is* the optimum (zero
-residual), so the solver only falls back to an iterative method (SLSQP)
-when the nonnegativity boundary is active.
+residual).  Otherwise the nonnegativity boundary is active, and the
+fallback projects p onto the probability simplex in the metric of M
+(Smolin, Gambetta & Smith, PRL 108, 070502, 2012) with non-negative least
+squares (`scipy.optimize.nnls`): the sum-to-one constraint becomes one
+extra row of M, weighted by `SUM_WEIGHT` so heavily that its residual
+vanishes, and the result is clipped and renormalised as the direct
+solve's is.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from .states import bitstring_of
 
 #: above this condition number the unmixing is numerically meaningless
 CONDITION_LIMIT = 1e8
-#: convergence tolerance handed to the iterative solver
-SOLVER_TOL = 1e-10
+#: weight of the sum-to-one row appended to M in the fallback
+SUM_WEIGHT = 1e3
+#: iteration cap of the fallback, per unknown (scipy's default is 3)
+NNLS_ITERATIONS_PER_UNKNOWN = 10
 
 
 class IllConditionedMatrixError(ValueError):
@@ -152,24 +159,15 @@ def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:
     x = np.linalg.solve(m, p)
     if np.min(x) < -1e-10:
         # boundary case: project onto the probability simplex properly
-        x0 = np.clip(x, 0.0, None)
-        x0 = x0 / x0.sum() if x0.sum() > 0 else np.full(len(p), 1.0 / len(p))
-
-        def objective(v):
-            r = m @ v - p
-            return float(r @ r), 2.0 * (m.T @ r)
-
-        result = optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * len(p),
-            constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1.0,
-                          "jac": lambda v: np.ones_like(v)}],
-            options={"ftol": SOLVER_TOL, "maxiter": 1000},
-        )
-        x = result.x
+        dim = len(p)
+        try:
+            x, _ = optimize.nnls(
+                np.vstack([m, np.full(dim, SUM_WEIGHT)]),
+                np.append(p, SUM_WEIGHT),
+                maxiter=NNLS_ITERATIONS_PER_UNKNOWN * dim,
+            )
+        except RuntimeError as exc:
+            raise ValueError(f"mitigation fallback did not converge: {exc}") from exc
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
     return {bitstring_of(i, n): float(v) for i, v in enumerate(x)}

@@ -24,8 +24,11 @@ from the ideal state exactly as `sample_counts` draws it.  A shot whose
 trajectory draws a gate fault re-evolves the circuit from |0...0> with
 the fault's Paulis spliced in right after the failing gate, on the same
 (matrix, targets) list and `states.evolve` loop, and redraws its index
-from that state with the same uniform.  Readout flips XOR the measured
-bits of the index, and one tally turns indices into histogram keys.
+from that state with the same uniform.  Within one call, faulty shots are
+grouped by fault pattern (the same Paulis after the same gates), and each
+pattern is evolved once for its whole group, so one faulty state is held
+at a time.  Readout flips XOR the measured bits of the index, and one
+tally turns indices into histogram keys.
 
 Reproducibility contract (bit-exact for a fixed numpy generation):
 the measurement outcome of shot i consumes the i-th value of a PCG64
@@ -273,6 +276,12 @@ def load_device(source: str) -> DeviceModel:
         raise ValueError(f"calibration document missing field(s): {', '.join(missing)}")
     try:
         num_qubits = int(doc["num_qubits"])
+        if num_qubits > len(doc["coupling"]) + 1:
+            # checked before the readout table grows to num_qubits pairs
+            raise ValueError(
+                f"{num_qubits} qubits need at least {num_qubits - 1} coupling edges "
+                f"to be connected, got {len(doc['coupling'])}"
+            )
         ro = doc["readout_error"]
         sq = doc.get("single_qubit_error")
         return DeviceModel(
@@ -383,22 +392,34 @@ def simulate_noisy(
     if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
         return _tally(outcomes, measured, n)  # exactly ideal sampling
     outcomes = outcomes.tolist()
+
+    def read_out(index, traj) -> int:
+        for bit, p01, p10 in readout:
+            p = p10 if index & bit else p01
+            if p > 0.0 and traj.random() < p:
+                index ^= bit
+        return index
+
+    faulty = {}  # fault pattern -> [(shot, its noise stream)] of the shots that drew it
     for i in range(shots):
         traj = np.random.default_rng((seed, i))
-        faults = {}  # gate position -> Pauli index per touched qubit
+        faults = []  # (gate position, Pauli index per touched qubit), in circuit order
         for pos, rate in fallible:
             if traj.random() < rate:
-                faults[pos] = [int(traj.integers(3)) for _ in ops[pos][1]]
+                faults.append((pos, tuple(int(traj.integers(3)) for _ in ops[pos][1])))
         if faults:
-            path = []
-            for pos, (matrix, targets) in enumerate(ops):
-                path.append((matrix, targets))
-                path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, faults.get(pos, ())))
-            outcomes[i] = int(_inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[i]))
-        for bit, p01, p10 in readout:
-            p = p10 if outcomes[i] & bit else p01
-            if p > 0.0 and traj.random() < p:
-                outcomes[i] ^= bit
+            faulty.setdefault(tuple(faults), []).append((i, traj))
+        else:
+            outcomes[i] = read_out(outcomes[i], traj)
+    for pattern, group in faulty.items():
+        paulis = dict(pattern)
+        path = []
+        for pos, (matrix, targets) in enumerate(ops):
+            path.append((matrix, targets))
+            path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, paulis.get(pos, ())))
+        draws = _inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[[i for i, _ in group]])
+        for (i, traj), index in zip(group, draws.tolist()):
+            outcomes[i] = read_out(index, traj)
     return _tally(outcomes, measured, n)
 
 

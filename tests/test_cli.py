@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzsim import noise
 from mzsim.cli import CSV_COLUMNS, main
 from mzsim.experiments import (
     chain_angles_for_sweep,
@@ -582,7 +583,7 @@ def calibration(**changes) -> str:
 
 
 QASM = object()  # stands for the path of an eraser QASM file
-DISCONNECTED = calibration(coupling=[[0, 1], [2, 3]])
+DISCONNECTED = calibration(coupling=[[0, 1], [1, 2], [0, 2], [3, 4]])
 HARDY_SWEEP = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
                "--theta-stop", "0.5", "--theta-step", "0.1", "--shots", "64")
 BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
@@ -609,6 +610,16 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
     pytest.param(BOMB_RUN + ("--device", DISCONNECTED), id="disconnected-run"),
     pytest.param(("transpile", QASM, "--device", DISCONNECTED), id="disconnected-transpile"),
     pytest.param(HARDY_SWEEP + ("--device", DISCONNECTED), id="disconnected-sweep"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "shots": 2.7}), id="config-shots-float"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "shots": True}), id="config-shots-bool"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "seed": 1.5}), id="config-seed-float"),
+    pytest.param(HARDY_SWEEP + ("--config", {"repeats": 2.5}), id="config-repeats-float"),
+    pytest.param(HARDY_SWEEP + ("--config", {"hardy_grid": "xyz"}), id="config-hardy-grid"),
+    pytest.param(HARDY_SWEEP + ("--seed", "-1"), id="sweep-seed-negative"),
+    pytest.param(BOMB_RUN + ("--seed", "-1"), id="run-seed-negative"),
+    pytest.param(BOMB_RUN + ("--exact", "--device", "london"), id="exact-with-device"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "exact": True, "device": "london"}),
+                 id="config-exact-with-device"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     qasm = tmp_path / "eraser.qasm"
@@ -628,12 +639,23 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def test_huge_num_qubits_rejected_before_readout_table(capsys, monkeypatch):
+    def expand(p, num_qubits):
+        raise AssertionError(f"readout table of {num_qubits} pairs built")
+
+    monkeypatch.setattr(noise, "_symmetric_readout", expand)
+    code, _, err = run_cli(capsys, *BOMB_RUN, "--device", calibration(num_qubits=10**12))
+    assert code == 2
+    assert "coupling edges" in err
+
+
 FIELDS = ("name", "num_qubits", "t1_us", "t2_us", "cnot_error", "single_qubit_error",
           "readout_error", "coupling", "calibration_date")
-# Numbers stay small: a calibration naming millions of qubits builds a
-# readout table that large before anything rejects it.
+# Numbers stay small, apart from one huge integer: a qubit count beyond
+# what the coupling list can connect must be rejected before anything is
+# sized by it.
 JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 6), st.floats(-1.0, 6.0),
+    st.none(), st.booleans(), st.integers(-2, 6), st.just(10**12), st.floats(-1.0, 6.0),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.text(max_size=3),
 )
 JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=5),

@@ -5,8 +5,9 @@ makes every seeded histogram a fixed function of circuit, device, shots
 and seed, and the CLI promises byte-identical output for a fixed
 configuration.  The values below were recorded from the implementation;
 a refactor of the simulator or sampler must leave every one of them
-unchanged.  Only a deliberate, documented change to sampling may update
-them.
+unchanged.  Only a deliberate, documented change to sampling, or to the
+mitigation fallback's solver (which moves the mitigated cells of inputs
+whose direct solve goes negative), may update them.
 """
 
 import hashlib
@@ -183,7 +184,7 @@ CLI_SHA256 = {
     "run-general-bomb": "075f76eaa3400510b093bc5cf797a6331db15afdd0a1649add12c628fa97184e",
     "run-hardy": "73e8af14a54e96a6078e9e0042ddf77257b31dca13eba709038b1ccd4be9f0d8",
     "sweep-hardy-diagonal": "a2d385ceaf05edafa571b11a2949267aa16ce7de8c031fd754a3573e59d36861",
-    "sweep-general-bomb": "68533124c5fb468c4026068adf83cce3d23f6afe6ed2e0765cbdac56d5908939",
+    "sweep-general-bomb": "26f9f939237c6943ca1c355b7819ac920b2787bf690383d09622fa4114328cca",
 }
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mzsim import mitigation
 from mzsim.circuit import CountsHistogram
 from mzsim.mitigation import (
     CONDITION_LIMIT,
@@ -188,6 +189,56 @@ class TestMitigate:
             mitigate({"00": 1}, conf)
         with pytest.raises(ValueError, match="power of two"):
             mitigate(np.array([0.2, 0.3, 0.5]), conf)
+
+
+def asymmetric_device(rng, n):
+    readout = tuple((rng.uniform(0.005, 0.03), rng.uniform(0.02, 0.07)) for _ in range(n))
+    return DeviceModel("skew", n, 50.0, 50.0, 0.0, readout,
+                       tuple((q, q + 1) for q in range(n - 1)))
+
+
+class TestFallbackOptimality:
+    """The constrained fallback is checked against the KKT conditions of
+
+        minimize ||M x - p||^2   subject to   x >= 0,  sum(x) = 1,
+
+    computed here from M and p alone, so the check does not trust the solver:
+    with g = 2 M^T (M x - p) there is one lambda with g = lambda on the
+    support of x and g >= lambda off it.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fallback_meets_kkt_conditions(self, n):
+        rng = np.random.default_rng(1000 + n)
+        conf = exact_confusion_matrix(asymmetric_device(rng, n), n)
+        m = conf.matrix
+        dim = 2**n
+        support = rng.choice(dim, size=max(2, dim // 8), replace=False)
+        raw = np.bincount(rng.choice(support, size=1000), minlength=dim)
+        p = raw / raw.sum()
+        assert np.linalg.solve(m, p).min() < -1e-10  # the fallback really runs
+
+        counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(raw) if c}
+        out = mitigate(counts, conf)
+        x = np.array([out[format(i, f"0{n}b")] for i in range(dim)])
+        assert np.all(x >= 0.0)
+        assert abs(x.sum() - 1.0) <= 1e-9
+
+        g = 2.0 * m.T @ (m @ x - p)
+        on = x > 0.0
+        lam = g[on].mean()
+        assert np.max(np.abs(g[on] - lam)) <= 1e-7
+        assert np.all(g[~on] >= lam - 1e-7)
+
+    def test_solver_failure_is_a_value_error(self, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(mitigation.optimize, "nnls", give_up)
+        conf = exact_confusion_matrix(symmetric_device(0.08, 2), 2)
+        assert np.linalg.solve(conf.matrix, [1.0, 0.0, 0.0, 0.0]).min() < 0
+        with pytest.raises(ValueError, match="did not converge"):
+            mitigate({"00": 1}, conf)
 
 
 class TestTotalVariation:
