@@ -1,0 +1,111 @@
+"""The noise streams of many shots at once.
+
+`uniforms(seed, shots, k)` returns, for every shot index i in `shots`, the
+first k doubles that `np.random.default_rng((seed, i)).random(k)` draws,
+as one (len(shots), k) array, bit for bit.  It runs numpy's
+`SeedSequence` (entropy words, hashmix/mix pool, `generate_state`), the
+PCG64 seeding (`srandom`) and PCG64's XSL-RR output on arrays of unsigned
+integers.  Both are fixed, published integer algorithms (O'Neill, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation", HMC-CS-2014-0905).  Integer arrays wrap
+silently, which is the modular arithmetic both algorithms are written in.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+# SeedSequence constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+# the PCG64 multiplier, as (high, low) 64-bit limbs and the low limb's 32-bit halves
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO1, _MULT_LO0 = _MULT_LO >> np.uint64(32), _MULT_LO & np.uint64(_MASK32)
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 entropy words of a non-negative int, least significant first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+class _Hash:
+    """SeedSequence's hashmix, whose multiplier advances on every call."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_state(seed: int, shots: np.ndarray) -> list[np.ndarray]:
+    """generate_state(4, uint64) of SeedSequence((seed, i)), one array per word.
+
+    The entropy is the words of `seed` followed by the one word of i.
+    """
+    entropy = [np.full(len(shots), w, dtype=np.uint32) for w in _words(seed)]
+    entropy.append(shots.astype(np.uint32))
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    zero = np.zeros(len(shots), dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:  # entropy longer than the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _Hash(_INIT_B, _MULT_B)
+    # pool words cycle; 32-bit words pair little-endian into 64-bit ones
+    halves = [hashmix(pool[j % _POOL_SIZE]).astype(np.uint64) for j in range(8)]
+    return [halves[2 * j] | halves[2 * j + 1] << np.uint64(32) for j in range(4)]
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One LCG step of the 128-bit state (hi, lo): state * multiplier + inc."""
+    m32 = np.uint64(_MASK32)
+    lo0, lo1 = lo & m32, lo >> np.uint64(32)
+    # the high 64 bits of lo * _MULT_LO, from 32-bit partial products
+    p00, p01, p10 = lo0 * _MULT_LO0, lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (p00 >> np.uint64(32)) + (p01 & m32) + (p10 & m32)
+    carry_hi = (lo1 * _MULT_LO1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+                + (mid >> np.uint64(32)))
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = carry_hi + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def uniforms(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
+    """The first `k` doubles of `np.random.default_rng((seed, i))` for each i in `shots`."""
+    shots = np.asarray(shots, dtype=np.int64)
+    if seed < 0 or shots.size and (shots.min() < 0 or shots.max() > _MASK32):
+        raise ValueError("seed and shot indices must be >= 0, shot indices below 2**32")
+    s_hi, s_lo, i_hi, i_lo = _seed_state(seed, shots)
+    one = np.uint64(1)
+    inc_hi = i_hi << one | i_lo >> np.uint64(63)
+    inc_lo = i_lo << one | one
+    # srandom: state = inc; state += seed; step
+    lo = inc_lo + s_lo
+    hi, lo = _step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    out = np.empty((len(shots), k))
+    for j in range(k):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+        out[:, j] = (x >> np.uint64(11)) * 2.0**-53
+    return out

@@ -42,6 +42,14 @@ probability for its current bit is above zero.  Events with probability
 reproduces ideal sampling bit for bit at the same seed (it returns before
 any trajectory is drawn), and trajectories can be evaluated in parallel
 without changing results.
+
+How the sampler meets it: `_streams.uniforms` computes the (seed, i)
+streams of a block of shots at once, bit for bit, as arrays.  A shot whose
+gate uniforms all lie at or above their rates is fault-free, and its
+readout draws are the uniforms that follow.  A shot that draws a gate
+fault builds its own `default_rng((seed, i))` and replays its gate draws
+one by one, since its Pauli draws sit between its uniforms, then draws
+its readout uniforms.  Readout flips are array operations on those rows.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._streams import uniforms
 from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
 from .states import StateVector, evolve, init_state
 
@@ -62,6 +71,9 @@ T_COUPLING: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (1, 3), (3, 4))
 HOURGLASS_COUPLING: tuple[tuple[int, int], ...] = (
     (0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
 )
+
+#: shots whose noise streams are drawn together; bounds memory at any shot count
+_BLOCK_SHOTS = 2**16
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),          # X
@@ -275,7 +287,9 @@ def load_device(source: str) -> DeviceModel:
     if missing:
         raise ValueError(f"calibration document missing field(s): {', '.join(missing)}")
     try:
-        num_qubits = int(doc["num_qubits"])
+        num_qubits = doc["num_qubits"]
+        if isinstance(num_qubits, bool) or not isinstance(num_qubits, int):
+            raise TypeError(f"num_qubits must be a JSON integer, got {num_qubits!r}")
         if num_qubits > len(doc["coupling"]) + 1:
             # checked before the readout table grows to num_qubits pairs
             raise ValueError(
@@ -391,36 +405,49 @@ def simulate_noisy(
     outcomes = _inverse_cdf(np.abs(evolve(start, ops, n)) ** 2, us)
     if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
         return _tally(outcomes, measured, n)  # exactly ideal sampling
-    outcomes = outcomes.tolist()
 
-    def read_out(index, traj) -> int:
-        for bit, p01, p10 in readout:
-            p = p10 if index & bit else p01
-            if p > 0.0 and traj.random() < p:
-                index ^= bit
-        return index
-
-    faulty = {}  # fault pattern -> [(shot, its noise stream)] of the shots that drew it
-    for i in range(shots):
-        traj = np.random.default_rng((seed, i))
-        faults = []  # (gate position, Pauli index per touched qubit), in circuit order
-        for pos, rate in fallible:
-            if traj.random() < rate:
-                faults.append((pos, tuple(int(traj.integers(3)) for _ in ops[pos][1])))
-        if faults:
-            faulty.setdefault(tuple(faults), []).append((i, traj))
-        else:
-            outcomes[i] = read_out(outcomes[i], traj)
+    gate_rates = np.array([rate for _, rate in fallible])
+    width = len(fallible) + len(readout)  # the most uniforms a fault-free shot draws
+    faulty = {}  # fault pattern -> [(shot, its readout uniforms)] of the shots that drew it
+    for first in range(0, shots, _BLOCK_SHOTS):
+        index = np.arange(first, min(first + _BLOCK_SHOTS, shots))
+        draws = uniforms(seed, index, width)
+        clean = np.all(draws[:, :len(fallible)] >= gate_rates, axis=1)
+        outcomes[index[clean]] = _read_out(
+            outcomes[index[clean]], draws[clean, len(fallible):], readout)
+        for i in index[~clean].tolist():
+            traj = np.random.default_rng((seed, i))
+            faults = []  # (gate position, Pauli index per touched qubit), in circuit order
+            for pos, rate in fallible:
+                if traj.random() < rate:
+                    faults.append((pos, tuple(int(traj.integers(3)) for _ in ops[pos][1])))
+            # readout draws end the stream: one per measured qubit covers all a shot uses
+            faulty.setdefault(tuple(faults), []).append((i, traj.random(len(readout))))
     for pattern, group in faulty.items():
         paulis = dict(pattern)
         path = []
         for pos, (matrix, targets) in enumerate(ops):
             path.append((matrix, targets))
             path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, paulis.get(pos, ())))
-        draws = _inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[[i for i, _ in group]])
-        for (i, traj), index in zip(group, draws.tolist()):
-            outcomes[i] = read_out(index, traj)
+        index = [i for i, _ in group]
+        draws = _inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[index])
+        outcomes[index] = _read_out(draws, np.array([row for _, row in group]), readout)
     return _tally(outcomes, measured, n)
+
+
+def _read_out(outcomes: np.ndarray, us: np.ndarray, readout) -> np.ndarray:
+    """Readout flips of basis-index outcomes, one row of readout uniforms per shot.
+
+    A shot draws its next unused uniform for a measured qubit only when the
+    flip probability of the qubit's current bit is above zero.
+    """
+    rows = np.arange(len(outcomes))
+    column = np.zeros(len(outcomes), dtype=np.intp)
+    for bit, p01, p10 in readout:
+        p = np.where(outcomes & bit, p10, p01)
+        outcomes = outcomes ^ np.where(us[rows, column] < p, bit, 0)
+        column += p > 0.0
+    return outcomes
 
 
 def ideal_counts(circuit: Circuit, shots: int, seed: int) -> CountsHistogram:

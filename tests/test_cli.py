@@ -607,6 +607,9 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
     pytest.param(BOMB_RUN + ("--device", calibration(readout_error=[0.1, 0.2, 0.1, 0.1, 0.1])),
                  id="readout-list-of-scalars"),
     pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=None)), id="num-qubits-null"),
+    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=4.9)), id="num-qubits-float"),
+    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=True)), id="num-qubits-bool"),
+    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits="5")), id="num-qubits-text"),
     pytest.param(BOMB_RUN + ("--device", DISCONNECTED), id="disconnected-run"),
     pytest.param(("transpile", QASM, "--device", DISCONNECTED), id="disconnected-transpile"),
     pytest.param(HARDY_SWEEP + ("--device", DISCONNECTED), id="disconnected-sweep"),

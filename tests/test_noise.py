@@ -1,16 +1,25 @@
 """Device presets, calibration loading, and the stochastic noise sampler."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from mzsim.circuit import Circuit, simulate_ideal
+from mzsim import noise
+from mzsim._streams import uniforms
+from mzsim.circuit import Circuit, gate_ops, simulate_ideal
+from mzsim.experiments import (
+    build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
+)
 from mzsim.noise import (
+    _PAULIS,
     DEVICE_PRESETS,
     HOURGLASS_COUPLING,
     T_COUPLING,
     DeviceModel,
+    _inverse_cdf,
+    _tally,
     device_preset,
     ideal_counts,
     ideal_device,
@@ -18,6 +27,7 @@ from mzsim.noise import (
     sample_counts,
     simulate_noisy,
 )
+from mzsim.states import evolve, init_state
 
 T_EDGES = ((0, 1), (1, 2), (1, 3), (3, 4))
 HOURGLASS_EDGES = ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
@@ -135,6 +145,15 @@ class TestLoadDevice:
     def test_missing_file(self):
         with pytest.raises(ValueError, match="no such calibration file"):
             load_device("/nonexistent/cal.json")
+
+    @pytest.mark.parametrize("count", [4.9, 5.0, True, "5"])
+    def test_num_qubits_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="num_qubits must be a JSON integer"):
+            load_device(json.dumps({
+                "name": "toy", "num_qubits": count, "t1_us": 80.0, "t2_us": 60.0,
+                "cnot_error": 0.0, "readout_error": 0.0,
+                "coupling": [[0, 1], [1, 2], [1, 3], [3, 4]],
+            }))
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(ValueError, match="invalid calibration"):
@@ -276,3 +295,124 @@ class TestSimulateNoisy:
         hist = simulate_noisy(circ, dev, 5000, seed=0)
         assert hist.counts.get("00", 0) < 4000  # ideal would be all 5000
         assert set(hist.counts) == {"00", "01", "10", "11"}
+
+
+class TestBatchedStreams:
+    """`uniforms` is numpy's per-shot `default_rng((seed, i))` stream, bit for bit."""
+
+    # seeds of 1, 2, 3 and 5 uint32 words; with the shot index's word the
+    # last makes 6 entropy words, more than SeedSequence's 4-word pool
+    @pytest.mark.parametrize("seed", [0, 2, 2**31 - 1, 2**32 + 5, 2**64 + 7, 2**130 + 3])
+    def test_matches_default_rng(self, seed):
+        shots = np.arange(4096)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for k in (1, 13, 40):
+                expected = np.array([np.random.default_rng((seed, i)).random(k) for i in shots])
+                assert np.array_equal(uniforms(seed, shots, k), expected)
+
+    def test_any_shot_subset(self):
+        shots = np.array([4095, 7, 2**32 - 1, 0])
+        expected = np.array([np.random.default_rng((99, int(i))).random(5) for i in shots])
+        assert np.array_equal(uniforms(99, shots, 5), expected)
+
+    def test_rejects_what_it_cannot_reproduce(self):
+        with pytest.raises(ValueError):
+            uniforms(-1, np.arange(3), 2)
+        with pytest.raises(ValueError):
+            uniforms(0, np.array([2**32]), 2)
+
+
+def _reference_simulate_noisy(circuit, device, shots, seed):
+    """The per-shot sampler: one `default_rng((seed, i))` per shot, scalar draws."""
+    n = circuit.num_qubits
+    ops = gate_ops(circuit)
+    start = init_state(n).amplitudes
+    measured = circuit.measured_qubits or tuple(range(n))
+    rates = [device.gate_error(len(targets)) for _, targets in ops]
+    fallible = [(pos, rate) for pos, rate in enumerate(rates) if rate > 0.0]
+    readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
+
+    us = np.random.default_rng(seed).random(shots)
+    outcomes = _inverse_cdf(np.abs(evolve(start, ops, n)) ** 2, us)
+    if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
+        return _tally(outcomes, measured, n)
+    outcomes = outcomes.tolist()
+
+    def read_out(index, traj) -> int:
+        for bit, p01, p10 in readout:
+            p = p10 if index & bit else p01
+            if p > 0.0 and traj.random() < p:
+                index ^= bit
+        return index
+
+    faulty = {}
+    for i in range(shots):
+        traj = np.random.default_rng((seed, i))
+        faults = []
+        for pos, rate in fallible:
+            if traj.random() < rate:
+                faults.append((pos, tuple(int(traj.integers(3)) for _ in ops[pos][1])))
+        if faults:
+            faulty.setdefault(tuple(faults), []).append((i, traj))
+        else:
+            outcomes[i] = read_out(outcomes[i], traj)
+    for pattern, group in faulty.items():
+        paulis = dict(pattern)
+        path = []
+        for pos, (matrix, targets) in enumerate(ops):
+            path.append((matrix, targets))
+            path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, paulis.get(pos, ())))
+        draws = _inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[[i for i, _ in group]])
+        for (i, traj), index in zip(group, draws.tolist()):
+            outcomes[i] = read_out(index, traj)
+    return _tally(outcomes, measured, n)
+
+
+def _partial_measurement_circuit() -> Circuit:
+    """The golden pins' H/CX/CCX/SWAP circuit on three qubits; q0 and q2 measured."""
+    c = Circuit(3, 2)
+    c.h(0).h(1).cx(0, 1).ry(0.7, 2).ccx(0, 1, 2).swap(1, 2).h(2)
+    return c.measure(0, 0).measure(2, 1)
+
+
+def _custom_device(name, cnot_error, single_qubit_error, readout):
+    return DeviceModel(name, 5, 50.0, 50.0, cnot_error, readout,
+                       ((0, 1), (1, 2), (2, 3), (3, 4)), single_qubit_error=single_qubit_error)
+
+
+ORACLE_CIRCUITS = {
+    "bomb": build_bomb(True),
+    "eraser": build_eraser(True),
+    "chain4": build_general_bomb(equal_angles(4)),
+    "hardy": build_hardy(0.575 * np.pi, 0.575 * np.pi),
+    "partial": _partial_measurement_circuit(),
+}
+ORACLE_DEVICES = {
+    **{name: device_preset(name) for name in ("vigo-0820", "london", "x2")},
+    "readout-only": _custom_device(
+        "readout-only", 0.0, 0.0, ((0.02, 0.08), (0.05, 0.01), (0.12, 0.03), (0.04, 0.06),
+                                   (0.07, 0.02))),
+    "gate-only": _custom_device("gate-only", 0.05, 0.02, ((0.0, 0.0),) * 5),
+    # p01 = 0 on some qubits, p10 = 0 on others and both on one: a zero
+    # flip probability consumes no uniform
+    "one-way-readout": _custom_device(
+        "one-way-readout", 0.03, 0.01, ((0.0, 0.09), (0.06, 0.0), (0.0, 0.0), (0.1, 0.0),
+                                        (0.0, 0.05))),
+}
+
+
+@pytest.mark.parametrize("device", ORACLE_DEVICES)
+@pytest.mark.parametrize("circuit", ORACLE_CIRCUITS)
+def test_matches_per_shot_reference(circuit, device, monkeypatch):
+    circ, dev = ORACLE_CIRCUITS[circuit], ORACLE_DEVICES[device]
+    for seed in (0, 2, 12345, 2**40 + 1):
+        for shots in (1, 7, 1000):
+            expected = _reference_simulate_noisy(circ, dev, shots, seed)
+            got = simulate_noisy(circ, dev, shots, seed)
+            assert list(got.counts.items()) == list(expected.counts.items())
+            if shots < 1000 or seed == 2**40 + 1:  # 334 blocks take a while
+                with monkeypatch.context() as patch:
+                    patch.setattr(noise, "_BLOCK_SHOTS", 3)
+                    got = simulate_noisy(circ, dev, shots, seed)
+                assert list(got.counts.items()) == list(expected.counts.items())
