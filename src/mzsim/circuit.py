@@ -34,7 +34,7 @@ class Instruction:
     def __post_init__(self):
         if self.kind not in ("gate", "measure", "barrier"):
             raise CircuitError(f"unknown instruction kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         if self.kind == "gate":
             if self.gate is None:
                 raise CircuitError("gate instruction needs a GateDef")
@@ -48,6 +48,15 @@ class Instruction:
                 raise CircuitError("measure takes one qubit and one clbit")
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"repeated qubit in {self.qubits}")
+
+    @classmethod
+    def _trusted(cls, kind: str, qubits: tuple[int, ...], gate: GateDef | None = None,
+                 clbit: int | None = None) -> "Instruction":
+        """An instruction built without the checks above, for passes that
+        rewrite a circuit which already passed them."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(kind=kind, qubits=qubits, gate=gate, clbit=clbit)
+        return inst
 
 
 class Circuit:
@@ -75,12 +84,7 @@ class Circuit:
                     f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
                 )
         if instruction.kind == "gate":
-            touched = self._measured.intersection(instruction.qubits)
-            if touched:
-                raise CircuitError(
-                    f"gate on already-measured qubit(s) {sorted(touched)}; "
-                    "measurement is terminal"
-                )
+            self._check_unmeasured(instruction.qubits)
         elif instruction.kind == "measure":
             (q,) = instruction.qubits
             if q in self._measured:
@@ -91,6 +95,23 @@ class Circuit:
                     f"{self.num_clbits} classical bits"
                 )
             self._measured.add(q)
+        self.instructions.append(instruction)
+        return self
+
+    def _check_unmeasured(self, qubits: tuple[int, ...]):
+        touched = self._measured.intersection(qubits)
+        if touched:
+            raise CircuitError(
+                f"gate on already-measured qubit(s) {sorted(touched)}; "
+                "measurement is terminal"
+            )
+
+    def _append_trusted(self, instruction: Instruction) -> "Circuit":
+        """append() of a gate that a pass over a valid circuit produced, so
+        its qubits are in range.  Only measurement being terminal is
+        checked: a routing SWAP can reach a measured wire."""
+        if self._measured:
+            self._check_unmeasured(instruction.qubits)
         self.instructions.append(instruction)
         return self
 

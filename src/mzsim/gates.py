@@ -16,6 +16,7 @@ H == U2(0, pi) and X == U3(pi, 0, pi) hold up to (here: zero) global phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,12 @@ class GateDef:
         if self.name not in GATE_SIGNATURES:
             raise ValueError(f"unknown gate {self.name!r}")
         arity, n_params = GATE_SIGNATURES[self.name]
-        params = tuple(float(p) for p in self.params)
+        params = tuple(map(float, self.params))
         if len(params) != n_params:
             raise ValueError(
                 f"{self.name} takes {n_params} parameter(s), got {len(params)}"
             )
-        if not all(np.isfinite(params)):
+        if not all(map(math.isfinite, params)):
             raise ValueError(f"{self.name} parameters must be finite: {params}")
         object.__setattr__(self, "params", params)
 

@@ -19,6 +19,7 @@ solve's is.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class IllConditionedMatrixError(ValueError):
 class ConfusionMatrix:
     num_qubits: int
     matrix: np.ndarray = field(repr=False)
+    #: per-qubit 2x2 matrices whose Kronecker product is `matrix`, if known
+    factors: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -57,8 +60,15 @@ class ConfusionMatrix:
         if np.max(np.abs(col_sums - 1.0)) > 1e-9:
             raise ValueError(f"columns must sum to 1, got {col_sums}")
         object.__setattr__(self, "matrix", m)
+        if self.factors and len(self.factors) != self.num_qubits:
+            raise ValueError(f"expected {self.num_qubits} factors, got {len(self.factors)}")
 
     def condition_number(self) -> float:
+        """2-norm condition number.  The singular values of a Kronecker
+        product are the products of its factors' singular values, so with
+        factors this needs no SVD of the full matrix."""
+        if self.factors:
+            return math.prod(float(np.linalg.cond(f)) for f in self.factors)
         return float(np.linalg.cond(self.matrix))
 
     def to_json(self) -> str:
@@ -85,11 +95,12 @@ def _readout_pairs(device: DeviceModel, qubits: int | tuple[int, ...]) -> list:
 def exact_confusion_matrix(device: DeviceModel, qubits: int | tuple[int, ...]) -> ConfusionMatrix:
     """Tensor product of the flip matrices [[1-p01, p10], [p01, 1-p10]] of `qubits`,
     the measured qubits in key order (an int k means qubits 0..k-1)."""
-    pairs = _readout_pairs(device, qubits)
+    factors = tuple(np.array([[1 - p01, p10], [p01, 1 - p10]])
+                    for p01, p10 in _readout_pairs(device, qubits))
     m = np.array([[1.0]])
-    for p01, p10 in pairs:
-        m = np.kron(m, np.array([[1 - p01, p10], [p01, 1 - p10]]))
-    return ConfusionMatrix(num_qubits=len(pairs), matrix=m)
+    for factor in factors:
+        m = np.kron(m, factor)
+    return ConfusionMatrix(num_qubits=len(factors), matrix=m, factors=factors)
 
 
 def build_confusion_matrix(

@@ -100,6 +100,12 @@ class CouplingGraph:
             if a == b or not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise ValueError(f"bad edge {(a, b)} in coupling graph")
         object.__setattr__(self, "edges", edges)
+        adjacency: dict[int, list[int]] = {}
+        for a, b in edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        object.__setattr__(self, "_adjacency",
+                           {q: tuple(sorted(vs)) for q, vs in adjacency.items()})
         if self.num_qubits > 1 and len(self._bfs(0)) != self.num_qubits:
             raise ValueError("coupling graph must be connected")
 
@@ -108,11 +114,10 @@ class CouplingGraph:
         return device.graph
 
     def neighbors(self, q: int) -> list[int]:
-        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
-        return sorted(out)
+        return list(self._adjacency.get(q, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
+        return ((a, b) if a < b else (b, a)) in self.edges
 
     def degree(self, q: int) -> int:
         return len(self.neighbors(q))
@@ -123,7 +128,7 @@ class CouplingGraph:
         frontier = deque([start])
         while frontier:
             u = frontier.popleft()
-            for v in self.neighbors(u):
+            for v in self._adjacency.get(u, ()):
                 if v not in prev:
                     prev[v] = u
                     if v == goal:

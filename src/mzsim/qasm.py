@@ -18,6 +18,19 @@ Supported gate names: h, x, ry, cx, ccx, swap, u1, u2, u3.  Comments
 (`// ...`) are stripped.  A bare register name broadcasts single-qubit
 gates and barriers over the register, and `measure q -> c;` measures the
 whole register pairwise; multi-qubit gates require indexed arguments.
+The quantum registers together hold at most `states.MAX_QUBITS` qubits;
+the declaration that passes the limit is rejected at its size.
+
+Two paths read statements, and they give the same circuit.  At each
+statement start one regex tries the common case, a one-line gate
+statement with indexed arguments spaced by blanks or tabs, `name(params)
+reg[i],...;`, and evaluates its angles as `expr` does.  Everything else,
+and every statement that this fast path would have to reject, goes to the
+token path: a lexer that yields tokens one at a time, as the recursive-
+descent parser asks for them.  Errors therefore always come from the token
+path, with its positions.  Since the lexer runs lazily, a failed parse
+lexes the whole source once more: a lexical error (a character no token
+starts with) anywhere in the source is reported before any other error.
 
 `emit` writes canonical form: one statement per line, LF newlines, a
 single flattened `q`/`c` register pair, and angles with 17 significant
@@ -26,13 +39,13 @@ digits so that parse(emit(c)) == c exactly.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .circuit import Circuit, CircuitError
 from .gates import GATE_SIGNATURES, GateDef
+from .states import MAX_QUBITS
 
 GATE_NAMES = {
     "h": "H",
@@ -68,61 +81,123 @@ class QasmSemanticError(QasmError):
     """Well-formed syntax with invalid meaning (bad register, arity, ...)."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ID NUMBER STRING SYMBOL EOF
     text: str
     line: int
     column: int
 
 
+_NUMBER = r"\d+\.\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|\d+([eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
-  | (?P<number>\d+\.\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|\d+([eE][+-]?\d+)?)
+  | (?P<number>{_NUMBER})
   | (?P<id>[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<symbol>->|[\[\](),;*/-])
     """,
     re.VERBOSE,
 )
+_TOKEN_KINDS = {"number": "NUMBER", "id": "ID", "string": "STRING", "symbol": "SYMBOL"}
+_BLANK_RE = re.compile(r"(?:\s+|//[^\n]*)*")
+
+# The statement fast path.  A one-line gate statement with indexed
+# arguments, `name(params) reg[i],...;`, spaced by blanks and tabs only:
+_ID = r"[a-zA-Z_][a-zA-Z0-9_]*(?![a-zA-Z0-9_])"
+_INDEXED = rf"{_ID}[ \t]*\[[ \t]*\d{{1,9}}[ \t]*\]"
+_GATE_STATEMENT_RE = re.compile(
+    rf"({_ID})[ \t]*(?:\(([^()\n;]*)\)[ \t]*)?({_INDEXED}(?:[ \t]*,[ \t]*{_INDEXED})*)[ \t]*;"
+)
+_ARGUMENT_RE = re.compile(r"([a-zA-Z_][a-zA-Z0-9_]*)[ \t]*\[[ \t]*(\d+)")
+# one angle expression, `expr` of the grammar, and its tokens
+_TERM = rf"(?:-[ \t]*)*(?:(?:{_NUMBER})(?![0-9a-zA-Z_.])|pi(?![a-zA-Z0-9_]))"
+_ANGLE_RE = re.compile(rf"[ \t]*{_TERM}(?:[ \t]*[*/][ \t]*{_TERM})*[ \t]*")
+_ANGLE_TOKEN_RE = re.compile(rf"{_NUMBER.replace('(', '(?:')}|pi|[-*/]")
 
 
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmParseError(line, pos - line_start + 1,
-                                 f"unexpected character {source[pos]!r}")
-        text = m.group(0)
-        col = pos - line_start + 1
-        kind = m.lastgroup
-        if kind == "number":
-            tokens.append(Token("NUMBER", text, line, col))
-        elif kind == "id":
-            tokens.append(Token("ID", text, line, col))
-        elif kind == "string":
-            tokens.append(Token("STRING", text, line, col))
-        elif kind == "symbol":
-            tokens.append(Token("SYMBOL", text, line, col))
-        # whitespace/comments advance position (and line count) only
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                line += 1
-                line_start = pos + i + 1
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
-    return tokens
+def _angles(text: str) -> list[float] | None:
+    """The values of a comma list of angle expressions, exactly as the token
+    path computes them, or None where it would not give a value."""
+    values = []
+    for expr in text.split(","):
+        if _ANGLE_RE.fullmatch(expr) is None:
+            return None
+        value = op = None
+        negate = False
+        for tok in _ANGLE_TOKEN_RE.findall(expr):
+            if tok == "-":
+                negate = not negate
+            elif tok == "*" or tok == "/":
+                op = tok
+            else:
+                term = math.pi if tok == "pi" else float(tok)
+                if negate:
+                    term, negate = -term, False
+                if op is None:
+                    value = term
+                elif op == "*":
+                    value *= term
+                elif term == 0.0:
+                    return None  # the token path reports the division
+                else:
+                    value /= term
+        values.append(value)
+    return values
+
+
+class _Lexer:
+    """Tokens of a source on demand, with line and column bookkeeping."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.pos = 0
+        self.line, self.line_start = 1, 0
+
+    @property
+    def column(self) -> int:
+        return self.pos - self.line_start + 1
+
+    def skip_to(self, end: int):
+        newlines = self.source.count("\n", self.pos, end)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.source.rindex("\n", self.pos, end) + 1
+        self.pos = end
+
+    def skip_blank(self):
+        """Step over whitespace and comments."""
+        self.skip_to(_BLANK_RE.match(self.source, self.pos).end())
+
+    def next_token(self) -> Token:
+        source = self.source
+        while self.pos < len(source):
+            m = _TOKEN_RE.match(source, self.pos)
+            if m is None:
+                raise QasmParseError(self.line, self.column,
+                                     f"unexpected character {source[self.pos]!r}")
+            kind = _TOKEN_KINDS.get(m.lastgroup)
+            if kind is None:  # whitespace or a comment
+                self.skip_to(m.end())
+                continue
+            tok = Token(kind, m.group(0), self.line, self.column)
+            self.pos = m.end()  # no token spans a newline
+            return tok
+        return Token("EOF", "", self.line, self.column)
+
+
+def _lex_all(source: str):
+    """Lex the whole of `source`, raising its first lexical error if it has one."""
+    lexer = _Lexer(source)
+    while lexer.next_token().kind != "EOF":
+        pass
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.pos = 0
+        self.lexer = _Lexer(source)
+        self.lookahead: Token | None = None
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
@@ -131,12 +206,14 @@ class _Parser:
     # -- token plumbing -------------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        if self.lookahead is None:
+            self.lookahead = self.lexer.next_token()
+        return self.lookahead
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "EOF":
-            self.pos += 1
+            self.lookahead = None
         return tok
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
@@ -158,7 +235,15 @@ class _Parser:
         self.expect("SYMBOL", ";")
         self._include()
         statements = []
-        while self.peek().kind != "EOF":
+        while True:
+            if self.lookahead is None:  # at a statement start
+                self.lexer.skip_blank()
+                fast = self._fast_gate()
+                if fast is not None:
+                    statements.append(fast)
+                    continue
+            if self.peek().kind == "EOF":
+                break
             statements.append(self._statement())
         if self.num_qubits == 0:
             tok = self.peek()
@@ -206,6 +291,11 @@ class _Parser:
         if name.text in self.qregs or name.text in self.cregs:
             raise QasmSemanticError(name.line, name.column,
                                     f"register {name.text!r} already declared")
+        if kw.text == "qreg" and self.num_qubits + size > MAX_QUBITS:
+            raise QasmSemanticError(
+                size_tok.line, size_tok.column,
+                f"qreg {name.text}[{size}] brings the program to {self.num_qubits + size} "
+                f"qubits; at most {MAX_QUBITS} are supported")
         if kw.text == "qreg":
             table[name.text] = (self.num_qubits, size)
             self.num_qubits += size
@@ -227,17 +317,54 @@ class _Parser:
             self.expect("SYMBOL", "]")
         return name, index
 
-    def _resolve(self, table, name: Token, index: int | None, what: str) -> list[int]:
+    def _resolve(self, table, name: Token, index: int | None, what: str) -> range:
+        """Flat indices of a register argument, as a range: a classical register
+        may be far larger than anything worth listing."""
         if name.text not in table:
             raise QasmSemanticError(name.line, name.column,
                                     f"undeclared {what} register {name.text!r}")
         offset, size = table[name.text]
         if index is None:
-            return list(range(offset, offset + size))
+            return range(offset, offset + size)
         if index >= size:
             raise QasmSemanticError(name.line, name.column,
                                     f"index {index} out of range for {name.text}[{size}]")
-        return [offset + index]
+        return range(offset + index, offset + index + 1)
+
+    def _fast_gate(self):
+        """The gate statement at the lexer's position, parsed without tokens.
+
+        Only a one-line statement with indexed arguments that the token path
+        would accept as it stands is taken; anything else gives None, consumes
+        nothing, and is left to the token path and its positioned errors.
+        """
+        lexer = self.lexer
+        m = _GATE_STATEMENT_RE.match(lexer.source, lexer.pos)
+        if m is None:
+            return None
+        name, param_text, args_text = m.groups()
+        canonical = GATE_NAMES.get(name)
+        if canonical is None:
+            return None
+        arity, want = GATE_SIGNATURES[canonical]
+        params = [] if param_text is None else _angles(param_text)
+        if params is None or len(params) != want:
+            return None
+        args = _ARGUMENT_RE.findall(args_text)
+        if len(args) != arity:
+            return None
+        qubits = []
+        for reg, index in args:
+            offset, size = self.qregs.get(reg, (0, 0))
+            if int(index) >= size:
+                return None
+            qubits.append(offset + int(index))
+        name_tok = Token("ID", name, lexer.line, lexer.column)
+        lexer.pos = m.end()
+
+        def apply(circuit, qubits=tuple(qubits)):
+            self._append_gate(circuit, name_tok, canonical, params, qubits)
+        return apply
 
     def _gate(self):
         name = self.advance()
@@ -353,14 +480,18 @@ class _Parser:
             return float(tok.text)
         if tok.kind == "ID" and tok.text == "pi":
             self.advance()
-            return float(np.pi)
+            return math.pi
         raise QasmParseError(tok.line, tok.column,
                              f"unexpected {tok.text or 'end of input'!r}", "number or pi")
 
 
 def parse(source: str) -> Circuit:
     """Parse OPENQASM 2.0 source into a Circuit.  Raises QasmError subtypes."""
-    return _Parser(source).parse()
+    try:
+        return _Parser(source).parse()
+    except QasmError:
+        _lex_all(source)  # a lexical error anywhere in the source is reported first
+        raise
 
 
 def _fmt_angle(value: float) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError
+from .circuit import Circuit, CircuitError, Instruction
 from .gates import BASIS_GATES, GateDef, matrix_of
 from .noise import CouplingGraph, DeviceModel
 
@@ -47,53 +47,61 @@ class TranspiledCircuit:
 _T = GateDef("U1", (np.pi / 4,))
 _TDG = GateDef("U1", (-np.pi / 4,))
 _H_BASIS = GateDef("U2", (0.0, np.pi))
+_X_BASIS = GateDef("U3", (np.pi, 0.0, np.pi))
+_CX = GateDef("CNOT")
+_IDENTITY = np.eye(2, dtype=complex)
 
 
 def _ccx_network(a: int, b: int, t: int) -> list[tuple[GateDef, tuple[int, ...]]]:
-    cx = GateDef("CNOT")
     return [
         (_H_BASIS, (t,)),
-        (cx, (b, t)),
+        (_CX, (b, t)),
         (_TDG, (t,)),
-        (cx, (a, t)),
+        (_CX, (a, t)),
         (_T, (t,)),
-        (cx, (b, t)),
+        (_CX, (b, t)),
         (_TDG, (t,)),
-        (cx, (a, t)),
+        (_CX, (a, t)),
         (_T, (b,)),
         (_T, (t,)),
-        (cx, (a, b)),
+        (_CX, (a, b)),
         (_H_BASIS, (t,)),
         (_T, (a,)),
         (_TDG, (b,)),
-        (cx, (a, b)),
+        (_CX, (a, b)),
     ]
+
+
+def _swap_network(a: int, b: int) -> list[tuple[GateDef, tuple[int, ...]]]:
+    return [(_CX, (a, b)), (_CX, (b, a)), (_CX, (a, b))]
 
 
 def decompose_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite every gate into {U1, U2, U3, CNOT}; measures/barriers pass through."""
     out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
+    trusted = Instruction._trusted
     for inst in circuit.instructions:
         if inst.kind != "gate":
             out.append(inst)
             continue
         g, qs = inst.gate, inst.qubits
         if g.name in BASIS_GATES:
-            out.append(inst)
-        elif g.name == "H":
-            out.u2(0.0, np.pi, qs[0])
+            out._append_trusted(inst)
+            continue
+        if g.name == "H":
+            network = [(_H_BASIS, qs)]
         elif g.name == "X":
-            out.u3(np.pi, 0.0, np.pi, qs[0])
+            network = [(_X_BASIS, qs)]
         elif g.name == "RY":
-            out.u3(g.params[0], 0.0, 0.0, qs[0])
+            network = [(GateDef("U3", (g.params[0], 0.0, 0.0)), qs)]
         elif g.name == "SWAP":
-            a, b = qs
-            out.cx(a, b).cx(b, a).cx(a, b)
+            network = _swap_network(*qs)
         elif g.name == "CCX":
-            for gate, targets in _ccx_network(*qs):
-                out.gate(gate, *targets)
+            network = _ccx_network(*qs)
         else:
             raise CircuitError(f"no basis decomposition for {g.name}")
+        for gate, targets in network:
+            out._append_trusted(trusted("gate", targets, gate))
     return out
 
 
@@ -146,30 +154,26 @@ def route(
 
     l2p = list(layout)  # logical (possibly padded) -> physical
     out = Circuit(graph.num_qubits, circuit.num_clbits, circuit.name)
+    append, trusted = out._append_trusted, Instruction._trusted
     swap_count = 0
 
-    def emit_swap(pa: int, pb: int):
-        nonlocal swap_count
-        out.cx(pa, pb).cx(pb, pa).cx(pa, pb)
-        swap_count += 1
-        la, lb = l2p.index(pa), l2p.index(pb)
-        l2p[la], l2p[lb] = l2p[lb], l2p[la]
-
     for inst in circuit.instructions:
+        qubits = tuple(map(l2p.__getitem__, inst.qubits))
         if inst.kind == "barrier":
-            out.barrier(*(l2p[q] for q in inst.qubits))
+            out.barrier(*qubits)
         elif inst.kind == "measure":
-            out.measure(l2p[inst.qubits[0]], inst.clbit)
-        elif len(inst.qubits) == 1:
-            out.gate(inst.gate, l2p[inst.qubits[0]])
+            out.measure(qubits[0], inst.clbit)
         else:
-            pa, pb = l2p[inst.qubits[0]], l2p[inst.qubits[1]]
-            if not graph.has_edge(pa, pb):
-                path = graph.shortest_path(pa, pb)
-                for step in range(len(path) - 2):
-                    emit_swap(path[step], path[step + 1])
-                pa = path[-2]
-            out.gate(inst.gate, pa, pb)
+            if len(qubits) == 2 and not graph.has_edge(*qubits):
+                path = graph.shortest_path(*qubits)
+                for pa, pb in zip(path[:-2], path[1:-1]):
+                    for gate, targets in _swap_network(pa, pb):
+                        append(trusted("gate", targets, gate))
+                    swap_count += 1
+                    la, lb = l2p.index(pa), l2p.index(pb)
+                    l2p[la], l2p[lb] = l2p[lb], l2p[la]
+                qubits = (path[-2], path[-1])
+            append(trusted("gate", qubits, inst.gate))
 
     return TranspiledCircuit(
         circuit=out,
@@ -229,21 +233,24 @@ def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
         m = pending.pop(q, None)
         if m is None:
             return
-        if np.max(np.abs(m - np.eye(2))) < 1e-12:
+        if np.max(np.abs(m - _IDENTITY)) < 1e-12:
             return  # run collapsed to identity
-        theta, phi, lam = zyz_angles(m)
-        out.u3(theta, phi, lam, q)
+        out._append_trusted(Instruction._trusted("gate", (q,), GateDef("U3", zyz_angles(m))))
 
     for inst in circuit.instructions:
         if inst.kind == "gate" and len(inst.qubits) == 1:
             if inst.gate.name not in BASIS_GATES:
                 raise CircuitError(f"fuse pass expects basis gates, found {inst.gate.name}")
             q = inst.qubits[0]
-            pending[q] = matrix_of(inst.gate) @ pending.get(q, np.eye(2, dtype=complex))
+            # keep the product with the identity: it fixes the signs of zeros
+            pending[q] = matrix_of(inst.gate) @ pending.get(q, _IDENTITY)
         else:
             for q in inst.qubits:
                 flush(q)
-            out.append(inst)
+            if inst.kind == "gate":
+                out._append_trusted(inst)
+            else:
+                out.append(inst)
     for q in sorted(pending):
         flush(q)
     return out

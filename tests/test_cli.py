@@ -553,6 +553,18 @@ class TestTranspileCommand:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("body, position", [
+        ("qreg q[30];\nh q[0];\n", "line 2, column 8"),
+        ("qreg q[100000];\ncreg c[100000];\nh q;\nmeasure q -> c;\n", "line 2, column 8"),
+        ("qreg q[2];\ncreg c[100000];\nmeasure q -> c;\n", "line 4, column 1"),
+    ], ids=["qreg-30", "qreg-creg-100000", "creg-100000"])
+    def test_oversized_register_exits_2(self, capsys, tmp_path, body, position):
+        bad = tmp_path / "big.qasm"
+        bad.write_text("OPENQASM 2.0;\n" + body)
+        code, out, err = run_cli(capsys, "transpile", str(bad), "--device", "vigo")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {position}:")
+
     def test_ideal_device_rejected(self, capsys, eraser_qasm):
         code, _, err = run_cli(
             capsys, "transpile", eraser_qasm, "--device", "ideal")

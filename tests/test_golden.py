@@ -11,6 +11,7 @@ whose direct solve goes negative), may update them.
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -207,3 +208,95 @@ def test_cli_output_bytes_are_pinned(label, capsys):
     assert main(list(CLI_COMMANDS[label])) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[label]
+
+
+# ---- transpile ---------------------------------------------------------------
+
+QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+
+
+def _program(qubits: int, body: list[str]) -> str:
+    tail = [f"measure q[{q}] -> c[{q}];" for q in range(qubits)]
+    return QASM_HEAD + f"qreg q[{qubits}];\ncreg c[{qubits}];\n" + "\n".join(body + tail) + "\n"
+
+
+def _random_program(seed: int, gates: int) -> str:
+    """Seeded 5-qubit program over the whole gate set, CCX and SWAP included."""
+    rng = random.Random(seed)
+    params = {"ry": 1, "u1": 1, "u2": 2, "u3": 3}
+    names = ("h", "x", "ry", "u1", "u2", "u3") * 3 + ("cx",) * 5 + ("swap", "ccx")
+    angles = (lambda: repr(round(rng.uniform(-3.2, 3.2), 6)),
+              lambda: f"pi/{rng.choice((2, 3, 4, 8))}",
+              lambda: f"-{rng.randrange(1, 8)}*pi/{rng.choice((4, 8, 16))}",
+              lambda: f"{rng.uniform(0.01, 0.99):.4e}")
+    lines = []
+    for i in range(gates):
+        name = rng.choice(names)
+        arity = {"cx": 2, "swap": 2, "ccx": 3}.get(name, 1)
+        args = ""
+        if name in params:
+            args = "(" + ",".join(rng.choice(angles)() for _ in range(params[name])) + ")"
+        lines.append(f"{name}{args} " + ",".join(f"q[{q}]" for q in rng.sample(range(5), arity)) + ";")
+        if i % 41 == 40:
+            lines.append("barrier q;")
+    return QASM_HEAD + "qreg q[5];\ncreg c[5];\n" + "\n".join(lines) + "\nmeasure q -> c;\n"
+
+
+#: the four paper circuits and one random CCX/SWAP program, as OPENQASM
+TRANSPILE_SOURCES = {
+    "eraser": _program(2, ["h q[0];", "cx q[0],q[1];", "h q[1];", "h q[0];"]),
+    "bomb": _program(2, ["h q[0];", "cx q[0],q[1];", "h q[0];"]),
+    "chain4": _program(4, ["ry(pi/4) q[0];", "cx q[0],q[1];", "ry(pi/4) q[0];", "cx q[0],q[2];",
+                           "ry(pi/4) q[0];", "cx q[0],q[3];", "ry(pi/4) q[0];"]),
+    "hardy": _program(3, ["ry(0.575*pi) q[0];", "ry(0.575*pi) q[1];", "ccx q[0],q[1],q[2];",
+                          "ry(0.425*pi) q[0];", "ry(0.425*pi) q[1];"]),
+    "random": _random_program(6, 160),
+}
+
+#: (source, device, extra flags) of each pinned transpile run
+TRANSPILE_CASES = {
+    f"{name}-{device}{'-fuse' if fuse else ''}": (name, device, ("--fuse",) if fuse else ())
+    for name in TRANSPILE_SOURCES for device in ("london", "x2") for fuse in (False, True)
+}
+TRANSPILE_CASES["random-vigo-layout-fuse"] = ("random", "vigo", ("--layout", "3,0,4,1,2", "--fuse"))
+
+#: SHA-256 of each run's stdout: the report, a blank line, then the emitted QASM
+TRANSPILE_SHA256 = {
+    "bomb-london": "de1144e43a28c16131deb0b2de0438f121cf6bed95e2e3df6648ba93de854d4e",
+    "bomb-london-fuse": "de98f1439f498d1af6745f3e3bdafe2473a842c587398f33c5b5e15169f0087e",
+    "bomb-x2": "a313bd3b75d1df7c56cfbfe6bc9d133b5969c0c7dd0f60ddb2538e65d8ef3415",
+    "bomb-x2-fuse": "892a74da4cb6f3a0f173507979b2e3a9a508475e58569d2e013d087ccffacb5b",
+    "chain4-london": "2dc717411fbea762ca8cf4b9c8561251a2f76de41bd81020e5dccbd0f19cf972",
+    "chain4-london-fuse": "cd9a23e4a2873c04796977885090e4cffbe3e63b8e9aae4858fbd4be9bde4ce9",
+    "chain4-x2": "496c6995524800fefa717b6c05a956cb99cbf48529e2e582cdd514d1ce8457aa",
+    "chain4-x2-fuse": "c90ccd5c2dc79732d6256f069e168bba86ceff48374d862f468984d6fe211613",
+    "eraser-london": "16ed4dc57d92fba873b7bd218b74e1652273e98feea5975782f1f7dd8fc15ea3",
+    "eraser-london-fuse": "5317f5f4ce34b8be80d21485ddf3455cdbdedb88e5b8c32d9d0c017a66d0b46d",
+    "eraser-x2": "b219d8240ac66311d15beea3e8bf205b4bbdb2e7cf6989920066f512716106b0",
+    "eraser-x2-fuse": "e99a6ddbcd4a1a69aa0d1a101e04bb8834893173184b640feb297868b2697889",
+    "hardy-london": "42f9aaa01f2c6a8581743a8505562c17bf529a626c88baa45f9d19378b0e99f4",
+    "hardy-london-fuse": "9e1ca9175a0ae5926e691b33d8ec59ab2d0c3873974994e2aa45fc427a3b10d5",
+    "hardy-x2": "d3ba93932c1c9d3e62e5a67775518adea873e1de0c9929215c5863cf00f0641d",
+    "hardy-x2-fuse": "e66643f1cf95e482cf026091f22717f507f3dbfca989dc99f500b5a25cbc3774",
+    "random-london": "5b252b85d45034dd09abe50a9d4c0b42cea93408e6eef484e0213f370bcc1105",
+    "random-london-fuse": "a5b4b124279ddbc2bf7f15404726aa8389d851466ccba6142cd2ed77f93a8800",
+    "random-vigo-layout-fuse": "60ac811a679fa88af0bf3fc8a57e7cfd03564bbc3d96a2f5db0f3da436bced7e",
+    "random-x2": "df64d1130b102d17b0fb370f7ee9d417db25ac4b6886e9c92e75b5858a46a4d7",
+    "random-x2-fuse": "33c814bbb8586cbbad2d969f75091e61bc3a7045a0ccba930a9153bf93ffbd4d",
+}
+
+
+@pytest.mark.parametrize("label", sorted(TRANSPILE_CASES))
+def test_transpile_output_is_pinned(label, capsys, tmp_path):
+    name, device, extra = TRANSPILE_CASES[label]
+    path = tmp_path / f"{name}.qasm"
+    path.write_text(TRANSPILE_SOURCES[name])
+    assert main(["transpile", str(path), "--device", device, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSPILE_SHA256[label]
+    # --output writes the same QASM and leaves the report on stdout
+    target = tmp_path / "out.qasm"
+    assert main(["transpile", str(path), "--device", device, *extra,
+                 "--output", str(target)]) == 0
+    report = capsys.readouterr().out
+    assert report + "\n" + target.read_text() == out

@@ -64,6 +64,42 @@ class TestExactConfusion:
         dev = symmetric_device(0.0, 3)
         np.testing.assert_array_equal(exact_confusion_matrix(dev, 3).matrix, np.eye(8))
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_condition_number_from_factors_matches_dense_svd(self, n):
+        rng = np.random.default_rng(700 + n)
+        readout = tuple((rng.uniform(0.0, 0.45), rng.uniform(0.0, 0.45)) for _ in range(n))
+        dev = DeviceModel("skew", n, 50.0, 50.0, 0.0, readout,
+                          tuple((q, q + 1) for q in range(n - 1)))
+        conf = exact_confusion_matrix(dev, n)
+        assert len(conf.factors) == n
+        assert conf.condition_number() == pytest.approx(np.linalg.cond(conf.matrix), rel=1e-9)
+
+    def test_over_limit_message_is_unchanged(self):
+        # the last qubit's flip matrix has determinant 1e-9
+        readout = ((0.02, 0.05), (0.03, 0.01), (0.5 - 1e-9, 0.5))
+        dev = DeviceModel("near", 3, 50.0, 50.0, 0.0, readout, ((0, 1), (1, 2)))
+        conf = exact_confusion_matrix(dev, 3)
+        dense = np.linalg.cond(conf.matrix)
+        assert dense > CONDITION_LIMIT
+        with pytest.raises(IllConditionedMatrixError) as info:
+            mitigate({"000": 1}, conf)
+        assert str(info.value) == (
+            f"confusion matrix condition number {dense:.3e} exceeds {CONDITION_LIMIT:.0e}")
+
+    def test_sampled_and_loaded_matrices_use_the_full_svd(self, monkeypatch):
+        sampled = build_confusion_matrix(symmetric_device(0.05, 2), 2, shots=500, seed=3)
+        loaded = ConfusionMatrix.from_json(exact_confusion_matrix(symmetric_device(0.05, 2), 2).to_json())
+        assert sampled.factors == () and loaded.factors == ()
+        calls = []
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(np.shape(m)) or 1.0)
+        sampled.condition_number()
+        loaded.condition_number()
+        assert calls == [(4, 4), (4, 4)]
+
+    def test_factor_count_must_match(self):
+        with pytest.raises(ValueError, match="factors"):
+            ConfusionMatrix(1, np.eye(2), factors=(np.eye(2), np.eye(2)))
+
     def test_partial_measurement_uses_measured_qubits_rates(self):
         # x(1) then measure(1, 0): the one key bit is qubit 1, read through (0.2, 0.3)
         from mzsim.circuit import Circuit

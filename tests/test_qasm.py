@@ -1,8 +1,12 @@
 """Reader/writer for the OPENQASM 2.0 subset: round-trips and diagnostics."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mzsim import qasm
 from mzsim.circuit import Circuit
 from mzsim.qasm import (
     GATE_NAMES,
@@ -227,3 +231,149 @@ class TestDiagnostics:
 
     def test_truncated_input(self):
         expect_error(HEADER + "qreg q[1]; ry(", QasmParseError, 3, 15, "unexpected")
+
+    def test_oversized_quantum_register_is_rejected_at_its_size(self):
+        err = expect_error(HEADER + "qreg q[30]; h q[0];", QasmSemanticError, 3, 8,
+                           "at most 24")
+        assert "30 qubits" in err.message
+
+    def test_registers_past_the_qubit_limit_together(self):
+        expect_error(HEADER + "qreg a[20];\nqreg b[5];", QasmSemanticError, 4, 8,
+                     "qreg b[5] brings the program to 25 qubits")
+        assert parse(HEADER + "qreg a[20]; qreg b[4];").num_qubits == 24
+
+    def test_huge_registers_allocate_nothing(self):
+        tracemalloc.start()
+        try:
+            for source, fragment in [
+                ("qreg q[1000000000]; creg c[1000000000]; h q; measure q -> c;", "at most 24"),
+                ("qreg q[2]; creg c[1000000000]; measure q -> c;", "2 qubits -> 1000000000 clbits"),
+            ]:
+                with pytest.raises(QasmSemanticError, match=fragment):
+                    parse(HEADER + source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+# ---- the statement fast path against the token path ------------------------
+
+#: angle expressions of every form the grammar allows
+ANGLES = ("pi", "-pi", "pi/2", "-3*pi/8", "2*pi/3", "--1", "- 2 * pi", "0.5", ".25", "5.",
+          "1e-3", "2.5E+1", "007", "1.5e0/3", "-0.0", "pi*-2", "0")
+
+#: statements the grammar, the semantics or the lexer reject
+BAD_STATEMENTS = (
+    "foo q[0];", "h q[7];", "cx q[0];", "u3(0.1) q[1];", "h q[0]", "ry(pi/0) q[0];",
+    "ry(1/-0.0) q[0];", "h z[0];", "cx q[0],q[0];", "ccx q[0],q[1],q[1];", "qreg q[2];",
+    "ry(1e) q[0];", "ry(1.2.3) q[0];", "ry(2pi) q[0];", "ry(pi2) q[0];", "u2(1,,2) q[0];",
+    "h() q[0];", "hq[0];", "x q[1.];", "x q[1e1];", "x q[-1];", "ry(1)(2) q[0];",
+    "cx q[0] q[1];", "cx q[0],,q[1];", "ry(pi//2) q[0];", "ry(-) q[0];", "h c[0];",
+    "measure q[0] -> c;", "barrier z;", "ry(1) q[0]; @", "h q[0]; #", "x q[0]; é",
+)
+
+
+def random_source(rng: random.Random, statements: int) -> str:
+    """A valid program over two quantum registers, with every gate spelling,
+    angle expressions of every form, comments, tabs and statements that
+    share a line."""
+    qubits = [("q", i) for i in range(3)] + [("anc", i) for i in range(2)]
+    arity = {"cx": 2, "swap": 2, "ccx": 3}
+    params = {"ry": 1, "u1": 1, "u2": 2, "u3": 3}
+    names = ("h", "x", "ry", "u1", "u2", "u3", "cx", "swap", "ccx")
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];", "qreg anc[2];", "creg c[5];"]
+    for i in range(statements):
+        name = rng.choice(names)
+        args = rng.sample(qubits, arity.get(name, 1))
+        angles = [rng.choice(ANGLES) for _ in range(params.get(name, 0))]
+        text = name + ("(" + rng.choice([",", ", ", "\t,"]).join(angles) + ")" if angles else "")
+        text += rng.choice([" ", "  ", "\t"])
+        text += rng.choice([",", ", "]).join(f"{reg}[{k}]" for reg, k in args) + ";"
+        if rng.random() < 0.1:
+            text += " // note"
+        if rng.random() < 0.2 and lines[-1].endswith(";"):
+            lines[-1] += " " + text
+        else:
+            lines.append(text)
+        if i % 17 == 16:
+            lines.append(rng.choice(["barrier q;", "barrier q[0],anc[1];"]))
+    lines += ["measure q[0] -> c[0];", "measure anc[1] -> c[4];"]
+    return "\n".join(lines) + "\n"
+
+
+def on_token_path(source: str) -> str:
+    """The same program with no statement the fast path takes: it accepts only
+    blanks and tabs between tokens, while the lexer also reads form feeds and
+    vertical tabs as whitespace.  Every line and column stays where it was."""
+    return source.replace(" ", "\f").replace("\t", "\v")
+
+
+@pytest.fixture
+def fast_hits(monkeypatch):
+    """Record, per statement start, whether the fast path took the statement."""
+    hits = []
+    original = qasm._Parser._fast_gate
+
+    def counting(self):
+        result = original(self)
+        hits.append(result is not None)
+        return result
+
+    monkeypatch.setattr(qasm._Parser, "_fast_gate", counting)
+    return hits
+
+
+def outcome(source: str):
+    try:
+        return parse(source)
+    except QasmError as err:
+        return type(err), err.line, err.column, err.message, err.expected
+
+
+class TestStatementFastPath:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_both_paths_give_equal_circuits(self, seed, fast_hits):
+        source = random_source(random.Random(seed), 120)
+        fast = parse(source)
+        assert sum(fast_hits) > 100
+        fast_hits.clear()
+        assert parse(on_token_path(source)) == fast
+        assert not any(fast_hits)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_both_paths_raise_the_same_error(self, seed, fast_hits):
+        rng = random.Random(1000 + seed)
+        lines = random_source(rng, 30).split("\n")
+        for _ in range(rng.choice((1, 1, 2))):
+            lines.insert(rng.randrange(3, len(lines)), rng.choice(BAD_STATEMENTS))
+        source = "\n".join(lines)
+        fast = outcome(source)
+        assert not isinstance(fast, Circuit), source
+        fast_hits.clear()
+        assert outcome(on_token_path(source)) == fast
+        assert not any(fast_hits)
+
+    def test_every_bad_statement_is_reported_alike(self):
+        body = random_source(random.Random(7), 10).split("\n")
+        for bad in BAD_STATEMENTS:
+            source = "\n".join(body[:8] + [bad] + body[8:])
+            assert outcome(source) == outcome(on_token_path(source)), bad
+
+    def test_lexical_error_is_reported_before_an_earlier_semantic_error(self):
+        source = HEADER + "qreg q[2];\nh q[0];\nh q[5];\ncx q[0],q[1];\nx q[1]; @\n"
+        for text in (source, on_token_path(source)):
+            expect_error(text, QasmParseError, 7, 9, "unexpected character '@'")
+
+    def test_semantic_error_on_a_fast_statement_keeps_its_position(self):
+        source = HEADER + "qreg q[2];\nh q[0];\n  cx q[1], q[1];\n"
+        for text in (source, on_token_path(source)):
+            expect_error(text, QasmSemanticError, 5, 3, "repeated qubit")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_trip_on_both_paths(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            c = random_circuit(rng, max_qubits=5, max_gates=30)
+            assert parse(emit(c)) == c
+            assert parse(on_token_path(emit(c))) == c

@@ -159,6 +159,12 @@ class TestRoute:
         measures = [(i.qubits[0], i.clbit) for i in r.circuit.instructions if i.kind == "measure"]
         assert measures == [(3, 0), (4, 1)]
 
+    def test_swap_through_a_measured_qubit_is_rejected(self):
+        # 0 and 2 meet only through the hub 1, which is already measured
+        c = Circuit(5, 1).measure(1, 0).cx(0, 2)
+        with pytest.raises(CircuitError, match=r"already-measured qubit\(s\) \[1\]"):
+            route(c, T_GRAPH, initial_layout=(0, 1, 2, 3, 4))
+
     def test_rejects_non_basis_circuit(self):
         with pytest.raises(CircuitError, match="basis-decomposed"):
             route(Circuit(2).h(0), T_GRAPH)
