@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GateDef, matrix_of
+from .gates import CCX, CNOT, H, SWAP, X, GateDef, matrix_of
 from .states import MAX_QUBITS, StateVector, evolve, init_state
 
 
@@ -119,22 +119,22 @@ class Circuit:
         return self.append(Instruction("gate", tuple(qubits), gate=g))
 
     def h(self, q: int) -> "Circuit":
-        return self.gate(GateDef("H"), q)
+        return self.gate(H, q)
 
     def x(self, q: int) -> "Circuit":
-        return self.gate(GateDef("X"), q)
+        return self.gate(X, q)
 
     def ry(self, theta: float, q: int) -> "Circuit":
         return self.gate(GateDef("RY", (theta,)), q)
 
     def cx(self, control: int, target: int) -> "Circuit":
-        return self.gate(GateDef("CNOT"), control, target)
+        return self.gate(CNOT, control, target)
 
     def ccx(self, c1: int, c2: int, target: int) -> "Circuit":
-        return self.gate(GateDef("CCX"), c1, c2, target)
+        return self.gate(CCX, c1, c2, target)
 
     def swap(self, a: int, b: int) -> "Circuit":
-        return self.gate(GateDef("SWAP"), a, b)
+        return self.gate(SWAP, a, b)
 
     def u1(self, lam: float, q: int) -> "Circuit":
         return self.gate(GateDef("U1", (lam,)), q)

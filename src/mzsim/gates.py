@@ -1,40 +1,55 @@
-"""Gate set and canonical matrices.
+"""The gate table: what each gate is, in one place.
 
-Supported gates: H, X, RY, CNOT, CCX, SWAP, U1, U2, U3.  Multi-qubit
-matrices follow the same ordering as the statevector: the first qubit an
-instruction names is the most significant bit of the matrix index, and it
-is the control for CNOT (the first two for CCX).
+`GATES` maps a gate name to its QASM spelling, arity, parameter count,
+matrix and rewrite over the hardware basis {U1, U2, U3, CNOT}.  The circuit
+builders, the simulator, the QASM reader/writer and the transpiler all
+read it:
+
+    name  qasm  qubits  params           basis rewrite
+    H     h     1       -                U2(0, pi)
+    X     x     1       -                U3(pi, 0, pi)
+    RY    ry    1       theta            U3(theta, 0, 0)
+    CNOT  cx    2       -                (basis gate)
+    CCX   ccx   3       -                6-CNOT network over H, T = U1(pi/4), Tdg
+    SWAP  swap  2       -                CX(a,b) CX(b,a) CX(a,b)
+    U1    u1    1       lam              (basis gate)
+    U2    u2    1       phi, lam         (basis gate)
+    U3    u3    1       theta, phi, lam  (basis gate)
+
+Every rewrite is exact, with zero global phase, so decomposition keeps a
+circuit's unitary to machine precision.  Routing SWAPs use the SWAP row.
+
+Multi-qubit matrices follow the same ordering as the statevector: the
+first qubit an instruction names is the most significant bit of the matrix
+index, and it is the control for CNOT (the first two for CCX).
 
 U3(theta, phi, lam) = [[cos(t/2),            -e^{i lam} sin(t/2)],
                        [e^{i phi} sin(t/2),   e^{i(phi+lam)} cos(t/2)]]
 U2(phi, lam) = U3(pi/2, phi, lam)
 U1(lam)      = U3(0, 0, lam) = diag(1, e^{i lam})
-
-Under this convention RY(theta) == U3(theta, 0, 0) exactly, while
-H == U2(0, pi) and X == U3(pi, 0, pi) hold up to (here: zero) global phase.
+RY(theta)    = U3(theta, 0, 0)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-#: qubits touched / number of angle parameters, by gate name
-GATE_SIGNATURES: dict[str, tuple[int, int]] = {
-    "H": (1, 0),
-    "X": (1, 0),
-    "RY": (1, 1),
-    "CNOT": (2, 0),
-    "CCX": (3, 0),
-    "SWAP": (2, 0),
-    "U1": (1, 1),
-    "U2": (1, 2),
-    "U3": (1, 3),
-}
+#: a rewrite's output: gates over the basis, each with the qubits it acts on
+Network = list[tuple["GateDef", tuple[int, ...]]]
 
-BASIS_GATES = frozenset({"U1", "U2", "U3", "CNOT"})
+
+class GateSpec(NamedTuple):
+    qasm: str
+    arity: int
+    num_params: int
+    #: params -> a fresh unitary
+    matrix: Callable[..., np.ndarray]
+    #: (params, qubits) -> the gate rewritten over the basis; None for a basis gate
+    basis: Callable[[tuple[float, ...], tuple[int, ...]], Network] | None
 
 
 @dataclass(frozen=True)
@@ -43,13 +58,13 @@ class GateDef:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.name not in GATE_SIGNATURES:
+        spec = GATES.get(self.name)
+        if spec is None:
             raise ValueError(f"unknown gate {self.name!r}")
-        arity, n_params = GATE_SIGNATURES[self.name]
         params = tuple(map(float, self.params))
-        if len(params) != n_params:
+        if len(params) != spec.num_params:
             raise ValueError(
-                f"{self.name} takes {n_params} parameter(s), got {len(params)}"
+                f"{self.name} takes {spec.num_params} parameter(s), got {len(params)}"
             )
         if not all(map(math.isfinite, params)):
             raise ValueError(f"{self.name} parameters must be finite: {params}")
@@ -57,7 +72,73 @@ class GateDef:
 
     @property
     def arity(self) -> int:
-        return GATE_SIGNATURES[self.name][0]
+        return GATES[self.name].arity
+
+
+# ---- matrices --------------------------------------------------------------
+
+_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SWAP_MATRIX = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+
+
+def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array(
+        [
+            [c, -np.exp(1j * lam) * s],
+            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+        ],
+        dtype=complex,
+    )
+
+
+# ---- basis rewrites (their gate constants are built below the table) -------
+
+
+def _ccx_network(a: int, b: int, t: int) -> Network:
+    return [
+        (_H_BASIS, (t,)),
+        (CNOT, (b, t)),
+        (_TDG, (t,)),
+        (CNOT, (a, t)),
+        (_T, (t,)),
+        (CNOT, (b, t)),
+        (_TDG, (t,)),
+        (CNOT, (a, t)),
+        (_T, (b,)),
+        (_T, (t,)),
+        (CNOT, (a, b)),
+        (_H_BASIS, (t,)),
+        (_T, (a,)),
+        (_TDG, (b,)),
+        (CNOT, (a, b)),
+    ]
+
+
+def _swap_network(a: int, b: int) -> Network:
+    return [(CNOT, (a, b)), (CNOT, (b, a)), (CNOT, (a, b))]
+
+
+# ---- the table -------------------------------------------------------------
+
+GATES: dict[str, GateSpec] = {
+    "H": GateSpec("h", 1, 0, lambda: _H_MATRIX.copy(), lambda p, qs: [(_H_BASIS, qs)]),
+    "X": GateSpec("x", 1, 0, lambda: _X_MATRIX.copy(), lambda p, qs: [(_X_BASIS, qs)]),
+    "RY": GateSpec("ry", 1, 1, lambda theta: _u3_matrix(theta, 0.0, 0.0),
+                   lambda p, qs: [(u3(p[0], 0.0, 0.0), qs)]),
+    "CNOT": GateSpec("cx", 2, 0, lambda: controlled(X, 1), None),
+    "CCX": GateSpec("ccx", 3, 0, lambda: controlled(X, 2), lambda p, qs: _ccx_network(*qs)),
+    "SWAP": GateSpec("swap", 2, 0, lambda: _SWAP_MATRIX.copy(),
+                     lambda p, qs: _swap_network(*qs)),
+    "U1": GateSpec("u1", 1, 1, lambda lam: _u3_matrix(0.0, 0.0, lam), None),
+    "U2": GateSpec("u2", 1, 2, lambda phi, lam: _u3_matrix(np.pi / 2, phi, lam), None),
+    "U3": GateSpec("u3", 1, 3, _u3_matrix, None),
+}
+
+BASIS_GATES = frozenset(name for name, spec in GATES.items() if spec.basis is None)
 
 
 # ---- constructors ----------------------------------------------------------
@@ -85,53 +166,15 @@ def u3(theta: float, phi: float, lam: float) -> GateDef:
     return GateDef("U3", (theta, phi, lam))
 
 
-# ---- matrices --------------------------------------------------------------
-
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SWAP_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
-def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
-
-
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+_T = u1(np.pi / 4)
+_TDG = u1(-np.pi / 4)
+_H_BASIS = u2(0.0, np.pi)
+_X_BASIS = u3(np.pi, 0.0, np.pi)
 
 
 def matrix_of(gate: GateDef) -> np.ndarray:
     """Canonical unitary for a gate definition."""
-    name, p = gate.name, gate.params
-    if name == "H":
-        return _H_MATRIX.copy()
-    if name == "X":
-        return _X_MATRIX.copy()
-    if name == "RY":
-        return _ry_matrix(p[0])
-    if name == "U1":
-        return _u3_matrix(0.0, 0.0, p[0])
-    if name == "U2":
-        return _u3_matrix(np.pi / 2, p[0], p[1])
-    if name == "U3":
-        return _u3_matrix(p[0], p[1], p[2])
-    if name == "CNOT":
-        return controlled(X, 1)
-    if name == "CCX":
-        return controlled(X, 2)
-    if name == "SWAP":
-        return _SWAP_MATRIX.copy()
-    raise AssertionError(name)
+    return GATES[gate.name].matrix(*gate.params)
 
 
 def controlled(gate: GateDef, num_controls: int) -> np.ndarray:

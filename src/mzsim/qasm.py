@@ -14,7 +14,7 @@ positioned error rather than skipped.  Grammar:
     expr      : unary (("*" | "/") unary)*
     unary     : "-" unary | NUMBER | "pi"
 
-Supported gate names: h, x, ry, cx, ccx, swap, u1, u2, u3.  Comments
+Gate names are the `qasm` spellings of `gates.GATES`.  Comments
 (`// ...`) are stripped.  A bare register name broadcasts single-qubit
 gates and barriers over the register, and `measure q -> c;` measures the
 whole register pairwise; multi-qubit gates require indexed arguments.
@@ -44,21 +44,11 @@ import re
 from typing import NamedTuple
 
 from .circuit import Circuit, CircuitError
-from .gates import GATE_SIGNATURES, GateDef
+from .gates import GATES, GateDef
 from .states import MAX_QUBITS
 
-GATE_NAMES = {
-    "h": "H",
-    "x": "X",
-    "ry": "RY",
-    "cx": "CNOT",
-    "ccx": "CCX",
-    "swap": "SWAP",
-    "u1": "U1",
-    "u2": "U2",
-    "u3": "U3",
-}
-_EMIT_NAMES = {v: k for k, v in GATE_NAMES.items()}
+#: QASM spelling -> gate name
+GATE_NAMES = {spec.qasm: name for name, spec in GATES.items()}
 
 
 class QasmError(ValueError):
@@ -194,6 +184,17 @@ def _lex_all(source: str):
         pass
 
 
+def _integer(tok: Token, what: str) -> int:
+    """The value of a digit-string token, refused at the token when it is
+    longer than Python converts (4,300 digits by default)."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise QasmSemanticError(tok.line, tok.column,
+                                f"{what} has {len(tok.text)} digits, past Python's limit "
+                                "for integer strings") from None
+
+
 class _Parser:
     def __init__(self, source: str):
         self.lexer = _Lexer(source)
@@ -281,10 +282,10 @@ class _Parser:
         name = self.expect("ID", what="register name")
         self.expect("SYMBOL", "[")
         size_tok = self.expect("NUMBER", what="register size")
-        if not size_tok.text.isdigit() or int(size_tok.text) < 1:
+        size = _integer(size_tok, "register size") if size_tok.text.isdigit() else 0
+        if size < 1:
             raise QasmSemanticError(size_tok.line, size_tok.column,
                                     f"register size must be a positive integer, got {size_tok.text}")
-        size = int(size_tok.text)
         self.expect("SYMBOL", "]")
         self.expect("SYMBOL", ";")
         table = self.qregs if kw.text == "qreg" else self.cregs
@@ -313,7 +314,7 @@ class _Parser:
             if not idx_tok.text.isdigit():
                 raise QasmSemanticError(idx_tok.line, idx_tok.column,
                                         f"index must be an integer, got {idx_tok.text}")
-            index = int(idx_tok.text)
+            index = _integer(idx_tok, "index")
             self.expect("SYMBOL", "]")
         return name, index
 
@@ -346,12 +347,12 @@ class _Parser:
         canonical = GATE_NAMES.get(name)
         if canonical is None:
             return None
-        arity, want = GATE_SIGNATURES[canonical]
+        spec = GATES[canonical]
         params = [] if param_text is None else _angles(param_text)
-        if params is None or len(params) != want:
+        if params is None or len(params) != spec.num_params:
             return None
         args = _ARGUMENT_RE.findall(args_text)
-        if len(args) != arity:
+        if len(args) != spec.arity:
             return None
         qubits = []
         for reg, index in args:
@@ -372,7 +373,7 @@ class _Parser:
             raise QasmSemanticError(name.line, name.column,
                                     f"unsupported gate {name.text!r}")
         canonical = GATE_NAMES[name.text]
-        arity, want = GATE_SIGNATURES[canonical]
+        spec = GATES[canonical]
         params: list[float] = []
         if self.peek().kind == "SYMBOL" and self.peek().text == "(":
             self.advance()
@@ -381,16 +382,16 @@ class _Parser:
                 self.advance()
                 params.append(self._expression())
             self.expect("SYMBOL", ")")
-        if len(params) != want:
+        if len(params) != spec.num_params:
             raise QasmSemanticError(name.line, name.column,
-                                    f"{name.text} takes {want} parameter(s), got {len(params)}")
+                                    f"{name.text} takes {spec.num_params} parameter(s), got {len(params)}")
         args = [self._argument()]
         while self.peek().text == ",":
             self.advance()
             args.append(self._argument())
         self.expect("SYMBOL", ";")
 
-        if arity == 1 and len(args) == 1 and args[0][1] is None:
+        if spec.arity == 1 and len(args) == 1 and args[0][1] is None:
             # broadcast over the whole register
             targets = self._resolve(self.qregs, args[0][0], None, "quantum")
 
@@ -398,9 +399,9 @@ class _Parser:
                 for q in targets:
                     self._append_gate(circuit, name, canonical, params, (q,))
             return apply
-        if len(args) != arity:
+        if len(args) != spec.arity:
             raise QasmSemanticError(name.line, name.column,
-                                    f"{name.text} needs {arity} qubit argument(s), got {len(args)}")
+                                    f"{name.text} needs {spec.arity} qubit argument(s), got {len(args)}")
         qubits: list[int] = []
         for reg, index in args:
             if index is None:
@@ -505,7 +506,7 @@ def emit(circuit: Circuit) -> str:
         lines.append(f"creg c[{circuit.num_clbits}];")
     for inst in circuit.instructions:
         if inst.kind == "gate":
-            name = _EMIT_NAMES[inst.gate.name]
+            name = GATES[inst.gate.name].qasm
             params = ""
             if inst.gate.params:
                 params = "(" + ",".join(_fmt_angle(p) for p in inst.gate.params) + ")"

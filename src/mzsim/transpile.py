@@ -1,15 +1,6 @@
 """Basis-gate decomposition, qubit routing, and fidelity estimation.
 
-The hardware basis is {U1, U2, U3, CNOT}.  Rewrites used:
-
-    H          -> U2(0, pi)
-    X          -> U3(pi, 0, pi)
-    RY(t)      -> U3(t, 0, 0)
-    SWAP(a, b) -> CX(a,b) CX(b,a) CX(a,b)
-    CCX        -> the standard 6-CNOT network over H, T=U1(pi/4), Tdg
-
-All rewrites are exact up to global phase, so decomposition preserves the
-circuit unitary to machine precision.
+Decomposition applies each gate's basis rewrite from `gates.GATES`.
 
 Routing is greedy shortest-path SWAP insertion with no lookahead: when a
 CNOT's endpoints are not adjacent on the coupling graph, SWAPs (each
@@ -26,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CircuitError, Instruction
-from .gates import BASIS_GATES, GateDef, matrix_of
+from .gates import BASIS_GATES, GATES, GateDef, matrix_of
 from .noise import CouplingGraph, DeviceModel
 
 
@@ -44,63 +35,22 @@ class TranspiledCircuit:
     swap_count: int
 
 
-_T = GateDef("U1", (np.pi / 4,))
-_TDG = GateDef("U1", (-np.pi / 4,))
-_H_BASIS = GateDef("U2", (0.0, np.pi))
-_X_BASIS = GateDef("U3", (np.pi, 0.0, np.pi))
-_CX = GateDef("CNOT")
 _IDENTITY = np.eye(2, dtype=complex)
 
 
-def _ccx_network(a: int, b: int, t: int) -> list[tuple[GateDef, tuple[int, ...]]]:
-    return [
-        (_H_BASIS, (t,)),
-        (_CX, (b, t)),
-        (_TDG, (t,)),
-        (_CX, (a, t)),
-        (_T, (t,)),
-        (_CX, (b, t)),
-        (_TDG, (t,)),
-        (_CX, (a, t)),
-        (_T, (b,)),
-        (_T, (t,)),
-        (_CX, (a, b)),
-        (_H_BASIS, (t,)),
-        (_T, (a,)),
-        (_TDG, (b,)),
-        (_CX, (a, b)),
-    ]
-
-
-def _swap_network(a: int, b: int) -> list[tuple[GateDef, tuple[int, ...]]]:
-    return [(_CX, (a, b)), (_CX, (b, a)), (_CX, (a, b))]
-
-
 def decompose_to_basis(circuit: Circuit) -> Circuit:
-    """Rewrite every gate into {U1, U2, U3, CNOT}; measures/barriers pass through."""
+    """Rewrite every gate over `BASIS_GATES`; measures/barriers pass through."""
     out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
     trusted = Instruction._trusted
     for inst in circuit.instructions:
         if inst.kind != "gate":
             out.append(inst)
             continue
-        g, qs = inst.gate, inst.qubits
-        if g.name in BASIS_GATES:
+        rewrite = GATES[inst.gate.name].basis
+        if rewrite is None:
             out._append_trusted(inst)
             continue
-        if g.name == "H":
-            network = [(_H_BASIS, qs)]
-        elif g.name == "X":
-            network = [(_X_BASIS, qs)]
-        elif g.name == "RY":
-            network = [(GateDef("U3", (g.params[0], 0.0, 0.0)), qs)]
-        elif g.name == "SWAP":
-            network = _swap_network(*qs)
-        elif g.name == "CCX":
-            network = _ccx_network(*qs)
-        else:
-            raise CircuitError(f"no basis decomposition for {g.name}")
-        for gate, targets in network:
+        for gate, targets in rewrite(inst.gate.params, inst.qubits):
             out._append_trusted(trusted("gate", targets, gate))
     return out
 
@@ -155,6 +105,7 @@ def route(
     l2p = list(layout)  # logical (possibly padded) -> physical
     out = Circuit(graph.num_qubits, circuit.num_clbits, circuit.name)
     append, trusted = out._append_trusted, Instruction._trusted
+    swap_network = GATES["SWAP"].basis
     swap_count = 0
 
     for inst in circuit.instructions:
@@ -167,7 +118,7 @@ def route(
             if len(qubits) == 2 and not graph.has_edge(*qubits):
                 path = graph.shortest_path(*qubits)
                 for pa, pb in zip(path[:-2], path[1:-1]):
-                    for gate, targets in _swap_network(pa, pb):
+                    for gate, targets in swap_network((), (pa, pb)):
                         append(trusted("gate", targets, gate))
                     swap_count += 1
                     la, lb = l2p.index(pa), l2p.index(pb)

@@ -557,7 +557,8 @@ class TestTranspileCommand:
         ("qreg q[30];\nh q[0];\n", "line 2, column 8"),
         ("qreg q[100000];\ncreg c[100000];\nh q;\nmeasure q -> c;\n", "line 2, column 8"),
         ("qreg q[2];\ncreg c[100000];\nmeasure q -> c;\n", "line 4, column 1"),
-    ], ids=["qreg-30", "qreg-creg-100000", "creg-100000"])
+        ("qreg q[" + "9" * 5000 + "];\n", "line 2, column 8"),
+    ], ids=["qreg-30", "qreg-creg-100000", "creg-100000", "qreg-5000-digits"])
     def test_oversized_register_exits_2(self, capsys, tmp_path, body, position):
         bad = tmp_path / "big.qasm"
         bad.write_text("OPENQASM 2.0;\n" + body)

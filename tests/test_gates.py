@@ -5,7 +5,7 @@ from mzsim.gates import (
     BASIS_GATES,
     CCX,
     CNOT,
-    GATE_SIGNATURES,
+    GATES,
     H,
     SWAP,
     X,
@@ -21,10 +21,19 @@ from mzsim.states import equal_up_to_global_phase, is_unitary
 
 
 def test_signature_table_is_complete():
-    assert set(GATE_SIGNATURES) == {"H", "X", "RY", "CNOT", "CCX", "SWAP", "U1", "U2", "U3"}
+    assert set(GATES) == {"H", "X", "RY", "CNOT", "CCX", "SWAP", "U1", "U2", "U3"}
     assert BASIS_GATES == {"U1", "U2", "U3", "CNOT"}
-    assert GATE_SIGNATURES["CCX"] == (3, 0)
-    assert GATE_SIGNATURES["U3"] == (1, 3)
+    assert (GATES["CCX"].arity, GATES["CCX"].num_params) == (3, 0)
+    assert (GATES["U3"].arity, GATES["U3"].num_params) == (1, 3)
+    for name, spec in GATES.items():
+        params = tuple(range(1, spec.num_params + 1))
+        dim = 2**spec.arity
+        assert spec.matrix(*params).shape == (dim, dim), name
+        if spec.basis is not None:
+            qubits = tuple(range(spec.arity))
+            for gate, targets in spec.basis(params, qubits):
+                assert gate.name in BASIS_GATES, name
+                assert len(targets) == gate.arity and set(targets) <= set(qubits), name
 
 
 def test_gatedef_validation():

@@ -1,13 +1,19 @@
 """Reader/writer for the OPENQASM 2.0 subset: round-trips and diagnostics."""
 
+import contextlib
+import io
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim import qasm
 from mzsim.circuit import Circuit
+from mzsim.cli import main
+from mzsim.gates import GATES
 from mzsim.qasm import (
     GATE_NAMES,
     QasmError,
@@ -242,6 +248,15 @@ class TestDiagnostics:
                      "qreg b[5] brings the program to 25 qubits")
         assert parse(HEADER + "qreg a[20]; qreg b[4];").num_qubits == 24
 
+    @pytest.mark.parametrize("body, column, what", [
+        ("qreg q[{}];", 8, "register size"),
+        ("qreg q[1]; creg c[{}];", 19, "register size"),
+        ("qreg q[1]; h q[{}];", 16, "index"),
+    ], ids=["qreg", "creg", "index"])
+    def test_integer_too_long_for_int_is_rejected_at_its_token(self, body, column, what):
+        expect_error(HEADER + body.format("9" * 5000), QasmSemanticError, 3, column,
+                     f"{what} has 5000 digits")
+
     def test_huge_registers_allocate_nothing(self):
         tracemalloc.start()
         try:
@@ -377,3 +392,76 @@ class TestStatementFastPath:
             c = random_circuit(rng, max_qubits=5, max_gates=30)
             assert parse(emit(c)) == c
             assert parse(on_token_path(emit(c))) == c
+
+
+# ---- fuzzing the reader and the transpile command --------------------------
+
+HUGE_LITERAL = "9" * 5000
+ANGLE_TOKENS = ("pi", "-pi/2", "0.5", "1e-3", "2*pi", "0")
+STRAY = st.one_of(
+    st.sampled_from(("@", "#", "é", "\x00", ";", ",", "[", "]", "(", ")", "->", "-", "/",
+                     '"', "//", "q", "c", "pi", "1.5", "24", "qreg", "measure")),
+    st.text(max_size=2),
+    st.just(HUGE_LITERAL),
+)
+
+
+@st.composite
+def gate_statements(draw, n: int) -> list[str]:
+    """One gate statement from the gate table's spelling, arity and parameter
+    count, on distinct qubits of a register `q[n]`."""
+    spec = GATES[draw(st.sampled_from(sorted(GATES)))]
+    tokens = [spec.qasm]
+    if spec.num_params:
+        angles = draw(st.lists(st.sampled_from(ANGLE_TOKENS), min_size=spec.num_params,
+                               max_size=spec.num_params))
+        tokens += ["(", *" , ".join(angles).split(" "), ")"]
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=spec.arity,
+                           max_size=spec.arity, unique=True))
+    return tokens + " , ".join(f"q [ {q} ]" for q in qubits).split(" ") + [";"]
+
+
+@st.composite
+def mutated_programs(draw) -> str:
+    """A small valid program from the gate table, then deleted, duplicated,
+    inserted and replaced tokens."""
+    n = draw(st.integers(3, 4))
+    tokens = ["OPENQASM", "2.0", ";", "include", '"qelib1.inc"', ";",
+              "qreg", "q", "[", str(n), "]", ";", "creg", "c", "[", str(n), "]", ";"]
+    for _ in range(draw(st.integers(0, 6))):
+        tokens += draw(gate_statements(n))
+    if draw(st.booleans()):
+        tokens += ["barrier", "q", ";", "measure", "q", "->", "c", ";"]
+    for _ in range(draw(st.integers(0, 2))):
+        action = draw(st.sampled_from(("delete", "duplicate", "insert", "replace")))
+        i = draw(st.integers(0, len(tokens) - 1))
+        if action == "delete":
+            del tokens[i]
+        elif action == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif action == "insert":
+            tokens.insert(i, draw(STRAY))
+        else:
+            tokens[i] = draw(STRAY)
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=mutated_programs())
+def test_mutated_programs_keep_the_error_and_exit_code_contract(source, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.qasm"
+    path.write_text(source, encoding="utf-8")
+    source = path.read_text(encoding="utf-8")  # the text the command reads
+    try:
+        assert isinstance(parse(source), Circuit)
+        raised = False
+    except QasmError:
+        raised = True
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["transpile", str(path), "--device", "vigo"])
+    assert code in (0, 2, 3)
+    assert (code == 2) == raised, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("error:")

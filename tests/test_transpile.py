@@ -1,10 +1,12 @@
 """Decomposition, layout, routing, and fidelity bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mzsim.circuit import Circuit, CircuitError, unitary_of
-from mzsim.gates import matrix_of, u3
+from mzsim.gates import BASIS_GATES, GATES, GateDef, matrix_of, u3
 from mzsim.noise import device_preset, ideal_device
 from mzsim.states import equal_up_to_global_phase, index_of
 from mzsim.transpile import (
@@ -87,12 +89,16 @@ class TestDecompose:
         assert set(d.count_gates()) <= {"U1", "U2", "U3", "CNOT"}
 
     def test_preserves_unitary_per_gate(self):
-        singles = [Circuit(1).h(0), Circuit(1).x(0), Circuit(1).ry(1.234, 0)]
-        doubles = [Circuit(2).swap(0, 1), Circuit(2).cx(1, 0)]
-        triples = [Circuit(3).ccx(0, 1, 2), Circuit(3).ccx(2, 0, 1)]
-        for c in singles + doubles + triples:
-            d = decompose_to_basis(c)
-            assert equal_up_to_global_phase(unitary_of(d), unitary_of(c), tol=1e-12), c
+        rng = np.random.default_rng(77)
+        for name, spec in GATES.items():
+            for _ in range(5):
+                gate = GateDef(name, rng.uniform(-2 * np.pi, 2 * np.pi, spec.num_params))
+                for targets in itertools.permutations(range(spec.arity)):
+                    c = Circuit(spec.arity).gate(gate, *targets)
+                    d = decompose_to_basis(c)
+                    assert set(d.count_gates()) <= BASIS_GATES, c
+                    assert equal_up_to_global_phase(unitary_of(d), unitary_of(c), tol=1e-12), \
+                        (gate, targets)
 
     def test_ccx_costs_exactly_six_cnots(self):
         d = decompose_to_basis(Circuit(3).ccx(0, 1, 2))
