@@ -10,12 +10,20 @@ Noisy runs sample the logical circuit under the arity-keyed noise model;
 transpilation (basis decomposition + routing) feeds the reported fidelity
 estimate.  Mitigated results unmix the sampled counts with the device's
 exact confusion matrix.
+
+`run` and `sweep` share one path: `_device_from` resolves --device,
+`_check_sampling` checks shots, seed and --mitigate, and `_write_output`
+renders the chosen --format (each command's first format is its default)
+to --output or stdout.  A sweep builds the experiment of every grid point
+before it samples any, so a bad point or chain length is a configuration
+error (exit 2) that costs no sampling.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,7 +31,7 @@ import numpy as np
 
 from .analysis import _as_distribution, eta_from_counts, gamma_from_counts, run_statistics
 from .circuit import CircuitError, simulate_ideal
-from .experiments import ExperimentSpec, chain_angles_for_sweep, eta_general, gamma_closed
+from .experiments import ExperimentSpec, chain_angles_for_sweep
 from .mitigation import exact_confusion_matrix, mitigate
 from .noise import DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy
 from .qasm import QasmError, emit, parse
@@ -106,22 +114,25 @@ def _parse_angle_list(text) -> tuple[float, ...]:
         raise ConfigError(f"bad angle list {text!r}: {exc}") from exc
 
 
-def _resolve_device(label: str) -> DeviceModel | None:
-    """'ideal' -> None; else a preset name or a calibration JSON path."""
-    if label is None or label == "ideal":
-        return None
+def _device_from(args: argparse.Namespace, config: dict) -> tuple[DeviceModel | None, str]:
+    """The --device setting and the label output reports for it: 'ideal'
+    (the default) gives None; else a preset name or a calibration JSON
+    path or text, reported by its model's name."""
+    label = _merged(args, config, "device", str, "ideal")
+    if label == "ideal":
+        return None, label
     try:
-        return device_preset(label)
+        device = device_preset(label)
     except KeyError:
-        pass
-    if os.path.exists(label) or label.lstrip().startswith("{"):
+        if not (os.path.exists(label) or label.lstrip().startswith("{")):
+            raise ConfigError(
+                f"device {label!r} is neither 'ideal', a preset, nor a calibration file"
+            ) from None
         try:
-            return load_device(label)
+            device = load_device(label)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"device {label!r} is neither 'ideal', a preset, nor a calibration file"
-    )
+    return device, device.name
 
 
 def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
@@ -164,6 +175,15 @@ def _observable_value(spec: ExperimentSpec, dist) -> float | dict:
     return gamma_from_counts(dist)
 
 
+def _check_sampling(shots: int, seed: int, mitigate_flag: bool, device: DeviceModel | None):
+    if shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if mitigate_flag and device is None:
+        raise ConfigError("--mitigate needs a noisy device")
+
+
 def execute_run(
     spec: ExperimentSpec,
     device: DeviceModel | None,
@@ -173,12 +193,7 @@ def execute_run(
     mitigate_flag: bool,
     exact: bool,
 ) -> dict:
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if mitigate_flag and device is None:
-        raise ConfigError("--mitigate needs a noisy device")
+    _check_sampling(shots, seed, mitigate_flag, device)
     if exact and device is not None:
         raise ConfigError("--exact gives ideal probabilities and cannot take a noisy device")
 
@@ -190,27 +205,14 @@ def execute_run(
         "seed": seed,
         "exact": bool(exact),
         "theory": spec.theory(),
-        "parameters": {},
+        "parameters": spec.parameters(),
+        "fidelity_estimate": 1.0,
+        "error_estimate": 0.0,
     }
-    if spec.kind == "eraser":
-        doc["parameters"]["erase"] = spec.erase
-    elif spec.kind == "bomb":
-        doc["parameters"]["present"] = spec.present
-    elif spec.kind == "general-bomb":
-        doc["parameters"]["angles_over_pi"] = [t / np.pi for t in spec.angles]
-    else:
-        doc["parameters"]["theta0_over_pi"] = spec.theta0 / np.pi
-        doc["parameters"]["theta1_over_pi"] = spec.theta1 / np.pi
-
     if device is not None:
         transpiled = transpile(circuit, device)
-        fidelity, error = estimate_fidelity(transpiled, device)
-        doc["fidelity_estimate"] = fidelity
-        doc["error_estimate"] = error
+        doc["fidelity_estimate"], doc["error_estimate"] = estimate_fidelity(transpiled, device)
         doc["swap_count"] = transpiled.swap_count
-    else:
-        doc["fidelity_estimate"] = 1.0
-        doc["error_estimate"] = 0.0
 
     if exact:
         state = simulate_ideal(circuit)
@@ -237,37 +239,33 @@ def execute_run(
 
 
 def _run_rows(doc: dict, spec: ExperimentSpec) -> list[dict]:
-    """Flatten a run document into CSV rows (one per observable/provenance)."""
+    """Flatten a run document into CSV rows: the observable, then its
+    mitigated counterpart; a distribution gives one row per outcome."""
     base = {
+        **doc["parameters"],  # Hardy's theta0_over_pi and theta1_over_pi are columns
         "experiment": doc["experiment"],
         "N": {"eraser": 2, "bomb": 2, "general-bomb": len(spec.angles), "hardy": 3}[spec.kind],
-        "theta_over_pi": "",
-        "theta0_over_pi": doc["parameters"].get("theta0_over_pi", ""),
-        "theta1_over_pi": doc["parameters"].get("theta1_over_pi", ""),
         "shots": doc["shots"] if doc["shots"] is not None else "",
         "seed": "" if doc["exact"] else doc["seed"],
-        "std_dev": "",
         "device": doc["device"],
     }
-    rows = []
     theory = doc["theory"]
-    if spec.observable() == "distribution":
-        value = doc["value"]
-        keys = sorted(set(value) | set(theory or {}))
-        for key in keys:
+    distribution = doc["observable"] == "distribution"
+    # mitigated distribution rows print the solver's probabilities, not their
+    # renormalised mitigated_value, which can differ in the last bit
+    mitigated_key = "mitigated_probabilities" if distribution else "mitigated_value"
+    values = [("false", doc["value"])]
+    if mitigated_key in doc:
+        values.append(("true", doc[mitigated_key]))
+    rows = []
+    for mitigated, value in values:
+        if not distribution:
+            rows.append({**base, "observable": doc["observable"], "value": value,
+                         "theory": theory, "mitigated": mitigated})
+            continue
+        for key in sorted(set(doc["value"]) | set(theory)):
             rows.append({**base, "observable": f"p_{key}", "value": value.get(key, 0.0),
-                         "theory": (theory or {}).get(key, ""), "mitigated": "false"})
-        if "mitigated_probabilities" in doc:
-            for key in keys:
-                rows.append({**base, "observable": f"p_{key}",
-                             "value": doc["mitigated_probabilities"].get(key, 0.0),
-                             "theory": (theory or {}).get(key, ""), "mitigated": "true"})
-    else:
-        rows.append({**base, "observable": doc["observable"], "value": doc["value"],
-                     "theory": theory if theory is not None else "", "mitigated": "false"})
-        if "mitigated_value" in doc:
-            rows.append({**base, "observable": doc["observable"], "value": doc["mitigated_value"],
-                         "theory": theory if theory is not None else "", "mitigated": "true"})
+                         "theory": theory.get(key, ""), "mitigated": mitigated})
     return rows
 
 
@@ -281,6 +279,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         raise ConfigError(f"theta-step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"theta range is empty: [{start}, {stop}]")
+    # written so that a nan fails it too
+    if not (0.0 <= start and stop <= 1.0 and step < math.inf):
+        raise ConfigError(f"theta range [{start}, {stop}] must lie in [0, 1] and step {step} "
+                          f"must be finite (units of pi)")
     points = []
     k = 0
     while start + k * step <= stop + 1e-9:
@@ -292,57 +294,6 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 def _derived_seed(base: int, *context: int) -> int:
     """Deterministic per-row seed; printed in the CSV so rows self-reproduce."""
     return int(np.random.SeedSequence((base, *context)).generate_state(1)[0])
-
-
-def _sweep_point_rows(
-    spec: ExperimentSpec,
-    point: dict,
-    device: DeviceModel | None,
-    device_label: str,
-    shots: int,
-    base_seed: int,
-    point_index: int,
-    repeats: int,
-    mitigate_flag: bool,
-) -> list[dict]:
-    circuit = spec.build()
-    exact_value = _observable_value(spec, simulate_ideal(circuit).probability_dict())
-    observable = spec.observable()
-    theory = spec.theory()
-
-    def row(value, shots_cell, seed_cell, dev_cell, mitigated, std=""):
-        return {**point, "experiment": spec.kind, "shots": shots_cell,
-                "seed": seed_cell, "observable": observable, "value": value,
-                "theory": theory, "std_dev": std, "device": dev_cell,
-                "mitigated": mitigated}
-
-    rows = [row(exact_value, "", "", "ideal", "false")]
-    if device is None:
-        return rows
-
-    noisy_rows, mitig_rows = [], []
-    noisy_vals, mitig_vals = [], []
-    confusion = exact_confusion_matrix(device, circuit.measured_qubits) if mitigate_flag else None
-    for r in range(repeats):
-        seed_r = _derived_seed(base_seed, point_index, r)
-        counts = simulate_noisy(circuit, device, shots, seed_r)
-        value = _observable_value(spec, counts)
-        noisy_vals.append(value)
-        noisy_rows.append(row(value, shots, seed_r, device_label, "false"))
-        if mitigate_flag:
-            corrected = mitigate(counts, confusion)
-            mvalue = _observable_value(spec, corrected)
-            mitig_vals.append(mvalue)
-            mitig_rows.append(row(mvalue, shots, seed_r, device_label, "true"))
-
-    def stamp_std(rows_list, vals):
-        std = run_statistics(vals, 1.0).std_dev if vals else ""
-        for entry in rows_list:
-            entry["std_dev"] = std
-
-    stamp_std(noisy_rows, noisy_vals)
-    stamp_std(mitig_rows, mitig_vals)
-    return rows + noisy_rows + mitig_rows
 
 
 def execute_sweep(
@@ -359,46 +310,63 @@ def execute_sweep(
 ) -> list[dict]:
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_sampling(shots, seed, mitigate_flag, device)
     if hardy_grid not in ("diagonal", "full"):
         raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
-    if mitigate_flag and device is None:
-        raise ConfigError("--mitigate needs a noisy device")
+    # every point is built before any is sampled, so a bad one costs no work
+    points: list[tuple[ExperimentSpec, dict]] = []
+    try:
+        if experiment == "general-bomb":
+            if not n_values:
+                raise ConfigError("general-bomb sweep needs --n-values")
+            for n in n_values:
+                for t in theta_grid:
+                    if not 0.0 < t < 1.0:
+                        raise ConfigError(
+                            f"theta/pi must lie strictly inside (0, 1), got {t}")
+                    spec = ExperimentSpec(
+                        "general-bomb", angles=chain_angles_for_sweep(t * np.pi, n))
+                    points.append((spec, {"N": n, "theta_over_pi": t,
+                                          "theta0_over_pi": "", "theta1_over_pi": ""}))
+        elif experiment == "hardy":
+            pairs = ([(t, t) for t in theta_grid] if hardy_grid == "diagonal"
+                     else [(a, b) for a in theta_grid for b in theta_grid])
+            for t0, t1 in pairs:
+                spec = ExperimentSpec("hardy", theta0=t0 * np.pi, theta1=t1 * np.pi)
+                points.append((spec, {"N": 3, "theta0_over_pi": t0, "theta1_over_pi": t1,
+                                      "theta_over_pi": t0 if hardy_grid == "diagonal" else ""}))
+        else:
+            raise ConfigError(f"sweep supports general-bomb and hardy, not {experiment!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
     rows: list[dict] = []
-    index = 0
-    if experiment == "general-bomb":
-        if not n_values:
-            raise ConfigError("general-bomb sweep needs --n-values")
-        for n in n_values:
-            for t in theta_grid:
-                if not 0.0 < t < 1.0:
-                    raise ConfigError(
-                        f"theta/pi must lie strictly inside (0, 1), got {t}")
-                spec = ExperimentSpec(
-                    "general-bomb", angles=chain_angles_for_sweep(t * np.pi, n))
-                point = {"N": n, "theta_over_pi": t,
-                         "theta0_over_pi": "", "theta1_over_pi": ""}
-                rows.extend(_sweep_point_rows(
-                    spec, point, device, device_label, shots, seed, index,
-                    repeats, mitigate_flag))
-                index += 1
-        return rows
-    if experiment == "hardy":
-        pairs = ([(t, t) for t in theta_grid] if hardy_grid == "diagonal"
-                 else [(a, b) for a in theta_grid for b in theta_grid])
-        for t0, t1 in pairs:
-            spec = ExperimentSpec("hardy", theta0=t0 * np.pi, theta1=t1 * np.pi)
-            point = {"N": 3, "theta_over_pi": t0 if hardy_grid == "diagonal" else "",
-                     "theta0_over_pi": t0, "theta1_over_pi": t1}
-            rows.extend(_sweep_point_rows(
-                spec, point, device, device_label, shots, seed, index,
-                repeats, mitigate_flag))
-            index += 1
-        return rows
-    raise ConfigError(f"sweep supports general-bomb and hardy, not {experiment!r}")
+    for index, (spec, point) in enumerate(points):
+        circuit = spec.build()
+        cells = {**point, "experiment": spec.kind, "observable": spec.observable(),
+                 "theory": spec.theory()}
+        exact = _observable_value(spec, simulate_ideal(circuit).probability_dict())
+        rows.append({**cells, "shots": "", "seed": "", "value": exact, "std_dev": "",
+                     "device": "ideal", "mitigated": "false"})
+        if device is None:
+            continue
+        confusion = (exact_confusion_matrix(device, circuit.measured_qubits)
+                     if mitigate_flag else None)
+        sampled, mitigated = [], []
+        for r in range(repeats):
+            seed_r = _derived_seed(seed, index, r)
+            counts = simulate_noisy(circuit, device, shots, seed_r)
+            repeat = {**cells, "shots": shots, "seed": seed_r, "device": device_label}
+            sampled.append({**repeat, "value": _observable_value(spec, counts),
+                            "mitigated": "false"})
+            if mitigate_flag:
+                value = _observable_value(spec, mitigate(counts, confusion))
+                mitigated.append({**repeat, "value": value, "mitigated": "true"})
+        for group in (sampled, mitigated):
+            if group:
+                std = run_statistics([entry["value"] for entry in group], 1.0).std_dev
+                rows.extend({**entry, "std_dev": std} for entry in group)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +385,7 @@ def _csv_cell(value) -> str:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
+    """CSV_COLUMNS of each row; a missing column is an empty cell."""
     lines = [",".join(CSV_COLUMNS)]
     for entry in rows:
         lines.append(",".join(_csv_cell(entry.get(col, "")) for col in CSV_COLUMNS))
@@ -435,6 +404,15 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_output(args: argparse.Namespace, config: dict, renderers: dict) -> None:
+    """Render in the --format chosen from `renderers` (the first one is the
+    default) and write to --output, or to stdout."""
+    fmt = _merged(args, config, "format", str, next(iter(renderers)))
+    if fmt not in renderers:
+        raise ConfigError(f"unknown format {fmt!r} (expected {' or '.join(renderers)})")
+    _write_text(renderers[fmt](), _merged(args, config, "output", str))
+
+
 # ---------------------------------------------------------------------------
 # subcommand drivers
 # ---------------------------------------------------------------------------
@@ -442,10 +420,7 @@ def _dump_json(payload) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     spec = _experiment_from(args, config)
-    device_label = _merged(args, config, "device", str, "ideal")
-    device = _resolve_device(device_label)
-    if device is not None:
-        device_label = device.name
+    device, device_label = _device_from(args, config)
     doc = execute_run(
         spec,
         device,
@@ -455,14 +430,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
         exact=_merged(args, config, "exact", _boolean, False),
     )
-    fmt = _merged(args, config, "format", str, "json")
-    if fmt == "json":
-        text = _dump_json(doc)
-    elif fmt == "csv":
-        text = _rows_to_csv(_run_rows(doc, spec))
-    else:
-        raise ConfigError(f"unknown format {fmt!r} (expected json or csv)")
-    _write_text(text, _merged(args, config, "output", str))
+    _write_output(args, config, {"json": lambda: _dump_json(doc),
+                                 "csv": lambda: _rows_to_csv(_run_rows(doc, spec))})
     return 0
 
 
@@ -477,10 +446,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     step = _merged(args, config, "theta_step", float)
     if start is None or stop is None or step is None:
         raise ConfigError("sweep needs --theta-start, --theta-stop, --theta-step (units of pi)")
-    device_label = _merged(args, config, "device", str, "ideal")
-    device = _resolve_device(device_label)
-    if device is not None:
-        device_label = device.name
+    device, device_label = _device_from(args, config)
     rows = execute_sweep(
         experiment,
         n_values,
@@ -493,14 +459,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         repeats=_merged(args, config, "repeats", _integer, 1),
         mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
     )
-    fmt = _merged(args, config, "format", str, "csv")
-    if fmt == "csv":
-        text = _rows_to_csv(rows)
-    elif fmt == "json":
-        text = _dump_json({"rows": rows})
-    else:
-        raise ConfigError(f"unknown format {fmt!r} (expected csv or json)")
-    _write_text(text, _merged(args, config, "output", str))
+    _write_output(args, config, {"csv": lambda: _rows_to_csv(rows),
+                                 "json": lambda: _dump_json({"rows": rows})})
     return 0
 
 
@@ -510,7 +470,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8") as fh:
         source = fh.read()
     circuit = parse(source)  # QasmError -> exit 2 in main()
-    device = _resolve_device(args.device)
+    device, _ = _device_from(args, {})
     if device is None:
         raise ConfigError("transpile requires a real device (--device PRESET|FILE)")
     layout = _merged(args, {}, "layout", _int_list) or None

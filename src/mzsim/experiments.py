@@ -228,6 +228,16 @@ class ExperimentSpec:
             return build_general_bomb(self.angles)
         return build_hardy(self.theta0, self.theta1)
 
+    def parameters(self) -> dict:
+        """This kind's parameters, angles in units of pi."""
+        if self.kind == "eraser":
+            return {"erase": self.erase}
+        if self.kind == "bomb":
+            return {"present": self.present}
+        if self.kind == "general-bomb":
+            return {"angles_over_pi": [t / np.pi for t in self.angles]}
+        return {"theta0_over_pi": self.theta0 / np.pi, "theta1_over_pi": self.theta1 / np.pi}
+
     def observable(self) -> str:
         """Name of the derived quantity this experiment reports."""
         if self.kind == "eraser":

@@ -131,16 +131,16 @@ def build_confusion_matrix(
 
 
 def _as_probability_vector(data, num_qubits: int | None = None) -> tuple[np.ndarray, int]:
-    """Accept a CountsHistogram, a bitstring->weight mapping, or a vector."""
+    """Accept a CountsHistogram, a bitstring->weight mapping, or a vector;
+    all three are weighed and normalised by `analysis._as_distribution`."""
     if not isinstance(data, (CountsHistogram, dict)):
         vec = np.asarray(data, dtype=float).ravel()
         n = int(np.log2(len(vec)))
         if 2**n != len(vec):
             raise ValueError(f"vector length {len(vec)} is not a power of two")
-        total = vec.sum()
-        if total <= 0:
-            raise ValueError("probability vector has no weight")
-        return vec / total, n
+        # keys in index order; a 1-entry vector (n = 0) gets the one key "0"
+        dist = _as_distribution({bitstring_of(i, n): w for i, w in enumerate(vec)})
+        return np.fromiter(dist.values(), float, len(vec)), n
     dist = _as_distribution(data)
     n = len(next(iter(dist))) if num_qubits is None else num_qubits
     vec = np.zeros(2**n)

@@ -488,6 +488,43 @@ class TestSweepErrors:
         assert code == 2
         assert "repeats" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(("--experiment", "general-bomb", "--n-values", "2,1"),
+                     "need n >= 2, got 1", id="chain-of-one"),
+        pytest.param(("--experiment", "general-bomb", "--n-values", "3,0"),
+                     "need n >= 2, got 0", id="chain-of-none"),
+        pytest.param(("--experiment", "hardy", "--theta-start", "-0.1"),
+                     "theta range [-0.1, 0.6] must lie in [0, 1]", id="start-below-0"),
+        pytest.param(("--experiment", "hardy", "--theta-stop", "1.2"),
+                     "theta range [0.5, 1.2] must lie in [0, 1]", id="stop-above-1"),
+        pytest.param(("--experiment", "general-bomb", "--n-values", "2",
+                      "--theta-stop", "1.5"),
+                     "theta range [0.5, 1.5] must lie in [0, 1]", id="chain-stop-above-1"),
+        pytest.param(("--experiment", "hardy", "--theta-start", "nan"),
+                     "theta range [nan, 0.6] must lie in [0, 1]", id="start-nan"),
+        pytest.param(("--experiment", "hardy", "--theta-step", "inf"),
+                     "theta range [0.5, 0.6] must lie in [0, 1] and step inf must be finite",
+                     id="step-inf"),
+        pytest.param(("--experiment", "hardy", "--theta-stop", "inf"),
+                     "theta range [0.5, inf] must lie in [0, 1]", id="stop-inf"),
+        pytest.param(("--experiment", "general-bomb", "--n-values", "2",
+                      "--theta-start=-inf"),
+                     "theta range [-inf, 0.6] must lie in [0, 1]", id="start-minus-inf"),
+    ])
+    def test_bad_sweep_settings_exit_2_before_sampling(self, capsys, monkeypatch, flags,
+                                                       message):
+        def sample(*args, **kwargs):
+            raise AssertionError("a point was sampled before the sweep was checked")
+
+        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)
+        # later flags win, so each case overrides one of these defaults
+        code, out, err = run_cli(
+            capsys, "sweep", "--theta-start", "0.5", "--theta-stop", "0.6",
+            "--theta-step", "0.1", "--device", "vigo", "--shots", "64", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
 
 class TestTranspileCommand:
     @pytest.fixture
@@ -695,3 +732,103 @@ def test_malformed_calibration_keeps_exit_code_contract(changes, dropped):
         assert sum(json.loads(out.getvalue())["counts"].values()) == 32
     else:
         assert err.getvalue().startswith("error:")
+
+
+NAN, INF = float("nan"), float("inf")
+#: grid steps in units of pi; at most 21 points per axis, 6 on a full grid
+STEPS = (0.05, 0.1, 0.25, 0.5)
+FULL_GRID_STEPS = (0.2, 0.25, 0.5)
+#: edge and out-of-range values: non-finite angles and angles outside [0, 1],
+#: chains of 0 or 1 stages, counts below 1, an unknown format or experiment
+OUT_OF_RANGE = st.sampled_from(
+    [NAN, INF, -INF, -0.1, 1.5, 0, 1, -1, "", "1.0", "0.5,nan", "1,0", "xml", "teleport"])
+# Wrong-typed config values stay small: an integer or numeric text read as
+# shots, repeats or a chain length must not ask for a huge run.
+WRONG_TYPES = st.recursive(
+    st.one_of(st.booleans(), st.integers(-2, 8), st.floats(-1.0, 2.0),
+              st.sampled_from([NAN, INF]), st.text("ab ,.", max_size=3)),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+BOOLEAN_FLAGS = ("mitigate", "exact", "erase", "bomb")
+
+
+@st.composite
+def cli_settings(draw):
+    """A valid run or sweep command, keyed as in a config file, with up to
+    two settings put out of range and one given a wrong JSON type."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    device = draw(st.sampled_from(["ideal", "vigo", "london", "x2"]))
+    settings = {
+        "device": device,
+        "shots": draw(st.integers(1, 64)),
+        "seed": draw(st.integers(0, 3)),
+        "mitigate": device != "ideal" and draw(st.booleans()),
+        "format": draw(st.sampled_from(["json", "csv"])),
+    }
+    if command == "run":
+        n = draw(st.integers(2, 8))
+        a = draw(st.floats(0.0, 1.0))
+        angles = draw(st.sampled_from([[1 / n] * n, [a, 1 - a]]))
+        settings.update(
+            experiment=draw(st.sampled_from(["eraser", "bomb", "general-bomb", "hardy"])),
+            exact=device == "ideal" and draw(st.booleans()),
+            erase=draw(st.booleans()), bomb=draw(st.booleans()),
+            angles=",".join(repr(t) for t in angles),
+            theta0=draw(st.floats(0.0, 1.0)), theta1=draw(st.floats(0.0, 1.0)))
+    else:
+        grid = draw(st.sampled_from(["diagonal", "full"]))
+        start, stop = sorted([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+        settings.update(
+            experiment=draw(st.sampled_from(["general-bomb", "hardy"])),
+            n_values=",".join(map(str, draw(st.lists(st.integers(2, 8), min_size=1,
+                                                     max_size=2)))),
+            theta_start=start, theta_stop=stop, hardy_grid=grid,
+            theta_step=draw(st.sampled_from(STEPS if grid == "diagonal" else FULL_GRID_STEPS)),
+            repeats=draw(st.integers(1, 2)))
+    keys = sorted(settings)
+    settings.update(draw(st.dictionaries(st.sampled_from(keys), OUT_OF_RANGE, max_size=2)))
+    wrong = draw(st.dictionaries(st.sampled_from(keys), WRONG_TYPES, max_size=1))
+    # a boolean flag cannot carry any other value, so that goes to the config
+    in_config = draw(st.sets(st.sampled_from(keys))) | {
+        key for key in BOOLEAN_FLAGS if not isinstance(settings.get(key, False), bool)}
+    return command, settings, in_config, wrong
+
+
+def _flags(settings: dict) -> list[str]:
+    flags = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        if key in ("mitigate", "exact"):
+            flags += [flag] if value else []
+        elif key in ("erase", "bomb"):
+            flags.append(flag if value else f"--no-{key}")
+        else:
+            flags.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=cli_settings())
+def test_run_and_sweep_settings_keep_exit_code_contract(drawn, tmp_path_factory):
+    command, chosen, in_config, wrong = drawn
+    config = {key: chosen[key] for key in in_config}
+    config.update(wrong)
+    argv = [command, *_flags({k: v for k, v in chosen.items() if k not in config})]
+    if config:
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error:" in err.getvalue()
+        assert out.getvalue() == ""
+    elif chosen["format"] == "csv":
+        assert out.getvalue().startswith(",".join(CSV_COLUMNS) + "\n")
+    else:
+        json.loads(out.getvalue())

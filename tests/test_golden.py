@@ -11,6 +11,7 @@ whose direct solve goes negative), may update them.
 """
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -208,6 +209,88 @@ def test_cli_output_bytes_are_pinned(label, capsys):
     assert main(list(CLI_COMMANDS[label])) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[label]
+
+
+HARDY_575 = ("--experiment", "hardy", "--theta0", "0.575", "--theta1", "0.575")
+
+#: output modes the pins above leave out: CSV runs, --exact, ideal sampling,
+#: the absent-marker and absent-probe circuits, a config file (a dict below
+#: stands for a file holding it), a full Hardy grid and unmitigated sweeps
+CLI_MODE_COMMANDS = {
+    "run-eraser-csv-mitigate": ("run", "--experiment", "eraser", "--device", "vigo",
+                                "--mitigate", "--format", "csv"),
+    "run-hardy-csv-mitigate": ("run", *HARDY_575, "--device", "vigo", "--mitigate",
+                               "--format", "csv"),
+    "run-eraser-exact-json": ("run", "--experiment", "eraser", "--exact"),
+    "run-hardy-exact-json": ("run", *HARDY_575, "--exact"),
+    "run-eraser-exact-csv": ("run", "--experiment", "eraser", "--exact", "--format", "csv"),
+    "run-general-bomb-exact-csv": ("run", "--experiment", "general-bomb", "--angles",
+                                   "0.2,0.3,0.5", "--exact", "--format", "csv"),
+    "run-hardy-ideal": ("run", *HARDY_575, "--shots", "1000", "--seed", "3"),
+    "run-no-erase": ("run", "--experiment", "eraser", "--no-erase", "--shots", "1000",
+                     "--seed", "5"),
+    "run-no-erase-csv-london": ("run", "--experiment", "eraser", "--no-erase", "--device",
+                                "london", "--shots", "1000", "--mitigate", "--format", "csv"),
+    "run-no-bomb": ("run", "--experiment", "bomb", "--no-bomb", "--shots", "1000"),
+    "run-no-bomb-csv-vigo": ("run", "--experiment", "bomb", "--no-bomb", "--device", "vigo",
+                             "--shots", "1000", "--seed", "2", "--mitigate", "--format", "csv"),
+    "run-config": ("run", "--config", {"experiment": "general-bomb", "angles": "0.5,0.5",
+                                       "device": "london", "shots": 700, "seed": 4,
+                                       "mitigate": True, "format": "csv"}),
+    "sweep-hardy-full-json": ("sweep", "--experiment", "hardy", "--hardy-grid", "full",
+                              "--theta-start", "0.5", "--theta-stop", "0.6", "--theta-step",
+                              "0.05", "--device", "vigo", "--shots", "500", "--seed", "9",
+                              "--repeats", "2", "--mitigate", "--format", "json"),
+    "sweep-general-bomb-x2": ("sweep", "--experiment", "general-bomb", "--n-values", "2,3",
+                              "--theta-start", "0.2", "--theta-stop", "0.4", "--theta-step",
+                              "0.1", "--device", "x2", "--shots", "500", "--seed", "1",
+                              "--repeats", "2"),
+    "sweep-hardy-ideal": ("sweep", "--experiment", "hardy", "--theta-start", "0.1",
+                          "--theta-stop", "0.9", "--theta-step", "0.2"),
+    "sweep-general-bomb-ideal-json": ("sweep", "--experiment", "general-bomb", "--n-values",
+                                      "2,4", "--theta-start", "0.25", "--theta-stop", "0.75",
+                                      "--theta-step", "0.25", "--format", "json"),
+}
+
+#: SHA-256 of each command's stdout, recorded before cli.py's run and sweep
+#: paths were merged
+CLI_MODE_SHA256 = {
+    "run-config": "8bc1f16a756ad68326c20d196553ee4b475f13e07355981fe3c2facc5c833423",
+    "run-eraser-csv-mitigate": "1a2b3b22b66690658c8c25d175723a286d36dd9114d0093c4d7e0407a8711013",
+    "run-eraser-exact-csv": "a5535c160a446321eba06e742fb4df0716837ab7f6be7d4749a9a5ac8b55d062",
+    "run-eraser-exact-json": "b7d6272ca81b17e14a949bde66c1e826eb65470824c25b143f5526574dc6278a",
+    "run-general-bomb-exact-csv": "e6472c3d7eadfdeaee1d219298d4ced2115d82751b6e1d407e2cf25dcc5bb237",
+    "run-hardy-csv-mitigate": "94a65f617d04ec1ef8afd46a3b526a09e0559ffd63294020ff9217ffd66ad863",
+    "run-hardy-exact-json": "510db17d79e3df843e2c49a41f1a31e525f8aec3b667bdc76b164e4004a3f656",
+    "run-hardy-ideal": "5713f793a937310054dcd3e97df5ed8856229c966e042a28396f1f168b9439c3",
+    "run-no-bomb": "9a0028f68ed16668d720215bb559552e3db16f7973cb1c00218261de37d04263",
+    "run-no-bomb-csv-vigo": "32a22632af284a612bdf444f6f95d8e69dbfb21a7d20931037c645a13b5e06cb",
+    "run-no-erase": "91b958e7ce39798d69ba92adb9f7f9219352a7767bfbbe6cf17b7d512f49d401",
+    "run-no-erase-csv-london": "b83982f070072d3abf0fecdf8b5d54557cc3c2accd2b8b0867e0728f5b674386",
+    "sweep-general-bomb-ideal-json": "135829edfb4b5385fe7653a429a4b641d045541ff0f8a24ffc9a302dd85933c0",
+    "sweep-general-bomb-x2": "f958bc7e5ff8ddff3dcadf0c37f4d2eb024aa250da58ed1d1322b55a5e24a79e",
+    "sweep-hardy-full-json": "d1e20ae66e8fbd8b5d2ee75562b02ecd8901cbedbade0abf52299b988fc95092",
+    "sweep-hardy-ideal": "f5199de4ce2ed62a3c40c51f92d0dce5f53eb1255f31b75a3a496bc49f506a03",
+}
+
+
+@pytest.mark.parametrize("label", sorted(CLI_MODE_COMMANDS))
+def test_cli_output_modes_are_pinned(label, capsys, tmp_path):
+    argv = []
+    for arg in CLI_MODE_COMMANDS[label]:
+        if isinstance(arg, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(arg))
+            arg = str(config)
+        argv.append(arg)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_MODE_SHA256[label]
+    # --output writes the same bytes and leaves stdout empty
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
 
 
 # ---- transpile ---------------------------------------------------------------
