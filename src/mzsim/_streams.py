@@ -1,14 +1,23 @@
 """The noise streams of many shots at once.
 
-`uniforms(seed, shots, k)` returns, for every shot index i in `shots`, the
-first k doubles that `np.random.default_rng((seed, i)).random(k)` draws,
-as one (len(shots), k) array, bit for bit.  It runs numpy's
-`SeedSequence` (entropy words, hashmix/mix pool, `generate_state`), the
-PCG64 seeding (`srandom`) and PCG64's XSL-RR output on arrays of unsigned
-integers.  Both are fixed, published integer algorithms (O'Neill, "PCG: A
-Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation", HMC-CS-2014-0905).  Integer arrays wrap
-silently, which is the modular arithmetic both algorithms are written in.
+`words(seed, shots, k)` returns, for every shot index i in `shots`, the
+first k raw 64-bit outputs of `np.random.default_rng((seed, i))`'s PCG64,
+as one (len(shots), k) uint64 array, bit for bit; `uniforms` gives the
+doubles that `random(k)` makes of them, the top 53 bits of each word
+times 2**-53.  `integers(3)` instead takes a 32-bit half: the low half of
+a fresh word, whose high half numpy buffers for the next such call.
+`below_three` maps a 32-bit x to (3*x) >> 32, Lemire's bounded-integer
+method ("Fast random integer generation in an interval", ACM TOMACS 29(1),
+2019) as numpy runs it; numpy rejects x when the low 32 bits of 3*x lie
+below (2**32 - 3) % 3 = 1, and since 3 is odd only x = 0 does that.
+
+`words` runs numpy's `SeedSequence` (entropy words, hashmix/mix pool,
+`generate_state`), the PCG64 seeding (`srandom`) and PCG64's XSL-RR
+output on arrays of unsigned integers.  Both are fixed, published integer
+algorithms (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation",
+HMC-CS-2014-0905).  Integer arrays wrap silently, which is the modular
+arithmetic both algorithms are written in.
 """
 
 from __future__ import annotations
@@ -89,8 +98,9 @@ def _step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def uniforms(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
-    """The first `k` doubles of `np.random.default_rng((seed, i))` for each i in `shots`."""
+def words(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
+    """The first `k` raw 64-bit outputs of `np.random.default_rng((seed, i))`'s
+    PCG64 for each i in `shots`, as a (len(shots), k) uint64 array."""
     shots = np.asarray(shots, dtype=np.int64)
     if seed < 0 or shots.size and (shots.min() < 0 or shots.max() > _MASK32):
         raise ValueError("seed and shot indices must be >= 0, shot indices below 2**32")
@@ -101,11 +111,30 @@ def uniforms(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
     # srandom: state = inc; state += seed; step
     lo = inc_lo + s_lo
     hi, lo = _step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
-    out = np.empty((len(shots), k))
+    out = np.empty((len(shots), k), dtype=np.uint64)
     for j in range(k):
         hi, lo = _step(hi, lo, inc_hi, inc_lo)
         rot = hi >> np.uint64(58)
         x = hi ^ lo
-        x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-        out[:, j] = (x >> np.uint64(11)) * 2.0**-53
+        out[:, j] = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
     return out
+
+
+def doubles(raw: np.ndarray) -> np.ndarray:
+    """`random()`'s doubles from raw words: the top 53 bits times 2**-53."""
+    return (raw >> np.uint64(11)) * 2.0**-53
+
+
+def uniforms(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
+    """The first `k` doubles of `np.random.default_rng((seed, i))` for each i in `shots`."""
+    return doubles(words(seed, shots, k))
+
+
+def below_three(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`integers(3)` of 32-bit values x: ((3*x) >> 32, where x rejects).
+
+    Only x = 0 rejects (see the module docstring); numpy then draws a
+    further 32-bit value, which is left to the caller.
+    """
+    half = half.astype(np.uint64)
+    return (half * np.uint64(3)) >> np.uint64(32), half == 0

@@ -35,6 +35,7 @@ from .experiments import ExperimentSpec, chain_angles_for_sweep
 from .mitigation import exact_confusion_matrix, mitigate
 from .noise import DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy
 from .qasm import QasmError, emit, parse
+from .states import MAX_QUBITS
 from .transpile import estimate_fidelity, transpile
 
 CSV_COLUMNS = (
@@ -46,6 +47,10 @@ CSV_COLUMNS = (
 
 class ConfigError(ValueError):
     """Bad combination of flags/config-file values."""
+
+
+#: the most points a sweep's theta grid may hold (a step of 1e-4 over [0, 1])
+_MAX_GRID_POINTS = 10_001
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     if not (0.0 <= start and stop <= 1.0 and step < math.inf):
         raise ConfigError(f"theta range [{start}, {stop}] must lie in [0, 1] and step {step} "
                           f"must be finite (units of pi)")
+    # the walk below lists floor(this) + 1 points, so count them before walking
+    if (stop + 1e-9 - start) / step >= _MAX_GRID_POINTS:
+        raise ConfigError(f"theta range [{start}, {stop}] in steps of {step} has more "
+                          f"than {_MAX_GRID_POINTS} points")
     points = []
     k = 0
     while start + k * step <= stop + 1e-9:
@@ -319,6 +328,13 @@ def execute_sweep(
         if experiment == "general-bomb":
             if not n_values:
                 raise ConfigError("general-bomb sweep needs --n-values")
+            for n in n_values:  # a chain of N stages is N qubits wide
+                if n > MAX_QUBITS:
+                    raise ConfigError(f"a chain of N = {n} needs {n} qubits, more than "
+                                      f"the simulator's {MAX_QUBITS}")
+                if device is not None and n > device.num_qubits:
+                    raise ConfigError(f"a chain of N = {n} needs {n} qubits but device "
+                                      f"{device_label!r} has {device.num_qubits}")
             for n in n_values:
                 for t in theta_grid:
                     if not 0.0 < t < 1.0:

@@ -22,13 +22,16 @@ the sampler would move every seeded histogram.
 Sampling takes one path.  Every shot's outcome is a basis index drawn
 from the ideal state exactly as `sample_counts` draws it.  A shot whose
 trajectory draws a gate fault re-evolves the circuit from |0...0> with
-the fault's Paulis spliced in right after the failing gate, on the same
-(matrix, targets) list and `states.evolve` loop, and redraws its index
-from that state with the same uniform.  Within one call, faulty shots are
-grouped by fault pattern (the same Paulis after the same gates), and each
-pattern is evolved once for its whole group, so one faulty state is held
-at a time.  Readout flips XOR the measured bits of the index, and one
-tally turns indices into histogram keys.
+the fault's Paulis applied right after the failing gate, on the same
+(matrix, targets) list and `states.apply_unitary` kernel, and redraws its
+index from that state with the same uniform.  Within one block of shots, faulty
+shots are grouped by fault pattern (the same Paulis after the same gates),
+and the distinct patterns are evolved together, as the columns of one
+(2**n, patterns) array through `apply_unitary`'s batch axis: after each
+gate, each (qubit, Pauli) pair is applied once, to the columns that carry
+it.  At most `_BLOCK_AMPS` amplitudes (and at least one state) are held at
+a time.  Readout flips XOR the measured bits of the index, and one tally
+turns indices into histogram keys.
 
 Reproducibility contract (bit-exact for a fixed numpy generation):
 the measurement outcome of shot i consumes the i-th value of a PCG64
@@ -46,10 +49,16 @@ without changing results.
 How the sampler meets it: `_streams.uniforms` computes the (seed, i)
 streams of a block of shots at once, bit for bit, as arrays.  A shot whose
 gate uniforms all lie at or above their rates is fault-free, and its
-readout draws are the uniforms that follow.  A shot that draws a gate
-fault builds its own `default_rng((seed, i))` and replays its gate draws
-one by one, since its Pauli draws sit between its uniforms, then draws
-its readout uniforms.  Readout flips are array operations on those rows.
+readout draws are the uniforms that follow.  For the shots that draw a
+gate fault, `_streams.words` gives the raw 64-bit PCG64 words, and
+`_fault_draws` walks every such shot's word cursor over the fallible
+gates at once: a gate uniform takes a whole word, and a Pauli draw
+(`integers(3)`) takes a 32-bit half, the low half of a fresh word or the
+high half numpy buffered from the last one, even across uniforms in
+between.  The one 32-bit value that numpy's `integers(3)` rejects (zero,
+see `_streams.below_three`) sends its shot to its own `default_rng((seed,
+i))`, which replays the whole stream.  The readout uniforms follow the
+last gate's draws.  Readout flips are array operations on those rows.
 """
 
 from __future__ import annotations
@@ -61,9 +70,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import uniforms
+from ._streams import below_three, doubles, uniforms, words
 from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
-from .states import StateVector, evolve, init_state
+from .states import StateVector, apply_unitary, evolve, init_state
 
 #: canonical 5-qubit T-shaped coupling (hub at qubit 1, tail 3-4)
 T_COUPLING: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (1, 3), (3, 4))
@@ -74,6 +83,8 @@ HOURGLASS_COUPLING: tuple[tuple[int, int], ...] = (
 
 #: shots whose noise streams are drawn together; bounds memory at any shot count
 _BLOCK_SHOTS = 2**16
+#: amplitudes of the fault-pattern states evolved together (16 MiB); at least one state
+_BLOCK_AMPS = 2**20
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),          # X
@@ -337,11 +348,23 @@ def ideal_device(num_qubits: int, coupling: tuple[tuple[int, int], ...] | None =
     )
 
 
-def _inverse_cdf(probs: np.ndarray, us):
-    """Basis index that each uniform in `us` selects from the distribution `probs`."""
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)  # guard the top edge against rounding
-    return np.minimum(np.searchsorted(cum, us, side="right"), len(probs) - 1)
+def _inverse_cdf(probs: np.ndarray, us, columns=None):
+    """Basis index that each uniform in `us` selects from the distribution `probs`.
+
+    With `columns`, each column of `probs` is a distribution and uniform j
+    selects from column `columns[j]`: counting the cumulative probabilities
+    at or below it finds what `searchsorted` finds in that column.
+    """
+    cum = np.cumsum(probs, axis=0)
+    cum[-1] = np.maximum(cum[-1], 1.0)  # guard the top edge against rounding
+    if columns is None:
+        index = np.searchsorted(cum, us, side="right")
+    else:
+        step = max(1, _BLOCK_AMPS // len(cum))  # uniforms compared at once
+        index = np.concatenate([
+            np.count_nonzero(cum[:, columns[s:s + step]] <= us[s:s + step], axis=0)
+            for s in range(0, len(us), step)])
+    return np.minimum(index, len(probs) - 1)
 
 
 def _tally(outcomes, qubits: tuple[int, ...], num_qubits: int) -> CountsHistogram:
@@ -413,31 +436,98 @@ def simulate_noisy(
 
     gate_rates = np.array([rate for _, rate in fallible])
     width = len(fallible) + len(readout)  # the most uniforms a fault-free shot draws
-    faulty = {}  # fault pattern -> [(shot, its readout uniforms)] of the shots that drew it
     for first in range(0, shots, _BLOCK_SHOTS):
         index = np.arange(first, min(first + _BLOCK_SHOTS, shots))
         draws = uniforms(seed, index, width)
-        clean = np.all(draws[:, :len(fallible)] >= gate_rates, axis=1)
-        outcomes[index[clean]] = _read_out(
-            outcomes[index[clean]], draws[clean, len(fallible):], readout)
-        for i in index[~clean].tolist():
-            traj = np.random.default_rng((seed, i))
-            faults = []  # (gate position, Pauli index per touched qubit), in circuit order
-            for pos, rate in fallible:
-                if traj.random() < rate:
-                    faults.append((pos, tuple(int(traj.integers(3)) for _ in ops[pos][1])))
-            # readout draws end the stream: one per measured qubit covers all a shot uses
-            faulty.setdefault(tuple(faults), []).append((i, traj.random(len(readout))))
-    for pattern, group in faulty.items():
-        paulis = dict(pattern)
-        path = []
-        for pos, (matrix, targets) in enumerate(ops):
-            path.append((matrix, targets))
-            path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, paulis.get(pos, ())))
-        index = [i for i, _ in group]
-        draws = _inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[index])
-        outcomes[index] = _read_out(draws, np.array([row for _, row in group]), readout)
+        faulty = np.any(draws[:, :len(fallible)] < gate_rates, axis=1)
+        flips = draws[:, len(fallible):]  # a fault-free shot's readout uniforms
+        if faulty.any():
+            outcomes[index[faulty]], flips[faulty] = _faulty_outcomes(
+                seed, index[faulty], us[index[faulty]], ops, fallible, len(readout), n)
+        outcomes[index] = _read_out(outcomes[index], flips, readout)
     return _tally(outcomes, measured, n)
+
+
+def _faulty_outcomes(seed, shots, us, ops, fallible, n_readout, n):
+    """Outcomes of `shots`, which all draw a gate fault, and their readout uniforms.
+
+    `us` are their measurement uniforms.  Shots are grouped by fault
+    pattern, one row of Pauli slots each, and the patterns are evolved
+    together as the columns of one state array, at most `_BLOCK_AMPS`
+    amplitudes at a time.
+    """
+    rates = [rate for _, rate in fallible]
+    arities = [len(ops[pos][1]) for pos, _ in fallible]
+    # each Pauli draw takes half a word, so this covers every draw but a rejection
+    raw = words(seed, shots, len(fallible) + (sum(arities) + 1) // 2 + n_readout)
+    paulis, flips, rejected = _fault_draws(raw, rates, arities, n_readout)
+    for row in np.flatnonzero(rejected).tolist():
+        paulis[row], flips[row] = _replay(seed, int(shots[row]), rates, arities, n_readout)
+    patterns, column = np.unique(paulis, axis=0, return_inverse=True)
+    column = column.reshape(-1)  # numpy 2.0.0 returns it as a column
+    slots: dict[int, list[tuple[int, int]]] = {}  # gate position -> (slot, qubit) of its Paulis
+    for (pos, _), offset in zip(fallible, np.cumsum([0, *arities]).tolist()):
+        slots[pos] = [(offset + t, q) for t, q in enumerate(ops[pos][1])]
+    width = max(1, _BLOCK_AMPS >> n)
+    outcomes = np.empty(len(shots), dtype=np.intp)
+    for first in range(0, len(patterns), width):
+        block = patterns[first:first + width]
+        states = np.zeros((2**n, len(block)), dtype=complex)
+        states[0] = 1.0
+        for pos, (matrix, targets) in enumerate(ops):
+            states = apply_unitary(states, matrix, targets, n)
+            for slot, q in slots.get(pos, ()):
+                for p, pauli in enumerate(_PAULIS):
+                    cols = np.flatnonzero(block[:, slot] == p)
+                    if cols.size:
+                        states[:, cols] = apply_unitary(states[:, cols], pauli, (q,), n)
+        mine = np.flatnonzero((column >= first) & (column < first + width))
+        outcomes[mine] = _inverse_cdf(np.abs(states) ** 2, us[mine], column[mine] - first)
+    return outcomes, flips
+
+
+def _fault_draws(raw: np.ndarray, rates, arities, n_readout: int):
+    """Gate, Pauli and readout draws of shots from their raw PCG64 words.
+
+    Row s of `raw` is shot s's stream.  Each gate of error rate `rates[g]`
+    takes one `random()` (a whole word); on a hit, each of its `arities[g]`
+    qubits takes one `integers(3)` (a 32-bit half; the high half of a split
+    word is buffered for the next one, across `random()` calls).  Returns
+    the Pauli slots (one per qubit of each gate, 0-2 for X, Y, Z and -1
+    where the gate did not fail), the readout uniforms that follow, and
+    where a Pauli draw rejected, which leaves that shot's rows undecoded.
+    """
+    rows = np.arange(len(raw))
+    us = doubles(raw)
+    cursor = np.zeros(len(raw), dtype=np.intp)  # each shot's next unread word
+    half = np.zeros(len(raw), dtype=np.uint64)  # its buffered high half, if `buffered`
+    buffered = np.zeros(len(raw), dtype=bool)
+    rejected = np.zeros(len(raw), dtype=bool)
+    paulis = []
+    for rate, arity in zip(rates, arities):
+        hit = us[rows, cursor] < rate
+        cursor += 1
+        for _ in range(arity):
+            fresh = hit & ~buffered
+            word = raw[rows, cursor]
+            pauli, reject = below_three(np.where(fresh, word & np.uint64(0xFFFFFFFF), half))
+            half = np.where(fresh, word >> np.uint64(32), half)
+            cursor += fresh
+            buffered ^= hit
+            rejected |= hit & reject
+            paulis.append(np.where(hit, pauli.astype(np.int64), -1))
+    flips = us[rows[:, None], cursor[:, None] + np.arange(n_readout)]
+    return np.stack(paulis, axis=1), flips, rejected
+
+
+def _replay(seed: int, shot: int, rates, arities, n_readout: int):
+    """`_fault_draws` of one shot, drawn by its own Generator."""
+    traj = np.random.default_rng((seed, shot))
+    paulis = []
+    for rate, arity in zip(rates, arities):
+        hit = traj.random() < rate
+        paulis.extend(int(traj.integers(3)) if hit else -1 for _ in range(arity))
+    return paulis, traj.random(n_readout)
 
 
 def _read_out(outcomes: np.ndarray, us: np.ndarray, readout) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import noise
+from mzsim import cli, noise
 from mzsim.cli import CSV_COLUMNS, main
 from mzsim.experiments import (
     chain_angles_for_sweep,
@@ -480,6 +480,12 @@ class TestSweepErrors:
         assert code == 2
         assert "empty" in err
 
+    def test_grid_cap_is_exact(self):
+        assert len(cli._grid(0.0, 1.0, 1e-4)) == cli._MAX_GRID_POINTS == 10_001
+        assert len(cli._grid(0.0, 0.9999, 1e-4)) == 10_000
+        with pytest.raises(cli.ConfigError, match="more than 10001 points"):
+            cli._grid(0.0, 1.0, 0.9999e-4)  # 10,002 points
+
     def test_bad_repeats(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--experiment", "hardy",
@@ -510,6 +516,22 @@ class TestSweepErrors:
         pytest.param(("--experiment", "general-bomb", "--n-values", "2",
                       "--theta-start=-inf"),
                      "theta range [-inf, 0.6] must lie in [0, 1]", id="start-minus-inf"),
+        pytest.param(("--experiment", "general-bomb", "--n-values", "2,6"),
+                     "a chain of N = 6 needs 6 qubits but device 'vigo-0820' has 5",
+                     id="chain-wider-than-device"),
+        pytest.param(("--experiment", "general-bomb", "--n-values", "2,30",
+                      "--device", "ideal"),
+                     "a chain of N = 30 needs 30 qubits, more than the simulator's 24",
+                     id="chain-wider-than-simulator"),
+        pytest.param(("--experiment", "general-bomb", "--n-values", "2," + "9" * 12),
+                     "a chain of N = 999999999999 needs", id="chain-of-10^12"),
+        pytest.param(("--experiment", "hardy", "--theta-step", "1e-9"),
+                     "theta range [0.5, 0.6] in steps of 1e-09 has more than 10001 points",
+                     id="step-1e-9"),
+        pytest.param(("--experiment", "hardy", "--theta-start", "0", "--theta-stop", "1",
+                      "--theta-step", "5e-324"),
+                     "theta range [0.0, 1.0] in steps of 5e-324 has more than 10001 points",
+                     id="step-denormal"),
     ])
     def test_bad_sweep_settings_exit_2_before_sampling(self, capsys, monkeypatch, flags,
                                                        message):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mzsim import noise
-from mzsim._streams import uniforms
+from mzsim._streams import below_three, uniforms, words
 from mzsim.circuit import Circuit, gate_ops, simulate_ideal
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
@@ -18,6 +18,7 @@ from mzsim.noise import (
     HOURGLASS_COUPLING,
     T_COUPLING,
     DeviceModel,
+    _fault_draws,
     _inverse_cdf,
     _tally,
     device_preset,
@@ -322,6 +323,71 @@ class TestBatchedStreams:
         with pytest.raises(ValueError):
             uniforms(0, np.array([2**32]), 2)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 + 7])
+    def test_raw_words_match_default_rng(self, seed):
+        shots = np.array([0, 1, 2, 999, 4096, 2**32 - 1])
+        expected = np.array([np.random.default_rng((seed, int(i))).bit_generator.random_raw(9)
+                             for i in shots])
+        assert expected.dtype == np.uint64
+        assert np.array_equal(words(seed, shots, 9), expected)
+
+
+class TestFaultDraws:
+    """`_fault_draws` decodes `random()`/`integers(3)` sequences from raw words."""
+
+    @staticmethod
+    def _generator_draws(seed, shot, rates, arities, n_readout):
+        traj = np.random.default_rng((seed, shot))
+        paulis = []
+        for rate, arity in zip(rates, arities):
+            hit = traj.random() < rate
+            paulis.extend(int(traj.integers(3)) if hit else -1 for _ in range(arity))
+        return paulis, traj.random(n_readout)
+
+    # rate 1 makes every gate a hit: random, integers, random, integers, ...
+    # so the second integers(3) of each pair reads the high half buffered
+    # across a random() call; odd arities leave a half buffered across gates
+    @pytest.mark.parametrize("rates, arities", [
+        ([1.0] * 6, [1] * 6),
+        ([1.0, 1.0, 1.0], [3, 2, 1]),
+        ([0.5, 0.2, 0.9, 0.3, 0.7, 0.6, 0.4], [1, 2, 1, 3, 2, 1, 2]),
+    ])
+    @pytest.mark.parametrize("seed", [3, 2**32 + 9, 2**70 + 1])
+    def test_mixed_sequences_match_generator(self, seed, rates, arities):
+        shots = np.array([0, 5, 17, 256, 8191, 123456, 2**32 - 2])
+        n_readout = 3
+        raw = words(seed, shots, len(rates) + (sum(arities) + 1) // 2 + n_readout)
+        paulis, flips, rejected = _fault_draws(raw, rates, arities, n_readout)
+        assert not rejected.any()
+        for row, i in enumerate(shots.tolist()):
+            expected, expected_flips = self._generator_draws(seed, i, rates, arities, n_readout)
+            assert paulis[row].tolist() == expected
+            assert np.array_equal(flips[row], expected_flips)
+
+    def test_below_three_is_lemire_with_one_rejecting_value(self):
+        x = np.array([0, 1, 2, 2**31, 0x55555555, 0x55555556, 0xAAAAAAAB, 2**32 - 1],
+                     dtype=np.uint64)
+        draws, rejects = below_three(x)
+        assert draws.tolist() == [(3 * int(v)) >> 32 for v in x.tolist()]
+        assert draws.tolist() == [0, 0, 0, 1, 0, 1, 2, 2]
+        assert rejects.tolist() == [True] + [False] * 7
+
+    def test_zero_half_rejects_its_shot_only(self):
+        # three shots, two gates of one qubit each that always fail:
+        # shot 0 draws its first Pauli from a zero low half, shot 1 its second
+        # from a zero buffered high half, shot 2 draws X then Z
+        high = lambda v: np.uint64(v) << np.uint64(32)  # noqa: E731
+        u = np.uint64(1) << np.uint64(40)  # random() of this word is tiny: a hit
+        raw = np.array([
+            [u, np.uint64(0) | high(7), u, u],
+            [u, np.uint64(2**31) | high(0), u, u],
+            [u, np.uint64(1) | high(0xAAAAAAAB), u, u],
+        ], dtype=np.uint64)
+        paulis, flips, rejected = _fault_draws(raw, [0.5, 0.5], [1, 1], 1)
+        assert rejected.tolist() == [True, True, False]
+        assert paulis[2].tolist() == [0, 2]
+        assert np.array_equal(flips[:, 0], (raw[:, 3] >> np.uint64(11)) * 2.0**-53)
+
 
 def _reference_simulate_noisy(circuit, device, shots, seed):
     """The per-shot sampler: one `default_rng((seed, i))` per shot, scalar draws."""
@@ -412,7 +478,56 @@ def test_matches_per_shot_reference(circuit, device, monkeypatch):
             got = simulate_noisy(circ, dev, shots, seed)
             assert list(got.counts.items()) == list(expected.counts.items())
             if shots < 1000 or seed == 2**40 + 1:  # 334 blocks take a while
-                with monkeypatch.context() as patch:
-                    patch.setattr(noise, "_BLOCK_SHOTS", 3)
-                    got = simulate_noisy(circ, dev, shots, seed)
-                assert list(got.counts.items()) == list(expected.counts.items())
+                # 3 shots a block, then 1 and 3 fault-pattern states a block
+                for name, size in (("_BLOCK_SHOTS", 3), ("_BLOCK_AMPS", 2**circ.num_qubits),
+                                   ("_BLOCK_AMPS", 3 * 2**circ.num_qubits)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(noise, name, size)
+                        got = simulate_noisy(circ, dev, shots, seed)
+                    assert list(got.counts.items()) == list(expected.counts.items())
+
+
+def test_matches_per_shot_reference_over_many_pattern_blocks(monkeypatch):
+    """An 8-qubit chain at high error rates: hundreds of fault patterns,
+    evolved 64 to a block and with the default block size."""
+    circ = build_general_bomb(equal_angles(8))
+    dev = DeviceModel("noisy-8", 8, 50.0, 50.0, 0.2, ((0.05, 0.12),) * 8,
+                      tuple((q, q + 1) for q in range(7)), single_qubit_error=0.05)
+    expected = _reference_simulate_noisy(circ, dev, 1500, 11)
+    got = simulate_noisy(circ, dev, 1500, 11)
+    assert list(got.counts.items()) == list(expected.counts.items())
+    with monkeypatch.context() as patch:
+        patch.setattr(noise, "_BLOCK_AMPS", 64 * 2**8)
+        got = simulate_noisy(circ, dev, 1500, 11)
+    assert list(got.counts.items()) == list(expected.counts.items())
+
+
+def test_generators_are_built_only_for_rejected_draws(monkeypatch):
+    """Faulty shots decode their draws from raw words; a shot whose Pauli
+    draw rejects replays its whole stream through `default_rng((seed, i))`."""
+    circ, dev = ORACLE_CIRCUITS["chain4"], ORACLE_DEVICES["gate-only"]
+    expected = _reference_simulate_noisy(circ, dev, 500, 4)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    got = simulate_noisy(circ, dev, 500, 4)
+    assert list(got.counts.items()) == list(expected.counts.items())
+    assert built == [4]  # the measurement stream alone
+
+    def rejecting(*args):
+        paulis, flips, rejected = _fault_draws(*args)
+        paulis[:] = 5  # what a rejection leaves must not be used
+        flips[:] = np.nan
+        return paulis, flips, np.ones_like(rejected)
+
+    built.clear()
+    monkeypatch.setattr(noise, "_fault_draws", rejecting)
+    got = simulate_noisy(circ, dev, 500, 4)
+    assert list(got.counts.items()) == list(expected.counts.items())
+    faulty = [seed for seed in built if isinstance(seed, tuple)]
+    assert len(faulty) == len(built) - 1 > 10
