@@ -63,7 +63,6 @@ from .states import (
     apply_unitary,
     equal_up_to_global_phase,
     init_state,
-    probabilities,
 )
 from .transpile import (
     CouplingGraph,

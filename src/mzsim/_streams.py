@@ -1,17 +1,18 @@
 """The noise streams of many shots at once.
 
-`words(seed, shots, k)` returns, for every shot index i in `shots`, the
-first k raw 64-bit outputs of `np.random.default_rng((seed, i))`'s PCG64,
-as one (len(shots), k) uint64 array, bit for bit; `uniforms` gives the
-doubles that `random(k)` makes of them, the top 53 bits of each word
-times 2**-53.  `integers(3)` instead takes a 32-bit half: the low half of
-a fresh word, whose high half numpy buffers for the next such call.
+`Streams(seed, shots)` holds, as arrays, the PCG64 state of
+`np.random.default_rng((seed, i))` for every shot index i in `shots`;
+`next(rows)` advances only the streams in `rows` by one raw 64-bit word,
+bit for bit, and returns those words.  `doubles` gives the doubles that
+`random()` makes of them, the top 53 bits times 2**-53.  `integers(3)`
+instead takes a 32-bit half: the low half of a fresh word, whose high half
+numpy buffers for the next such call, even across `random()` calls.
 `below_three` maps a 32-bit x to (3*x) >> 32, Lemire's bounded-integer
 method ("Fast random integer generation in an interval", ACM TOMACS 29(1),
 2019) as numpy runs it; numpy rejects x when the low 32 bits of 3*x lie
 below (2**32 - 3) % 3 = 1, and since 3 is odd only x = 0 does that.
 
-`words` runs numpy's `SeedSequence` (entropy words, hashmix/mix pool,
+`Streams` runs numpy's `SeedSequence` (entropy words, hashmix/mix pool,
 `generate_state`), the PCG64 seeding (`srandom`) and PCG64's XSL-RR
 output on arrays of unsigned integers.  Both are fixed, published integer
 algorithms (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
@@ -25,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+#: the most shots one seed can give: shot indices are the 32-bit words 0 to 2**32 - 1
+MAX_SHOTS = 2**32
 # SeedSequence constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -98,26 +101,38 @@ def _step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def words(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
-    """The first `k` raw 64-bit outputs of `np.random.default_rng((seed, i))`'s
-    PCG64 for each i in `shots`, as a (len(shots), k) uint64 array."""
-    shots = np.asarray(shots, dtype=np.int64)
-    if seed < 0 or shots.size and (shots.min() < 0 or shots.max() > _MASK32):
-        raise ValueError("seed and shot indices must be >= 0, shot indices below 2**32")
-    s_hi, s_lo, i_hi, i_lo = _seed_state(seed, shots)
-    one = np.uint64(1)
-    inc_hi = i_hi << one | i_lo >> np.uint64(63)
-    inc_lo = i_lo << one | one
-    # srandom: state = inc; state += seed; step
-    lo = inc_lo + s_lo
-    hi, lo = _step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
-    out = np.empty((len(shots), k), dtype=np.uint64)
-    for j in range(k):
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+class Streams:
+    """The PCG64 streams of `np.random.default_rng((seed, i))` for each i in `shots`."""
+
+    def __init__(self, seed: int, shots):
+        shots = np.asarray(shots, dtype=np.int64)
+        if seed < 0 or shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
+            raise ValueError("seed and shot indices must be >= 0, shot indices below 2**32")
+        s_hi, s_lo, i_hi, i_lo = _seed_state(seed, shots)
+        one = np.uint64(1)
+        self._inc_hi = i_hi << one | i_lo >> np.uint64(63)
+        self._inc_lo = i_lo << one | one
+        # srandom: state = inc; state += seed; step
+        lo = self._inc_lo + s_lo
+        self._hi, self._lo = _step(self._inc_hi + s_hi + (lo < s_lo), lo,
+                                   self._inc_hi, self._inc_lo)
+
+    def next(self, rows=None) -> np.ndarray:
+        """Advance the streams in `rows` (all if None) by one step; their raw 64-bit words."""
+        if rows is None:
+            hi, lo = self._hi, self._lo = _step(self._hi, self._lo, self._inc_hi, self._inc_lo)
+        else:
+            hi, lo = _step(self._hi[rows], self._lo[rows], self._inc_hi[rows], self._inc_lo[rows])
+            self._hi[rows], self._lo[rows] = hi, lo
         rot = hi >> np.uint64(58)
         x = hi ^ lo
-        out[:, j] = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-    return out
+        return x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+
+
+def words(seed: int, shots, k: int) -> np.ndarray:
+    """The first `k` >= 1 raw words of each stream, as a (len(shots), k) uint64 array."""
+    streams = Streams(seed, shots)
+    return np.stack([streams.next() for _ in range(k)], axis=1)
 
 
 def doubles(raw: np.ndarray) -> np.ndarray:
@@ -125,16 +140,11 @@ def doubles(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
-def uniforms(seed: int, shots: np.ndarray, k: int) -> np.ndarray:
-    """The first `k` doubles of `np.random.default_rng((seed, i))` for each i in `shots`."""
-    return doubles(words(seed, shots, k))
-
-
 def below_three(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`integers(3)` of 32-bit values x: ((3*x) >> 32, where x rejects).
 
     Only x = 0 rejects (see the module docstring); numpy then draws a
-    further 32-bit value, which is left to the caller.
+    further 32-bit value, which the sampler does (`noise._integers3`).
     """
     half = half.astype(np.uint64)
     return (half * np.uint64(3)) >> np.uint64(32), half == 0

@@ -2,7 +2,8 @@
 
 Angles cross this boundary in units of pi (e.g. ``--theta0 0.575`` means
 0.575*pi radians); the library itself works in radians throughout.  Exit
-codes: 0 success, 2 usage/configuration errors, 3 runtime failures.  All
+codes: 0 success, 2 usage/configuration errors, 3 runtime failures (running
+out of memory among them).  All
 outputs are deterministic: the same configuration and seed produce
 byte-identical files.
 
@@ -29,6 +30,7 @@ import sys
 
 import numpy as np
 
+from ._streams import MAX_SHOTS
 from .analysis import _as_distribution, eta_from_counts, gamma_from_counts, run_statistics
 from .circuit import CircuitError, simulate_ideal
 from .experiments import ExperimentSpec, chain_angles_for_sweep
@@ -183,6 +185,8 @@ def _observable_value(spec: ExperimentSpec, dist) -> float | dict:
 def _check_sampling(shots: int, seed: int, mitigate_flag: bool, device: DeviceModel | None):
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"shots must be at most 2**32, the streams one seed gives, got {shots}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if mitigate_flag and device is None:
@@ -583,6 +587,9 @@ def main(argv=None) -> int:
         return 2
     except (CircuitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -46,19 +46,16 @@ reproduces ideal sampling bit for bit at the same seed (it returns before
 any trajectory is drawn), and trajectories can be evaluated in parallel
 without changing results.
 
-How the sampler meets it: `_streams.uniforms` computes the (seed, i)
-streams of a block of shots at once, bit for bit, as arrays.  A shot whose
-gate uniforms all lie at or above their rates is fault-free, and its
-readout draws are the uniforms that follow.  For the shots that draw a
-gate fault, `_streams.words` gives the raw 64-bit PCG64 words, and
-`_fault_draws` walks every such shot's word cursor over the fallible
-gates at once: a gate uniform takes a whole word, and a Pauli draw
-(`integers(3)`) takes a 32-bit half, the low half of a fresh word or the
+How the sampler meets it: a block of shots shares one `_streams.Streams`,
+which holds every shot's (seed, i) PCG64 state, bit for bit, as arrays,
+and advances only the rows that draw.  Every row takes one word per
+fallible gate (a `random()`); the rows it hits then take one `integers(3)`
+per touched qubit, a 32-bit half: the low half of a fresh word, or the
 high half numpy buffered from the last one, even across uniforms in
-between.  The one 32-bit value that numpy's `integers(3)` rejects (zero,
-see `_streams.below_three`) sends its shot to its own `default_rng((seed,
-i))`, which replays the whole stream.  The readout uniforms follow the
-last gate's draws.  Readout flips are array operations on those rows.
+between.  The one 32-bit value that `integers(3)` rejects (zero, see
+`_streams.below_three`) is redrawn in place for its row alone, as numpy
+redraws it, so no shot builds a Generator of its own.  The readout
+uniforms follow, drawn by the rows whose flip probability is above zero.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import below_three, doubles, uniforms, words
+from ._streams import MAX_SHOTS, Streams, below_three, doubles
 from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
 from .states import StateVector, apply_unitary, evolve, init_state
 
@@ -413,6 +410,8 @@ def simulate_noisy(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2**32, the streams one seed gives, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if circuit.num_qubits > device.num_qubits:
@@ -434,42 +433,77 @@ def simulate_noisy(
     if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
         return _tally(outcomes, measured, n)  # exactly ideal sampling
 
-    gate_rates = np.array([rate for _, rate in fallible])
-    width = len(fallible) + len(readout)  # the most uniforms a fault-free shot draws
+    rates = [rate for _, rate in fallible]
+    arities = [len(ops[pos][1]) for pos, _ in fallible]
     for first in range(0, shots, _BLOCK_SHOTS):
         index = np.arange(first, min(first + _BLOCK_SHOTS, shots))
-        draws = uniforms(seed, index, width)
-        faulty = np.any(draws[:, :len(fallible)] < gate_rates, axis=1)
-        flips = draws[:, len(fallible):]  # a fault-free shot's readout uniforms
-        if faulty.any():
-            outcomes[index[faulty]], flips[faulty] = _faulty_outcomes(
-                seed, index[faulty], us[index[faulty]], ops, fallible, len(readout), n)
-        outcomes[index] = _read_out(outcomes[index], flips, readout)
+        streams = Streams(seed, index)
+        paulis, faulty = _fault_paulis(streams, len(index), rates, arities)
+        if faulty.size:
+            outcomes[index[faulty]] = _faulty_outcomes(
+                paulis[faulty], us[index[faulty]], ops, fallible, arities, n)
+        outcomes[index] = _read_out(outcomes[index], streams, readout)
     return _tally(outcomes, measured, n)
 
 
-def _faulty_outcomes(seed, shots, us, ops, fallible, n_readout, n):
-    """Outcomes of `shots`, which all draw a gate fault, and their readout uniforms.
+def _fault_paulis(streams: Streams, size: int, rates, arities):
+    """Pauli slots of the `size` shots of `streams`, and the rows that draw a fault.
+
+    Each gate of error rate `rates[g]` takes one `random()` from every
+    stream; each row it hits then takes one `integers(3)` for each of its
+    `arities[g]` qubits.  A slot holds 0-2 for X, Y, Z and -1 where its
+    gate did not fail.
+    """
+    paulis = np.full((size, sum(arities)), -1, dtype=np.int8)
+    half = np.zeros(size, dtype=np.uint64)  # each row's buffered high half, if `buffered`
+    buffered = np.zeros(size, dtype=bool)
+    faulty = np.zeros(size, dtype=bool)
+    slot = 0
+    for rate, arity in zip(rates, arities):
+        hit = np.flatnonzero(doubles(streams.next()) < rate)
+        faulty[hit] = True
+        for _ in range(arity):
+            paulis[hit, slot] = _integers3(streams, hit, half, buffered)
+            slot += 1
+    return paulis, np.flatnonzero(faulty)
+
+
+def _integers3(streams: Streams, rows: np.ndarray, half: np.ndarray, buffered: np.ndarray):
+    """numpy's `integers(3)` for the streams in `rows`, redrawn in place where it rejects.
+
+    A row takes the high half it buffered if it has one, else the low half
+    of a fresh word, whose high half it buffers; `half` and `buffered` carry
+    that buffer between calls.
+    """
+    out = np.empty(len(rows), dtype=np.int8)
+    todo = np.arange(len(rows))  # positions in `rows` still to draw
+    while todo.size:
+        draw = rows[todo]
+        fresh = ~buffered[draw]
+        x = half[draw]
+        word = streams.next(draw[fresh])
+        x[fresh] = word & np.uint64(0xFFFFFFFF)
+        half[draw[fresh]] = word >> np.uint64(32)
+        buffered[draw] = fresh
+        out[todo], reject = below_three(x)
+        todo = todo[reject]
+    return out
+
+
+def _faulty_outcomes(paulis, us, ops, fallible, arities, n):
+    """Outcomes of the shots whose Pauli slots are the rows of `paulis`.
 
     `us` are their measurement uniforms.  Shots are grouped by fault
-    pattern, one row of Pauli slots each, and the patterns are evolved
-    together as the columns of one state array, at most `_BLOCK_AMPS`
-    amplitudes at a time.
+    pattern, and the patterns are evolved together as the columns of one
+    state array, at most `_BLOCK_AMPS` amplitudes at a time.
     """
-    rates = [rate for _, rate in fallible]
-    arities = [len(ops[pos][1]) for pos, _ in fallible]
-    # each Pauli draw takes half a word, so this covers every draw but a rejection
-    raw = words(seed, shots, len(fallible) + (sum(arities) + 1) // 2 + n_readout)
-    paulis, flips, rejected = _fault_draws(raw, rates, arities, n_readout)
-    for row in np.flatnonzero(rejected).tolist():
-        paulis[row], flips[row] = _replay(seed, int(shots[row]), rates, arities, n_readout)
     patterns, column = np.unique(paulis, axis=0, return_inverse=True)
     column = column.reshape(-1)  # numpy 2.0.0 returns it as a column
     slots: dict[int, list[tuple[int, int]]] = {}  # gate position -> (slot, qubit) of its Paulis
     for (pos, _), offset in zip(fallible, np.cumsum([0, *arities]).tolist()):
         slots[pos] = [(offset + t, q) for t, q in enumerate(ops[pos][1])]
     width = max(1, _BLOCK_AMPS >> n)
-    outcomes = np.empty(len(shots), dtype=np.intp)
+    outcomes = np.empty(len(paulis), dtype=np.intp)
     for first in range(0, len(patterns), width):
         block = patterns[first:first + width]
         states = np.zeros((2**n, len(block)), dtype=complex)
@@ -483,65 +517,20 @@ def _faulty_outcomes(seed, shots, us, ops, fallible, n_readout, n):
                         states[:, cols] = apply_unitary(states[:, cols], pauli, (q,), n)
         mine = np.flatnonzero((column >= first) & (column < first + width))
         outcomes[mine] = _inverse_cdf(np.abs(states) ** 2, us[mine], column[mine] - first)
-    return outcomes, flips
+    return outcomes
 
 
-def _fault_draws(raw: np.ndarray, rates, arities, n_readout: int):
-    """Gate, Pauli and readout draws of shots from their raw PCG64 words.
+def _read_out(outcomes: np.ndarray, streams: Streams, readout) -> np.ndarray:
+    """Readout flips of basis-index outcomes, each shot drawing from its row of `streams`.
 
-    Row s of `raw` is shot s's stream.  Each gate of error rate `rates[g]`
-    takes one `random()` (a whole word); on a hit, each of its `arities[g]`
-    qubits takes one `integers(3)` (a 32-bit half; the high half of a split
-    word is buffered for the next one, across `random()` calls).  Returns
-    the Pauli slots (one per qubit of each gate, 0-2 for X, Y, Z and -1
-    where the gate did not fail), the readout uniforms that follow, and
-    where a Pauli draw rejected, which leaves that shot's rows undecoded.
+    A shot draws a uniform for a measured qubit only when the flip
+    probability of the qubit's current bit is above zero.
     """
-    rows = np.arange(len(raw))
-    us = doubles(raw)
-    cursor = np.zeros(len(raw), dtype=np.intp)  # each shot's next unread word
-    half = np.zeros(len(raw), dtype=np.uint64)  # its buffered high half, if `buffered`
-    buffered = np.zeros(len(raw), dtype=bool)
-    rejected = np.zeros(len(raw), dtype=bool)
-    paulis = []
-    for rate, arity in zip(rates, arities):
-        hit = us[rows, cursor] < rate
-        cursor += 1
-        for _ in range(arity):
-            fresh = hit & ~buffered
-            word = raw[rows, cursor]
-            pauli, reject = below_three(np.where(fresh, word & np.uint64(0xFFFFFFFF), half))
-            half = np.where(fresh, word >> np.uint64(32), half)
-            cursor += fresh
-            buffered ^= hit
-            rejected |= hit & reject
-            paulis.append(np.where(hit, pauli.astype(np.int64), -1))
-    flips = us[rows[:, None], cursor[:, None] + np.arange(n_readout)]
-    return np.stack(paulis, axis=1), flips, rejected
-
-
-def _replay(seed: int, shot: int, rates, arities, n_readout: int):
-    """`_fault_draws` of one shot, drawn by its own Generator."""
-    traj = np.random.default_rng((seed, shot))
-    paulis = []
-    for rate, arity in zip(rates, arities):
-        hit = traj.random() < rate
-        paulis.extend(int(traj.integers(3)) if hit else -1 for _ in range(arity))
-    return paulis, traj.random(n_readout)
-
-
-def _read_out(outcomes: np.ndarray, us: np.ndarray, readout) -> np.ndarray:
-    """Readout flips of basis-index outcomes, one row of readout uniforms per shot.
-
-    A shot draws its next unused uniform for a measured qubit only when the
-    flip probability of the qubit's current bit is above zero.
-    """
-    rows = np.arange(len(outcomes))
-    column = np.zeros(len(outcomes), dtype=np.intp)
     for bit, p01, p10 in readout:
         p = np.where(outcomes & bit, p10, p01)
-        outcomes = outcomes ^ np.where(us[rows, column] < p, bit, 0)
-        column += p > 0.0
+        rows = np.flatnonzero(p > 0.0)
+        flip = doubles(streams.next(rows)) < p[rows]
+        outcomes[rows[flip]] ^= bit
     return outcomes
 
 

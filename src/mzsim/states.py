@@ -20,9 +20,6 @@ MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MiB; hard cap
 # Tolerance for algebraic identities: normalization, unitarity,
 # phase-aligned matrix equality.
 ALGEBRAIC_TOL = 1e-12
-# Tolerance for end-to-end circuit-vs-closed-form comparisons, where a
-# few dozen floating-point matrix products may accumulate error.
-CIRCUIT_TOL = 1e-9
 
 
 def bitstring_of(index: int, num_qubits: int) -> str:
@@ -133,10 +130,6 @@ def apply_gate(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...])
     if abs(norm - 1.0) > ALGEBRAIC_TOL * 10:
         raise ValueError(f"gate application broke normalization: {norm!r}")
     return StateVector(state.num_qubits, amps)
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    return state.probabilities()
 
 
 def is_unitary(matrix: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:

@@ -298,6 +298,37 @@ class TestRunErrors:
         assert info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("shots", [2**32 + 1, 10**12])
+    @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
+    def test_shots_beyond_the_streams_exit_2_before_sampling(self, capsys, monkeypatch,
+                                                              shots, device):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled past the shot cap")
+
+        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)
+        monkeypatch.setattr("mzsim.cli.ideal_counts", sample)
+        code, out, err = run_cli(capsys, "run", "--experiment", "bomb", "--shots", str(shots),
+                                 *device)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: shots must be at most 2**32, the streams one seed gives, " \
+                      f"got {shots}\n"
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--experiment", "bomb"),
+        ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
+         "--theta-step", "0.1"),
+    ])
+    def test_out_of_memory_exits_3_without_traceback(self, capsys, monkeypatch, command):
+        def sample(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)
+        code, out, err = run_cli(capsys, *command, "--device", "vigo", "--shots", "4294967296")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
+
     def test_output_into_missing_directory(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--experiment", "eraser", "--exact",
@@ -532,6 +563,8 @@ class TestSweepErrors:
                       "--theta-step", "5e-324"),
                      "theta range [0.0, 1.0] in steps of 5e-324 has more than 10001 points",
                      id="step-denormal"),
+        pytest.param(("--experiment", "hardy", "--shots", str(2**32 + 1)),
+                     "shots must be at most 2**32", id="shots-above-2^32"),
     ])
     def test_bad_sweep_settings_exit_2_before_sampling(self, capsys, monkeypatch, flags,
                                                        message):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mzsim import noise
-from mzsim._streams import below_three, uniforms, words
+from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, words
 from mzsim.circuit import Circuit, gate_ops, simulate_ideal
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
@@ -18,7 +18,7 @@ from mzsim.noise import (
     HOURGLASS_COUPLING,
     T_COUPLING,
     DeviceModel,
-    _fault_draws,
+    _fault_paulis,
     _inverse_cdf,
     _tally,
     device_preset,
@@ -288,6 +288,14 @@ class TestSimulateNoisy:
         with pytest.raises(ValueError, match="has 5"):
             simulate_noisy(circ, device_preset("vigo"), 10, 0)
 
+    def test_shots_beyond_the_streams_are_rejected_before_sampling(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled past the shot cap")
+
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            simulate_noisy(build_bomb(True), device_preset("vigo"), MAX_SHOTS + 1, 0)
+
     def test_noise_moves_distribution(self):
         # with heavy readout error, the histogram departs from ideal
         dev = DeviceModel("loud", 2, 50.0, 50.0, 0.0,
@@ -299,7 +307,7 @@ class TestSimulateNoisy:
 
 
 class TestBatchedStreams:
-    """`uniforms` is numpy's per-shot `default_rng((seed, i))` stream, bit for bit."""
+    """`Streams` is numpy's per-shot `default_rng((seed, i))` stream, bit for bit."""
 
     # seeds of 1, 2, 3 and 5 uint32 words; with the shot index's word the
     # last makes 6 entropy words, more than SeedSequence's 4-word pool
@@ -310,18 +318,18 @@ class TestBatchedStreams:
             warnings.simplefilter("error")
             for k in (1, 13, 40):
                 expected = np.array([np.random.default_rng((seed, i)).random(k) for i in shots])
-                assert np.array_equal(uniforms(seed, shots, k), expected)
+                assert np.array_equal(doubles(words(seed, shots, k)), expected)
 
     def test_any_shot_subset(self):
         shots = np.array([4095, 7, 2**32 - 1, 0])
         expected = np.array([np.random.default_rng((99, int(i))).random(5) for i in shots])
-        assert np.array_equal(uniforms(99, shots, 5), expected)
+        assert np.array_equal(doubles(words(99, shots, 5)), expected)
 
     def test_rejects_what_it_cannot_reproduce(self):
         with pytest.raises(ValueError):
-            uniforms(-1, np.arange(3), 2)
+            words(-1, np.arange(3), 2)
         with pytest.raises(ValueError):
-            uniforms(0, np.array([2**32]), 2)
+            words(0, np.array([MAX_SHOTS]), 2)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 + 7])
     def test_raw_words_match_default_rng(self, seed):
@@ -331,9 +339,36 @@ class TestBatchedStreams:
         assert expected.dtype == np.uint64
         assert np.array_equal(words(seed, shots, 9), expected)
 
+    def test_rows_advance_on_their_own(self):
+        """Rows stepped different numbers of times each stay on their own stream."""
+        seed, shots = 2**40 + 3, np.array([0, 1, 77, 4096, 2**32 - 1])
+        gens = [np.random.default_rng((seed, int(i))).bit_generator for i in shots]
+        streams = Streams(seed, shots)
+        for rows in ([0, 2], None, [4], [], [1, 2, 3], [3], None, [0, 4]):
+            got = streams.next(None if rows is None else np.array(rows, dtype=np.intp))
+            picked = range(len(shots)) if rows is None else rows
+            assert got.tolist() == [int(gens[r].random_raw()) for r in picked]
+        assert streams.next().tolist() == [int(g.random_raw()) for g in gens]
+
+
+class _CraftedStreams:
+    """A stand-in for `Streams` that hands out fixed words, one list per row."""
+
+    def __init__(self, rows):
+        self.rows = [list(map(np.uint64, row)) for row in rows]
+        self.read = [0] * len(rows)
+
+    def next(self, rows=None):
+        rows = range(len(self.rows)) if rows is None else rows.tolist()
+        out = []
+        for r in rows:
+            out.append(self.rows[r][self.read[r]])
+            self.read[r] += 1
+        return np.array(out, dtype=np.uint64)
+
 
 class TestFaultDraws:
-    """`_fault_draws` decodes `random()`/`integers(3)` sequences from raw words."""
+    """`_fault_paulis` draws `random()`/`integers(3)` sequences from `Streams`."""
 
     @staticmethod
     def _generator_draws(seed, shot, rates, arities, n_readout):
@@ -356,12 +391,14 @@ class TestFaultDraws:
     def test_mixed_sequences_match_generator(self, seed, rates, arities):
         shots = np.array([0, 5, 17, 256, 8191, 123456, 2**32 - 2])
         n_readout = 3
-        raw = words(seed, shots, len(rates) + (sum(arities) + 1) // 2 + n_readout)
-        paulis, flips, rejected = _fault_draws(raw, rates, arities, n_readout)
-        assert not rejected.any()
+        streams = Streams(seed, shots)
+        paulis, faulty = _fault_paulis(streams, len(shots), rates, arities)
+        assert paulis.dtype == np.int8
+        flips = np.stack([doubles(streams.next()) for _ in range(n_readout)], axis=1)
         for row, i in enumerate(shots.tolist()):
             expected, expected_flips = self._generator_draws(seed, i, rates, arities, n_readout)
             assert paulis[row].tolist() == expected
+            assert (row in faulty) == any(p >= 0 for p in expected)
             assert np.array_equal(flips[row], expected_flips)
 
     def test_below_three_is_lemire_with_one_rejecting_value(self):
@@ -373,20 +410,32 @@ class TestFaultDraws:
         assert rejects.tolist() == [True] + [False] * 7
 
     def test_zero_half_rejects_its_shot_only(self):
-        # three shots, two gates of one qubit each that always fail:
-        # shot 0 draws its first Pauli from a zero low half, shot 1 its second
-        # from a zero buffered high half, shot 2 draws X then Z
-        high = lambda v: np.uint64(v) << np.uint64(32)  # noqa: E731
-        u = np.uint64(1) << np.uint64(40)  # random() of this word is tiny: a hit
-        raw = np.array([
-            [u, np.uint64(0) | high(7), u, u],
-            [u, np.uint64(2**31) | high(0), u, u],
-            [u, np.uint64(1) | high(0xAAAAAAAB), u, u],
-        ], dtype=np.uint64)
-        paulis, flips, rejected = _fault_draws(raw, [0.5, 0.5], [1, 1], 1)
-        assert rejected.tolist() == [True, True, False]
-        assert paulis[2].tolist() == [0, 2]
-        assert np.array_equal(flips[:, 0], (raw[:, 3] >> np.uint64(11)) * 2.0**-53)
+        """A zero 32-bit half is redrawn in place, as numpy's buffered Lemire
+        rule redraws it: from the buffered high half if there is one, else from
+        the low half of a fresh word.  Rows that do not reject read no more."""
+        def word(low, high):
+            return low | high << 32
+        hit, miss = 1 << 40, 2**64 - 1  # random() of these is tiny, and nearly 1
+        rows = [
+            # a zero low half redraws from its buffered high half: 0x55555556 -> 1;
+            # the second gate's draw splits a fresh word: 2**31 -> 1
+            [hit, word(0, 0x55555556), hit, word(2**31, 7), 101],
+            # X from a low half of 1; the second gate's buffered high half is
+            # zero, so it redraws from a fresh word: 0xAAAAAAAB -> 2
+            [hit, word(1, 0), hit, word(0xAAAAAAAB, 9), 102],
+            # two rejections in a row: the zero low half, then its zero high
+            # half, then a fresh word's low half -> 2; the second gate reads
+            # that word's buffered high half: 0x55555556 -> 1
+            [hit, word(0, 0), word(0xAAAAAAAB, 0x55555556), hit, 103],
+            # a miss, then a hit that reads a fresh word: 2**31 -> 1
+            [miss, hit, word(2**31, 0), 104],
+        ]
+        streams = _CraftedStreams(rows)
+        paulis, faulty = _fault_paulis(streams, 4, [0.5, 0.5], [1, 1])
+        assert paulis.tolist() == [[1, 1], [0, 2], [2, 1], [-1, 1]]
+        assert faulty.tolist() == [0, 1, 2, 3]
+        # every row has read all but its last word, which comes next
+        assert streams.next().tolist() == [101, 102, 103, 104]
 
 
 def _reference_simulate_noisy(circuit, device, shots, seed):
@@ -503,8 +552,8 @@ def test_matches_per_shot_reference_over_many_pattern_blocks(monkeypatch):
 
 
 def test_generators_are_built_only_for_rejected_draws(monkeypatch):
-    """Faulty shots decode their draws from raw words; a shot whose Pauli
-    draw rejects replays its whole stream through `default_rng((seed, i))`."""
+    """Every shot draws its noise from `Streams`, rejected `integers(3)` halves
+    included; the measurement stream is the only Generator built."""
     circ, dev = ORACLE_CIRCUITS["chain4"], ORACLE_DEVICES["gate-only"]
     expected = _reference_simulate_noisy(circ, dev, 500, 4)
     built = []
@@ -518,16 +567,3 @@ def test_generators_are_built_only_for_rejected_draws(monkeypatch):
     got = simulate_noisy(circ, dev, 500, 4)
     assert list(got.counts.items()) == list(expected.counts.items())
     assert built == [4]  # the measurement stream alone
-
-    def rejecting(*args):
-        paulis, flips, rejected = _fault_draws(*args)
-        paulis[:] = 5  # what a rejection leaves must not be used
-        flips[:] = np.nan
-        return paulis, flips, np.ones_like(rejected)
-
-    built.clear()
-    monkeypatch.setattr(noise, "_fault_draws", rejecting)
-    got = simulate_noisy(circ, dev, 500, 4)
-    assert list(got.counts.items()) == list(expected.counts.items())
-    faulty = [seed for seed in built if isinstance(seed, tuple)]
-    assert len(faulty) == len(built) - 1 > 10

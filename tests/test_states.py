@@ -14,7 +14,6 @@ from mzsim.states import (
     index_of,
     init_state,
     is_unitary,
-    probabilities,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -95,10 +94,6 @@ class TestStateVector:
         assert s.amplitude("01") == 1.0
         with pytest.raises(ValueError):
             s.amplitude("0")
-
-    def test_probabilities_function_matches_method(self):
-        s = random_state(np.random.default_rng(7), 3)
-        np.testing.assert_allclose(probabilities(s), s.probabilities())
 
 
 class TestApplyUnitary:
