@@ -16,6 +16,7 @@ multi-stage chain, so callers must say which they mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ def _as_distribution(counts) -> dict[str, float]:
         raise TypeError(f"expected CountsHistogram or dict, got {type(counts).__name__}")
     if not mapping:
         raise ValueError("empty counts")
+    for key, weight in mapping.items():
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"weight {weight} of {key!r} is not finite and nonnegative")
     lengths = {len(k) for k in mapping}
     if len(lengths) != 1:
         raise ValueError(f"inconsistent bitstring lengths: {sorted(lengths)}")

@@ -9,21 +9,25 @@ where p is the empirical distribution.  When the plain linear solve
 M^{-1} p already satisfies the constraints it *is* the optimum (zero
 residual).  Otherwise the nonnegativity boundary is active, and the
 fallback projects p onto the probability simplex in the metric of M
-(Smolin, Gambetta & Smith, PRL 108, 070502, 2012) with non-negative least
-squares (`scipy.optimize.nnls`): the sum-to-one constraint becomes one
-extra row of M, weighted by `SUM_WEIGHT` so heavily that its residual
-vanishes, and the result is clipped and renormalised as the direct
-solve's is.
+(Smolin, Gambetta & Smith, PRL 108, 070502, 2012) and meets sum(x) = 1
+exactly.  It projects the direct solve onto the simplex (Condat, Math.
+Program. 158, 575, 2016), solves the problem on the support of that point
+exactly from one KKT system, and returns the solution when it meets the
+KKT conditions over the whole simplex: positive on the support, with the
+gradient M^T (M x - p) no lower off it.  Otherwise it takes accelerated
+projected-gradient steps (FISTA; Beck & Teboulle, SIAM J. Imaging Sci. 2,
+183, 2009) of length 1/L, where L = the largest row sum of M bounds
+||M||_2^2 <= ||M||_1 ||M||_inf for a column-stochastic M, and retries the
+support solve every few steps.  The result is clipped and renormalised as
+the direct solve's is.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .analysis import _as_distribution
 from .circuit import CountsHistogram
@@ -32,10 +36,12 @@ from .states import bitstring_of
 
 #: above this condition number the unmixing is numerically meaningless
 CONDITION_LIMIT = 1e8
-#: weight of the sum-to-one row appended to M in the fallback
-SUM_WEIGHT = 1e3
-#: iteration cap of the fallback, per unknown (scipy's default is 3)
-NNLS_ITERATIONS_PER_UNKNOWN = 10
+#: gradient steps the fallback takes before it gives up
+_MAX_STEPS = 5000
+#: the fallback retries the exact support solve every this many steps
+_SOLVE_EVERY = 8
+#: slack of the KKT inequality on the gradient off the support
+_KKT_TOL = 1e-13
 
 
 class IllConditionedMatrixError(ValueError):
@@ -70,18 +76,6 @@ class ConfusionMatrix:
         if self.factors:
             return math.prod(float(np.linalg.cond(f)) for f in self.factors)
         return float(np.linalg.cond(self.matrix))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"num_qubits": self.num_qubits, "matrix": self.matrix.tolist()},
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfusionMatrix":
-        doc = json.loads(text)
-        return cls(num_qubits=int(doc["num_qubits"]), matrix=np.array(doc["matrix"]))
 
 
 def _readout_pairs(device: DeviceModel, qubits: int | tuple[int, ...]) -> list:
@@ -135,9 +129,13 @@ def _as_probability_vector(data, num_qubits: int | None = None) -> tuple[np.ndar
     all three are weighed and normalised by `analysis._as_distribution`."""
     if not isinstance(data, (CountsHistogram, dict)):
         vec = np.asarray(data, dtype=float).ravel()
+        if not len(vec):
+            raise ValueError("empty probability vector")
         n = int(np.log2(len(vec)))
         if 2**n != len(vec):
             raise ValueError(f"vector length {len(vec)} is not a power of two")
+        if num_qubits is not None and n != num_qubits:
+            raise ValueError(f"vector of {len(vec)} entries does not fit {num_qubits} qubits")
         # keys in index order; a 1-entry vector (n = 0) gets the one key "0"
         dist = _as_distribution({bitstring_of(i, n): w for i, w in enumerate(vec)})
         return np.fromiter(dist.values(), float, len(vec)), n
@@ -149,6 +147,49 @@ def _as_probability_vector(data, num_qubits: int | None = None) -> tuple[np.ndar
             raise ValueError(f"key {key!r} does not have {n} bits")
         vec[int(key, 2)] = p
     return vec, n
+
+
+def _project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of v onto {x >= 0, sum(x) = 1}."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    rho = np.flatnonzero(u * np.arange(1, len(u) + 1) > excess)[-1]
+    return np.maximum(v - excess[rho] / (rho + 1), 0.0)
+
+
+def _support_optimum(m: np.ndarray, p: np.ndarray, support: np.ndarray) -> np.ndarray | None:
+    """The minimiser of ||M x - p|| with sum(x) = 1 and x = 0 off `support`, if it
+    is also the optimum over the simplex; None otherwise."""
+    cols = m[:, support]
+    k = cols.shape[1]
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = cols.T @ cols
+    kkt[k, k] = 0.0
+    solution = np.linalg.solve(kkt, np.append(cols.T @ p, 1.0))
+    x = np.zeros(len(p))
+    x[support] = solution[:k]
+    # the gradient M^T (M x - p) is -solution[k] on the support
+    if solution[:k].min() > 0.0 and (m.T @ (m @ x - p)).min() >= -solution[k] - _KKT_TOL:
+        return x
+    return None
+
+
+def _simplex_least_squares(m: np.ndarray, p: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """Minimise ||M x - p|| over the probability simplex, starting from the
+    direct solve; see the module docstring."""
+    step = 1.0 / m.sum(axis=1).max()
+    x = y = _project_to_simplex(direct)
+    t = 1.0
+    for k in range(_MAX_STEPS):
+        if k % _SOLVE_EVERY == 0:
+            optimum = _support_optimum(m, p, x > 0.0)
+            if optimum is not None:
+                return optimum
+        x_next = _project_to_simplex(y - step * (m.T @ (m @ y - p)))
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+    raise ValueError("mitigation fallback did not converge")
 
 
 def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:
@@ -170,15 +211,7 @@ def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:
     x = np.linalg.solve(m, p)
     if np.min(x) < -1e-10:
         # boundary case: project onto the probability simplex properly
-        dim = len(p)
-        try:
-            x, _ = optimize.nnls(
-                np.vstack([m, np.full(dim, SUM_WEIGHT)]),
-                np.append(p, SUM_WEIGHT),
-                maxiter=NNLS_ITERATIONS_PER_UNKNOWN * dim,
-            )
-        except RuntimeError as exc:
-            raise ValueError(f"mitigation fallback did not converge: {exc}") from exc
+        x = _simplex_least_squares(m, p, x)
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
     return {bitstring_of(i, n): float(v) for i, v in enumerate(x)}

@@ -117,10 +117,6 @@ class CouplingGraph:
         if self.num_qubits > 1 and len(self._bfs(0)) != self.num_qubits:
             raise ValueError("coupling graph must be connected")
 
-    @classmethod
-    def from_device(cls, device: "DeviceModel") -> "CouplingGraph":
-        return device.graph
-
     def neighbors(self, q: int) -> list[int]:
         return list(self._adjacency.get(q, ()))
 
@@ -214,19 +210,6 @@ class DeviceModel:
     def readout_error_of(self, qubit: int) -> float:
         p01, p10 = self.readout[qubit]
         return (p01 + p10) / 2
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "calibration_date": self.calibration_date,
-            "num_qubits": self.num_qubits,
-            "t1_us": self.t1_us,
-            "t2_us": self.t2_us,
-            "single_qubit_error": self.single_qubit_error,
-            "cnot_error": self.cnot_error,
-            "readout_error": [list(pair) for pair in self.readout],
-            "coupling": [list(edge) for edge in self.coupling],
-        }
 
 
 def _symmetric_readout(p: float, num_qubits: int) -> tuple[tuple[float, float], ...]:

@@ -186,7 +186,7 @@ CLI_SHA256 = {
     "run-general-bomb": "075f76eaa3400510b093bc5cf797a6331db15afdd0a1649add12c628fa97184e",
     "run-hardy": "73e8af14a54e96a6078e9e0042ddf77257b31dca13eba709038b1ccd4be9f0d8",
     "sweep-hardy-diagonal": "a2d385ceaf05edafa571b11a2949267aa16ce7de8c031fd754a3573e59d36861",
-    "sweep-general-bomb": "26f9f939237c6943ca1c355b7819ac920b2787bf690383d09622fa4114328cca",
+    "sweep-general-bomb": "1236caea5504269b041eb1c32a89c50a02b51406d1654e042e709953a255321c",
 }
 
 
@@ -264,7 +264,7 @@ CLI_MODE_SHA256 = {
     "run-hardy-exact-json": "510db17d79e3df843e2c49a41f1a31e525f8aec3b667bdc76b164e4004a3f656",
     "run-hardy-ideal": "5713f793a937310054dcd3e97df5ed8856229c966e042a28396f1f168b9439c3",
     "run-no-bomb": "9a0028f68ed16668d720215bb559552e3db16f7973cb1c00218261de37d04263",
-    "run-no-bomb-csv-vigo": "32a22632af284a612bdf444f6f95d8e69dbfb21a7d20931037c645a13b5e06cb",
+    "run-no-bomb-csv-vigo": "b177300c54ed18a5ec8820f842cdb615b137349cd22d5f5b6b1d5ab3e4d8bdcb",
     "run-no-erase": "91b958e7ce39798d69ba92adb9f7f9219352a7767bfbbe6cf17b7d512f49d401",
     "run-no-erase-csv-london": "b83982f070072d3abf0fecdf8b5d54557cc3c2accd2b8b0867e0728f5b674386",
     "sweep-general-bomb-ideal-json": "135829edfb4b5385fe7653a429a4b641d045541ff0f8a24ffc9a302dd85933c0",

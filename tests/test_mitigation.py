@@ -1,8 +1,12 @@
-import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import mzsim
 from mzsim import mitigation
 from mzsim.circuit import CountsHistogram
 from mzsim.mitigation import (
@@ -14,7 +18,9 @@ from mzsim.mitigation import (
     mitigate,
     total_variation_distance,
 )
-from mzsim.noise import DeviceModel, device_preset
+from mzsim.cli import main
+from mzsim.experiments import build_general_bomb, equal_angles
+from mzsim.noise import DeviceModel, device_preset, simulate_noisy
 
 
 def symmetric_device(p, n=2):
@@ -36,12 +42,6 @@ class TestConfusionMatrix:
             ConfusionMatrix(1, np.array([[1.5, 0.5], [-0.5, 0.5]]))
         with pytest.raises(ValueError, match="expected 4x4"):
             ConfusionMatrix(2, np.eye(2))
-
-    def test_json_roundtrip(self):
-        m = exact_confusion_matrix(device_preset("vigo"), 2)
-        again = ConfusionMatrix.from_json(m.to_json())
-        assert again.num_qubits == 2
-        np.testing.assert_array_equal(again.matrix, m.matrix)
 
     def test_condition_number_of_identity(self):
         assert ConfusionMatrix(1, np.eye(2)).condition_number() == pytest.approx(1.0)
@@ -88,7 +88,7 @@ class TestExactConfusion:
 
     def test_sampled_and_loaded_matrices_use_the_full_svd(self, monkeypatch):
         sampled = build_confusion_matrix(symmetric_device(0.05, 2), 2, shots=500, seed=3)
-        loaded = ConfusionMatrix.from_json(exact_confusion_matrix(symmetric_device(0.05, 2), 2).to_json())
+        loaded = ConfusionMatrix(2, exact_confusion_matrix(symmetric_device(0.05, 2), 2).matrix)
         assert sampled.factors == () and loaded.factors == ()
         calls = []
         monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(np.shape(m)) or 1.0)
@@ -227,6 +227,39 @@ class TestMitigate:
             mitigate(np.array([0.2, 0.3, 0.5]), conf)
 
 
+class TestMalformedDistributions:
+    """mitigate and total_variation_distance reject what is not a distribution."""
+
+    conf = exact_confusion_matrix(symmetric_device(0.05, 2), 2)
+
+    def test_empty_vector(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty probability vector"):
+                mitigate(np.array([]), self.conf)
+            with pytest.raises(ValueError, match="empty probability vector"):
+                total_variation_distance(np.array([]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_that_are_not_finite(self, bad):
+        with pytest.raises(ValueError, match="is not finite and nonnegative"):
+            mitigate(np.array([0.5, bad, 0.25, 0.25]), self.conf)
+        with pytest.raises(ValueError, match="is not finite and nonnegative"):
+            mitigate({"00": 1.0, "11": bad}, self.conf)
+        with pytest.raises(ValueError, match="is not finite and nonnegative"):
+            total_variation_distance([0.5, bad], [0.5, 0.5])
+
+    def test_negative_weights(self):
+        with pytest.raises(ValueError, match="weight -1.0 of '00' is not finite and nonnegative"):
+            mitigate(np.array([-1.0, 2.0, 0.0, 0.0]), self.conf)
+        with pytest.raises(ValueError, match="is not finite and nonnegative"):
+            total_variation_distance({"0": -1.0, "1": 2.0}, {"0": 1.0})
+
+    def test_vector_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="vector of 8 entries does not fit 2 qubits"):
+            mitigate(np.full(8, 0.125), self.conf)
+
+
 def asymmetric_device(rng, n):
     readout = tuple((rng.uniform(0.005, 0.03), rng.uniform(0.02, 0.07)) for _ in range(n))
     return DeviceModel("skew", n, 50.0, 50.0, 0.0, readout,
@@ -266,15 +299,139 @@ class TestFallbackOptimality:
         assert np.max(np.abs(g[on] - lam)) <= 1e-7
         assert np.all(g[~on] >= lam - 1e-7)
 
-    def test_solver_failure_is_a_value_error(self, monkeypatch):
-        def give_up(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(mitigation.optimize, "nnls", give_up)
+    def test_solver_failure_is_a_value_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(mitigation, "_MAX_STEPS", 0)
         conf = exact_confusion_matrix(symmetric_device(0.08, 2), 2)
         assert np.linalg.solve(conf.matrix, [1.0, 0.0, 0.0, 0.0]).min() < 0
         with pytest.raises(ValueError, match="did not converge"):
             mitigate({"00": 1}, conf)
+        # this run's histogram takes the fallback, which now gives up: exit 3
+        code = main(["run", "--experiment", "bomb", "--no-bomb", "--device", "vigo",
+                     "--shots", "1000", "--seed", "2", "--mitigate"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: mitigation fallback did not converge\n"
+
+
+def kkt_violation(m, p, x):
+    """Largest violation of the KKT conditions of min ||M x - p||^2 / 2 over the
+    simplex: g = M^T (M x - p) equals one lambda on the support and is >= it off it."""
+    g = m.T @ (m @ x - p)
+    on = x > 0.0
+    lam = g[on].mean()
+    off = lam - g[~on]
+    return max(np.abs(g[on] - lam).max(), off.max() if off.size else 0.0)
+
+
+def support_solution(m, p, support):
+    """argmin ||M x - p|| with sum(x) = 1 and x = 0 off `support`, found by
+    eliminating the last support entry (x_last = 1 - sum of the others)."""
+    cols = m[:, support]
+    last = cols[:, -1]
+    head, *_ = np.linalg.lstsq(cols[:, :-1] - last[:, None], p - last, rcond=None)
+    x = np.zeros(len(p))
+    x[support] = np.append(head, 1.0 - head.sum())
+    return x
+
+
+def projected_direct_solve(m, p):
+    """The direct solve projected onto the simplex, by bisection on the threshold."""
+    v = np.linalg.solve(m, p)
+    lo, hi = v.min() - 1.0, v.max()
+    for _ in range(200):
+        tau = (lo + hi) / 2
+        lo, hi = (tau, hi) if np.maximum(v - tau, 0.0).sum() > 1.0 else (lo, tau)
+    return np.maximum(v - hi, 0.0)
+
+
+def sparse_input(n):
+    """A TestFallbackOptimality-style histogram on 1/8 of the outcomes."""
+    rng = np.random.default_rng(1000 + n)
+    conf = exact_confusion_matrix(asymmetric_device(rng, n), n)
+    dim = 2**n
+    support = rng.choice(dim, size=max(2, dim // 8), replace=False)
+    raw = np.bincount(rng.choice(support, size=1000), minlength=dim)
+    return conf, raw / raw.sum()
+
+
+#: seeds of sampled chain histograms whose projected direct solve has the wrong support
+CHAIN_SEEDS = {5: 0, 6: 1, 7: 0, 8: 0}
+
+
+def chain_input(n):
+    """A 1024-shot noisy N-stage chain histogram on an asymmetric-readout device."""
+    seed = CHAIN_SEEDS[n]
+    device = asymmetric_device(np.random.default_rng(seed), n)
+    hist = simulate_noisy(build_general_bomb(equal_angles(n)), device, 1024, seed=seed)
+    p = np.zeros(2**n)
+    for key, count in hist.counts.items():
+        p[int(key, 2)] = count / hist.shots
+    return exact_confusion_matrix(device, n), p
+
+
+FALLBACK_INPUTS = ([("sparse", n) for n in range(2, 11)]
+                   + [("chain", n) for n in sorted(CHAIN_SEEDS)])
+
+
+def fallback_input(kind, n):
+    return sparse_input(n) if kind == "sparse" else chain_input(n)
+
+
+class TestSimplexLeastSquares:
+    """The fallback against the KKT conditions, computed here from M and p, and
+    against scipy's non-negative least squares with a penalty row for sum(x) = 1."""
+
+    @pytest.mark.parametrize("kind, n", FALLBACK_INPUTS)
+    def test_meets_kkt_conditions_to_rounding(self, kind, n):
+        conf, p = fallback_input(kind, n)
+        m = conf.matrix
+        assert np.linalg.solve(m, p).min() < -1e-10  # the fallback really runs
+        x = np.array(list(mitigate(p, conf).values()))
+        assert x.min() >= 0.0
+        assert abs(x.sum() - 1.0) <= 1e-12
+        assert kkt_violation(m, p, x) <= 1e-12
+
+    @pytest.mark.parametrize("n", sorted(CHAIN_SEEDS))
+    def test_chain_histograms_need_gradient_steps(self, n):
+        # the support of the projected direct solve is not the optimal one, so the
+        # fallback takes gradient steps before test_meets_kkt_conditions_to_rounding
+        # sees its result
+        conf, p = chain_input(n)
+        m = conf.matrix
+        start = support_solution(m, p, projected_direct_solve(m, p) > 0.0)
+        assert start.min() < 0.0 or kkt_violation(m, p, start) > 1e-6
+
+    @pytest.mark.parametrize("kind, n", FALLBACK_INPUTS)
+    def test_matches_penalised_nnls(self, kind, n):
+        optimize = pytest.importorskip("scipy.optimize")
+        conf, p = fallback_input(kind, n)
+        m = conf.matrix
+        dim = len(p)
+        weight = 1e3
+        ref, _ = optimize.nnls(np.vstack([m, np.full(dim, weight)]), np.append(p, weight),
+                               maxiter=10 * dim)
+        ref = np.clip(ref, 0.0, None) / ref.sum()
+        x = np.array(list(mitigate(p, conf).values()))
+        assert np.abs(x - ref).max() <= 1e-8
+        assert np.linalg.norm(m @ x - p) <= np.linalg.norm(m @ ref - p) * (1 + 1e-12)
+
+
+def test_mitigated_run_never_imports_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mzsim.__file__)))
+    code = (
+        "import sys\n"
+        "from mzsim.cli import main\n"
+        "assert main(['run', '--experiment', 'bomb', '--no-bomb', '--device', 'vigo',\n"
+        "             '--shots', '1000', '--seed', '2', '--mitigate', '--output', sys.argv[1]]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestTotalVariation:

@@ -75,11 +75,9 @@ class TestCouplingGraph:
         square = CouplingGraph(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
         assert square.shortest_path(0, 3) == [0, 1, 3]
 
-    def test_from_device(self):
-        g = CouplingGraph.from_device(device_preset("vigo"))
-        assert g.edges == T_GRAPH.edges
-        g2 = CouplingGraph.from_device(device_preset("x2"))
-        assert g2.degree(2) == 4  # hourglass center
+    def test_device_graph(self):
+        assert device_preset("vigo").graph.edges == T_GRAPH.edges
+        assert device_preset("x2").graph.degree(2) == 4  # hourglass center
 
 
 class TestDecompose:
@@ -293,7 +291,7 @@ class TestTranspilePipeline:
 
 def test_x2_center_routing():
     # on the hourglass, everything is at most two hops via the center
-    g = CouplingGraph.from_device(device_preset("x2"))
+    g = device_preset("x2").graph
     c = Circuit(5).cx(0, 4)
     r = route(c, g, initial_layout=(0, 1, 2, 3, 4))
     assert r.swap_count == 1
