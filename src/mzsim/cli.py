@@ -23,6 +23,7 @@ error (exit 2) that costs no sampling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from .mitigation import exact_confusion_matrix, mitigate
 from .noise import DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy
 from .qasm import QasmError, emit, parse
 from .states import MAX_QUBITS
-from .transpile import estimate_fidelity, transpile
+from .transpile import LayoutError, estimate_fidelity, transpile
 
 CSV_COLUMNS = (
     "experiment", "N", "theta_over_pi", "theta0_over_pi", "theta1_over_pi",
@@ -521,7 +522,10 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="mzsim",
         description="Simulate interferometer-style experiments on noisy virtual devices.",
@@ -582,7 +586,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, QasmError) as exc:
+    except (ConfigError, QasmError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CircuitError, ValueError, KeyError, OSError) as exc:

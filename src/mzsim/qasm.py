@@ -31,10 +31,14 @@ descent parser asks for them.  Errors therefore always come from the token
 path, with its positions.  Since the lexer runs lazily, a failed parse
 lexes the whole source once more: a lexical error (a character no token
 starts with) anywhere in the source is reported before any other error.
+The fast path checks its statement once and builds the instruction without
+the checks of `Instruction` and `GateDef`, sharing one `GateDef` per
+parameterless gate.
 
 `emit` writes canonical form: one statement per line, LF newlines, a
 single flattened `q`/`c` register pair, and angles with 17 significant
-digits so that parse(emit(c)) == c exactly.
+digits so that parse(emit(c)) == c exactly.  It formats each gate object's
+line on given qubits once per call.
 """
 
 from __future__ import annotations
@@ -43,12 +47,14 @@ import math
 import re
 from typing import NamedTuple
 
-from .circuit import Circuit, CircuitError
+from .circuit import Circuit, CircuitError, Instruction
 from .gates import GATES, GateDef
 from .states import MAX_QUBITS
 
 #: QASM spelling -> gate name
 GATE_NAMES = {spec.qasm: name for name, spec in GATES.items()}
+#: the one GateDef of each parameterless gate, shared by the fast path
+_FIXED_GATES = {name: GateDef(name) for name, spec in GATES.items() if not spec.num_params}
 
 
 class QasmError(ValueError):
@@ -336,8 +342,13 @@ class _Parser:
         """The gate statement at the lexer's position, parsed without tokens.
 
         Only a one-line statement with indexed arguments that the token path
-        would accept as it stands is taken; anything else gives None, consumes
-        nothing, and is left to the token path and its positioned errors.
+        would accept as it stands is taken: known gate, right arity and
+        parameter count, declared registers in range, distinct qubits and
+        finite angles.  Its instruction is built here, once, without being
+        checked again; what is left to check when it is applied is that no
+        earlier measurement ended one of its qubits.  Anything else gives
+        None, consumes nothing, and is left to the token path and its
+        positioned errors.
         """
         lexer = self.lexer
         m = _GATE_STATEMENT_RE.match(lexer.source, lexer.pos)
@@ -348,23 +359,37 @@ class _Parser:
         if canonical is None:
             return None
         spec = GATES[canonical]
-        params = [] if param_text is None else _angles(param_text)
-        if params is None or len(params) != spec.num_params:
-            return None
+        if param_text is None:
+            if spec.num_params:
+                return None
+            gate = _FIXED_GATES[canonical]
+        else:
+            params = _angles(param_text)
+            if (params is None or len(params) != spec.num_params
+                    or not all(map(math.isfinite, params))):
+                return None
+            gate = GateDef._trusted(canonical, tuple(params))
         args = _ARGUMENT_RE.findall(args_text)
         if len(args) != spec.arity:
             return None
         qubits = []
         for reg, index in args:
             offset, size = self.qregs.get(reg, (0, 0))
-            if int(index) >= size:
+            index = int(index)
+            if index >= size:
                 return None
-            qubits.append(offset + int(index))
-        name_tok = Token("ID", name, lexer.line, lexer.column)
+            qubits.append(offset + index)
+        if len(qubits) > 1 and len(set(qubits)) != len(qubits):
+            return None
+        inst = Instruction._trusted("gate", tuple(qubits), gate)
+        line, column = lexer.line, lexer.column
         lexer.pos = m.end()
 
-        def apply(circuit, qubits=tuple(qubits)):
-            self._append_gate(circuit, name_tok, canonical, params, qubits)
+        def apply(circuit):
+            try:
+                circuit._append_trusted(inst)
+            except CircuitError as exc:
+                raise QasmSemanticError(line, column, str(exc)) from exc
         return apply
 
     def _gate(self):
@@ -504,14 +529,21 @@ def emit(circuit: Circuit) -> str:
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     if circuit.num_clbits > 0:
         lines.append(f"creg c[{circuit.num_clbits}];")
+    # a gate object's line on given qubits, for this call: keyed by identity,
+    # since equal gates can print differently (u1(0) and u1(-0))
+    gate_lines: dict[tuple[int, tuple[int, ...]], str] = {}
     for inst in circuit.instructions:
         if inst.kind == "gate":
-            name = GATES[inst.gate.name].qasm
-            params = ""
-            if inst.gate.params:
-                params = "(" + ",".join(_fmt_angle(p) for p in inst.gate.params) + ")"
-            operands = ",".join(f"q[{q}]" for q in inst.qubits)
-            lines.append(f"{name}{params} {operands};")
+            key = (id(inst.gate), inst.qubits)
+            line = gate_lines.get(key)
+            if line is None:
+                name = GATES[inst.gate.name].qasm
+                params = ""
+                if inst.gate.params:
+                    params = "(" + ",".join(_fmt_angle(p) for p in inst.gate.params) + ")"
+                operands = ",".join(f"q[{q}]" for q in inst.qubits)
+                line = gate_lines[key] = f"{name}{params} {operands};"
+            lines.append(line)
         elif inst.kind == "barrier":
             operands = ",".join(f"q[{q}]" for q in inst.qubits)
             lines.append(f"barrier {operands};")

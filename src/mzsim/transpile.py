@@ -7,7 +7,13 @@ CNOT's endpoints are not adjacent on the coupling graph, SWAPs (each
 emitted as 3 CNOTs) walk one endpoint along a BFS shortest path until the
 pair touches.  The initial layout defaults to the identity with the
 busiest logical qubit (highest 2-qubit-gate degree) placed on the
-best-connected physical qubit.
+best-connected physical qubit.  An explicit layout that does not put the
+logical qubits on distinct physical ones raises `LayoutError`.
+
+The passes keep what they compute for one call only: `route` its shortest
+paths and SWAP networks, keyed by qubits, and `fuse_single_qubit_runs` its
+gate matrices, keyed by gate object identity, since equal gates can differ
+in the signs of their zeros.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ class TranspiledCircuit:
     initial_layout: tuple[int, ...]
     final_layout: tuple[int, ...]
     swap_count: int
+
+
+class LayoutError(CircuitError):
+    """An initial layout that does not place the logical qubits on distinct
+    physical ones."""
 
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -92,39 +103,55 @@ def route(
             f"{graph.num_qubits} physical qubits"
         )
 
+    num_physical = graph.num_qubits
     if initial_layout is None:
         layout = list(default_layout(circuit, graph))
     else:
-        layout = [int(p) for p in initial_layout]
-        if len(layout) == circuit.num_qubits < graph.num_qubits:
-            rest = [p for p in range(graph.num_qubits) if p not in layout]
-            layout += rest
-        if sorted(layout) != list(range(graph.num_qubits)):
-            raise CircuitError(f"layout must permute physical qubits: {layout}")
+        given = layout = [int(p) for p in initial_layout]
+        if len(given) == circuit.num_qubits < num_physical:
+            layout = given + [p for p in range(num_physical) if p not in given]
+        if sorted(layout) != list(range(num_physical)):
+            raise LayoutError(
+                f"layout {given} must permute physical qubits 0-{num_physical - 1}, or place "
+                f"the {circuit.num_qubits} logical qubit(s) on distinct ones")
 
     l2p = list(layout)  # logical (possibly padded) -> physical
-    out = Circuit(graph.num_qubits, circuit.num_clbits, circuit.name)
+    p2l = [0] * num_physical  # its inverse
+    for logical, physical in enumerate(l2p):
+        p2l[physical] = logical
+    out = Circuit(num_physical, circuit.num_clbits, circuit.name)
     append, trusted = out._append_trusted, Instruction._trusted
     swap_network = GATES["SWAP"].basis
+    # for this call: the shortest path between two physical qubits, and the
+    # CNOT triple of a SWAP on an edge
+    paths: dict[tuple[int, ...], list[int]] = {}
+    swaps: dict[tuple[int, int], list[Instruction]] = {}
     swap_count = 0
 
     for inst in circuit.instructions:
         qubits = tuple(map(l2p.__getitem__, inst.qubits))
-        if inst.kind == "barrier":
-            out.barrier(*qubits)
-        elif inst.kind == "measure":
-            out.measure(qubits[0], inst.clbit)
-        else:
-            if len(qubits) == 2 and not graph.has_edge(*qubits):
-                path = graph.shortest_path(*qubits)
-                for pa, pb in zip(path[:-2], path[1:-1]):
-                    for gate, targets in swap_network((), (pa, pb)):
-                        append(trusted("gate", targets, gate))
-                    swap_count += 1
-                    la, lb = l2p.index(pa), l2p.index(pb)
-                    l2p[la], l2p[lb] = l2p[lb], l2p[la]
-                qubits = (path[-2], path[-1])
-            append(trusted("gate", qubits, inst.gate))
+        if inst.kind != "gate":
+            out.append(inst if qubits == inst.qubits
+                       else Instruction(inst.kind, qubits, clbit=inst.clbit))
+            continue
+        if len(qubits) == 2 and not graph.has_edge(*qubits):
+            path = paths.get(qubits)
+            if path is None:
+                path = paths[qubits] = graph.shortest_path(*qubits)
+            for edge in zip(path[:-2], path[1:-1]):
+                network = swaps.get(edge)
+                if network is None:
+                    network = swaps[edge] = [trusted("gate", targets, gate)
+                                             for gate, targets in swap_network((), edge)]
+                for swap in network:
+                    append(swap)
+                swap_count += 1
+                pa, pb = edge
+                la, lb = p2l[pa], p2l[pb]
+                l2p[la], l2p[lb] = pb, pa
+                p2l[pa], p2l[pb] = lb, la
+            qubits = (path[-2], path[-1])
+        append(inst if qubits == inst.qubits else trusted("gate", qubits, inst.gate))
 
     return TranspiledCircuit(
         circuit=out,
@@ -142,12 +169,17 @@ def estimate_fidelity(transpiled, device: DeviceModel) -> tuple[float, float]:
     """
     circuit = transpiled.circuit if isinstance(transpiled, TranspiledCircuit) else transpiled
     fidelity = 1.0
+    factors: dict[int, float] = {}  # arity -> 1 - rate
     for inst in circuit.gate_instructions():
         if inst.gate.name not in BASIS_GATES:
             raise CircuitError(
                 f"fidelity model covers basis gates only; found {inst.gate.name}"
             )
-        fidelity *= 1.0 - device.gate_error(len(inst.qubits))
+        arity = len(inst.qubits)
+        factor = factors.get(arity)
+        if factor is None:
+            factor = factors[arity] = 1.0 - device.gate_error(arity)
+        fidelity *= factor
     for q in circuit.measured_qubits:
         fidelity *= 1.0 - device.readout_error_of(q)
     return fidelity, 1.0 - fidelity
@@ -179,22 +211,30 @@ def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
     """
     out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
     pending: dict[int, np.ndarray] = {}
+    # each gate object's matrix, for this call; keyed by identity, since
+    # equal gates can differ in the signs of their zeros (u1(0), u1(-0))
+    matrices: dict[int, np.ndarray] = {}
 
     def flush(q: int):
         m = pending.pop(q, None)
         if m is None:
             return
-        if np.max(np.abs(m - _IDENTITY)) < 1e-12:
+        if abs(m - _IDENTITY).max() < 1e-12:
             return  # run collapsed to identity
-        out._append_trusted(Instruction._trusted("gate", (q,), GateDef("U3", zyz_angles(m))))
+        gate = GateDef._trusted("U3", zyz_angles(m))
+        out._append_trusted(Instruction._trusted("gate", (q,), gate))
 
     for inst in circuit.instructions:
         if inst.kind == "gate" and len(inst.qubits) == 1:
-            if inst.gate.name not in BASIS_GATES:
-                raise CircuitError(f"fuse pass expects basis gates, found {inst.gate.name}")
+            gate = inst.gate
+            if gate.name not in BASIS_GATES:
+                raise CircuitError(f"fuse pass expects basis gates, found {gate.name}")
+            m = matrices.get(id(gate))
+            if m is None:
+                m = matrices[id(gate)] = matrix_of(gate)
             q = inst.qubits[0]
             # keep the product with the identity: it fixes the signs of zeros
-            pending[q] = matrix_of(inst.gate) @ pending.get(q, _IDENTITY)
+            pending[q] = m @ pending.get(q, _IDENTITY)
         else:
             for q in inst.qubits:
                 flush(q)

@@ -664,12 +664,26 @@ class TestTranspileCommand:
         assert code == 2
         assert "requires a real device" in err
 
-    def test_bad_layout_exits_3(self, capsys, eraser_qasm):
-        code, _, err = run_cli(
+    def test_signed_zeros_keep_their_lines(self, capsys, tmp_path):
+        source = tmp_path / "zeros.qasm"
+        source.write_text('OPENQASM 2.0;\nqreg q[2];\nu1(-0) q[0];\nu1(0) q[0];\n'
+                          'u1(0) q[1];\nu1(-0) q[1];\ncx q[0],q[1];\n')
+        code, out, _ = run_cli(capsys, "transpile", str(source), "--device", "vigo")
+        assert code == 0
+        assert "initial layout: [1, 0, 2, 3, 4]" in out
+        payload = out.split("\n\n", 1)[1]
+        assert payload.split("\n")[3:] == ["u1(-0) q[1];", "u1(0) q[1];", "u1(0) q[0];",
+                                           "u1(-0) q[0];", "cx q[1],q[0];", ""]
+
+    def test_bad_layout_exits_2(self, capsys, eraser_qasm):
+        code, out, err = run_cli(
             capsys, "transpile", eraser_qasm, "--device", "vigo",
             "--layout", "1,1")
-        assert code == 3
-        assert err.startswith("error:")
+        assert code == 2
+        assert out == ""
+        # the layout as given, not padded to the device's five qubits
+        assert err.startswith("error: layout [1, 1] must permute physical qubits 0-4")
+        assert "[1, 1, 0" not in err
 
     def test_device_flag_required(self, capsys, eraser_qasm):
         with pytest.raises(SystemExit) as info:
@@ -699,6 +713,12 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
     pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "0,1,x"),
                  id="layout-0,1,x"),
     pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "2.5"), id="layout-2.5"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=1,1"), id="layout-1,1"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,0,1"), id="layout-0,0,1"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,1,7"), id="layout-0,1,7"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=-1,0,1"), id="layout--1,0,1"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,1,2,3,4,5"),
+                 id="layout-0,1,2,3,4,5"),
     pytest.param(("sweep", "--experiment", "general-bomb", "--n-values", "2,x",
                   "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
                  id="n-values-2,x"),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mzsim import qasm
 from mzsim.circuit import Circuit
 from mzsim.cli import main
-from mzsim.gates import GATES
+from mzsim.gates import GATES, GateDef
 from mzsim.qasm import (
     GATE_NAMES,
     QasmError,
@@ -88,6 +88,15 @@ class TestEmit:
 
     def test_barrier_lists_qubits(self):
         assert "barrier q[0],q[2];" in emit(Circuit(3).barrier(0, 2))
+
+    def test_signed_zeros_print_apart(self):
+        # 0.0 == -0.0, but they print differently: no line may be reused by value
+        minus_zero = GateDef("U1", (-0.0,))
+        c = Circuit(2).gate(minus_zero, 0).u1(0.0, 0).gate(minus_zero, 0).gate(minus_zero, 1)
+        text = emit(c)
+        assert text.split("\n")[3:7] == ["u1(-0) q[0];", "u1(0) q[0];", "u1(-0) q[0];",
+                                         "u1(-0) q[1];"]
+        assert emit(parse(text)) == text
 
 
 class TestParse:
@@ -286,6 +295,7 @@ BAD_STATEMENTS = (
     "h() q[0];", "hq[0];", "x q[1.];", "x q[1e1];", "x q[-1];", "ry(1)(2) q[0];",
     "cx q[0] q[1];", "cx q[0],,q[1];", "ry(pi//2) q[0];", "ry(-) q[0];", "h c[0];",
     "measure q[0] -> c;", "barrier z;", "ry(1) q[0]; @", "h q[0]; #", "x q[0]; é",
+    "ry(1e400) q[0];", "u3(1e308*10,0,0) q[0];", "measure q[1] -> c[1]; h q[1];",
 )
 
 

@@ -5,12 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from mzsim.circuit import Circuit, CircuitError, unitary_of
+from mzsim.circuit import Circuit, CircuitError, Instruction, unitary_of
 from mzsim.gates import BASIS_GATES, GATES, GateDef, matrix_of, u3
 from mzsim.noise import device_preset, ideal_device
+from mzsim.qasm import emit, parse
 from mzsim.states import equal_up_to_global_phase, index_of
 from mzsim.transpile import (
     CouplingGraph,
+    TranspiledCircuit,
     decompose_to_basis,
     default_layout,
     estimate_fidelity,
@@ -20,6 +22,7 @@ from mzsim.transpile import (
     zyz_angles,
 )
 
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 T_GRAPH = CouplingGraph(5, frozenset({(0, 1), (1, 2), (1, 3), (3, 4)}))
 
 
@@ -242,6 +245,21 @@ class TestFuse:
         with pytest.raises(CircuitError, match="basis"):
             fuse_single_qubit_runs(Circuit(1).h(0))
 
+    def test_signed_zeros_fuse_as_pinned(self):
+        # u1(0) and u1(-0) are equal gates with equal matrices; the output's
+        # signs of zeros come from the products, and stay as they were
+        source = (HEADER + "qreg q[2];\n"
+                  "u1(-0) q[0];\nu1(0) q[0];\nu1(0) q[1];\nu3(0.5,-0,0) q[1];\n"
+                  "cx q[0],q[1];\nu1(-0) q[0];\nu2(0,pi) q[0];\nu1(0) q[1];\nu1(-0) q[1];\n"
+                  "u3(-0,0,-0) q[1];\ncx q[1],q[0];\nu2(-0,pi) q[0];\nu1(-0) q[0];\n")
+        expected = (HEADER + "qreg q[2];\n"
+                    "u3(0.5,0,-0) q[1];\ncx q[0],q[1];\n"
+                    "u3(1.5707963267948966,0,3.1415926535897931) q[0];\ncx q[1],q[0];\n"
+                    "u3(1.5707963267948966,0,3.1415926535897931) q[0];\n")
+        assert emit(fuse_single_qubit_runs(parse(source))) == expected
+        # every -0 written as 0 gives the same bytes
+        assert emit(fuse_single_qubit_runs(parse(source.replace("-0", "0")))) == expected
+
 
 class TestFidelity:
     def test_flat_product_model(self):
@@ -303,3 +321,127 @@ def test_single_qubit_circuit_on_one_qubit_device():
     r = transpile(Circuit(1).x(0), dev)
     assert r.circuit.count_gates() == {"U3": 1}
     assert abs(unitary_of(r.circuit)[index_of("1"), 0]) == pytest.approx(1.0)
+
+
+# ---- routing against the previous implementation ----------------------------
+
+# `route` as it was before its inverse layout map and per-call path and SWAP
+# memos, copied verbatim; the current one must give the same circuits.
+def _reference_route(
+    circuit: Circuit,
+    graph: CouplingGraph,
+    initial_layout: tuple[int, ...] | None = None,
+) -> TranspiledCircuit:
+    """Map a basis circuit onto the coupling graph, inserting SWAPs as CNOT triples."""
+    for inst in circuit.gate_instructions():
+        if inst.gate.name not in BASIS_GATES:
+            raise CircuitError(
+                f"route expects a basis-decomposed circuit; found {inst.gate.name}"
+            )
+    if circuit.num_qubits > graph.num_qubits:
+        raise CircuitError(
+            f"{circuit.num_qubits}-qubit circuit cannot map onto "
+            f"{graph.num_qubits} physical qubits"
+        )
+
+    if initial_layout is None:
+        layout = list(default_layout(circuit, graph))
+    else:
+        layout = [int(p) for p in initial_layout]
+        if len(layout) == circuit.num_qubits < graph.num_qubits:
+            rest = [p for p in range(graph.num_qubits) if p not in layout]
+            layout += rest
+        if sorted(layout) != list(range(graph.num_qubits)):
+            raise CircuitError(f"layout must permute physical qubits: {layout}")
+
+    l2p = list(layout)  # logical (possibly padded) -> physical
+    out = Circuit(graph.num_qubits, circuit.num_clbits, circuit.name)
+    append, trusted = out._append_trusted, Instruction._trusted
+    swap_network = GATES["SWAP"].basis
+    swap_count = 0
+
+    for inst in circuit.instructions:
+        qubits = tuple(map(l2p.__getitem__, inst.qubits))
+        if inst.kind == "barrier":
+            out.barrier(*qubits)
+        elif inst.kind == "measure":
+            out.measure(qubits[0], inst.clbit)
+        else:
+            if len(qubits) == 2 and not graph.has_edge(*qubits):
+                path = graph.shortest_path(*qubits)
+                for pa, pb in zip(path[:-2], path[1:-1]):
+                    for gate, targets in swap_network((), (pa, pb)):
+                        append(trusted("gate", targets, gate))
+                    swap_count += 1
+                    la, lb = l2p.index(pa), l2p.index(pb)
+                    l2p[la], l2p[lb] = l2p[lb], l2p[la]
+                qubits = (path[-2], path[-1])
+            append(trusted("gate", qubits, inst.gate))
+
+    return TranspiledCircuit(
+        circuit=out,
+        initial_layout=tuple(layout),
+        final_layout=tuple(l2p),
+        swap_count=swap_count,
+    )
+
+
+RING_5 = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
+LINE_6 = CouplingGraph(6, frozenset({(i, i + 1) for i in range(5)}))
+
+
+def random_basis_circuit(rng, num_qubits: int, gates: int) -> Circuit:
+    """U1/U2/U3 and CNOTs between any two qubits, barriers, and measures: some
+    at the end, and some early, which can leave later gates unroutable."""
+    c = Circuit(num_qubits, num_qubits)
+    for _ in range(gates):
+        live = [q for q in range(num_qubits) if q not in c.measured_qubits]
+        if len(live) < 2:
+            break
+        roll = rng.random()
+        if roll < 0.45:
+            a, b = map(int, rng.choice(live, 2, replace=False))
+            c.cx(a, b)
+        elif roll < 0.9:
+            k = int(rng.integers(1, 4))  # U1, U2 or U3
+            (c.u1, c.u2, c.u3)[k - 1](*rng.uniform(-np.pi, np.pi, k), int(rng.choice(live)))
+        elif roll < 0.95:
+            c.barrier(*sorted(map(int, rng.choice(live, 2, replace=False))))
+        elif roll < 0.97:
+            q = int(rng.choice(live))
+            c.measure(q, q)
+    for q in range(num_qubits):
+        if q not in c.measured_qubits:
+            c.measure(q, q)
+    return c
+
+
+def route_outcome(route_fn, circuit, graph, layout):
+    try:
+        r = route_fn(circuit, graph, layout)
+    except CircuitError as exc:
+        return type(exc), str(exc)
+    return (r.circuit.instructions, r.circuit.num_qubits, r.initial_layout,
+            r.final_layout, r.swap_count)
+
+
+@pytest.mark.parametrize("graph", [T_GRAPH, device_preset("x2").graph, LINE_6, RING_5],
+                         ids=["T", "x2", "line-6", "ring-5"])
+def test_route_matches_the_reference(graph):
+    rng = np.random.default_rng(2024)
+    n_phys = graph.num_qubits
+    routed = unroutable = 0
+    for _ in range(60):
+        n = int(rng.integers(2, n_phys + 1))
+        c = random_basis_circuit(rng, n, int(rng.integers(5, 60)))
+        layouts = [None, tuple(map(int, rng.permutation(n_phys)))]
+        if n < n_phys:
+            layouts.append(tuple(map(int, rng.choice(n_phys, n, replace=False))))
+        for layout in layouts:
+            expected = route_outcome(_reference_route, c, graph, layout)
+            assert route_outcome(route, c, graph, layout) == expected
+            if len(expected) == 5:
+                routed += 1
+            else:
+                unroutable += 1
+    assert routed > 100 and unroutable > 0
