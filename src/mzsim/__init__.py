@@ -55,6 +55,7 @@ from .noise import (
     load_device,
     sample_counts,
     simulate_noisy,
+    simulate_noisy_repeats,
 )
 from .qasm import QasmError, QasmParseError, QasmSemanticError, emit, parse
 from .states import (

@@ -1,7 +1,9 @@
 """The noise streams of many shots at once.
 
 `Streams(seed, shots)` holds, as arrays, the PCG64 state of
-`np.random.default_rng((seed, i))` for every shot index i in `shots`;
+`np.random.default_rng((seed, i))` for every shot index i in `shots`; the
+seed is one int for every row, or each row's own seed given by its words
+(`seed_words`), so rows of several seeds share one `Streams`.
 `next(rows)` advances only the streams in `rows` by one raw 64-bit word,
 bit for bit, and returns those words.  `doubles` gives the doubles that
 `random()` makes of them, the top 53 bits times 2**-53.  `integers(3)`
@@ -46,6 +48,22 @@ def _words(value: int) -> list[int]:
     return words
 
 
+def seed_words(seeds) -> np.ndarray:
+    """The entropy words of non-negative int seeds of one word count.
+
+    Column j of the (words, len(seeds)) uint32 array holds the words of
+    `seeds[j]`, least significant first.  Seeds of different word counts
+    seed their streams from entropy of different lengths, so they are
+    refused here rather than mixed.
+    """
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seeds must be >= 0")
+    columns = [_words(int(seed)) for seed in seeds]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("seeds of different word counts cannot share one Streams")
+    return np.array(columns, dtype=np.uint32).T
+
+
 class _Hash:
     """SeedSequence's hashmix, whose multiplier advances on every call."""
 
@@ -64,12 +82,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_state(seed: int, shots: np.ndarray) -> list[np.ndarray]:
+def _seed_state(words: np.ndarray, shots: np.ndarray) -> list[np.ndarray]:
     """generate_state(4, uint64) of SeedSequence((seed, i)), one array per word.
 
-    The entropy is the words of `seed` followed by the one word of i.
+    The entropy is the words of each row's seed, `words[:, row]` (one
+    column for every row, or one column shared by all), followed by the one
+    word of i.
     """
-    entropy = [np.full(len(shots), w, dtype=np.uint32) for w in _words(seed)]
+    entropy = [np.broadcast_to(w, shots.shape) for w in words]
     entropy.append(shots.astype(np.uint32))
     hashmix = _Hash(_INIT_A, _MULT_A)
     zero = np.zeros(len(shots), dtype=np.uint32)
@@ -102,13 +122,17 @@ def _step(hi, lo, inc_hi, inc_lo):
 
 
 class Streams:
-    """The PCG64 streams of `np.random.default_rng((seed, i))` for each i in `shots`."""
+    """The PCG64 streams of `np.random.default_rng((seed, i))` for each i in `shots`.
 
-    def __init__(self, seed: int, shots):
+    `seed` is an int for every row, or the `seed_words` of each row's seed.
+    """
+
+    def __init__(self, seed, shots):
         shots = np.asarray(shots, dtype=np.int64)
-        if seed < 0 or shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
-            raise ValueError("seed and shot indices must be >= 0, shot indices below 2**32")
-        s_hi, s_lo, i_hi, i_lo = _seed_state(seed, shots)
+        if shots.size and (shots.min() < 0 or shots.max() >= MAX_SHOTS):
+            raise ValueError("shot indices must be >= 0 and below 2**32")
+        words = seed if isinstance(seed, np.ndarray) else seed_words([seed])
+        s_hi, s_lo, i_hi, i_lo = _seed_state(words, shots)
         one = np.uint64(1)
         self._inc_hi = i_hi << one | i_lo >> np.uint64(63)
         self._inc_lo = i_lo << one | one

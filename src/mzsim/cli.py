@@ -36,7 +36,9 @@ from .analysis import _as_distribution, eta_from_counts, gamma_from_counts, run_
 from .circuit import CircuitError, simulate_ideal
 from .experiments import ExperimentSpec, chain_angles_for_sweep
 from .mitigation import exact_confusion_matrix, mitigate
-from .noise import DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy
+from .noise import (
+    DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy, simulate_noisy_repeats,
+)
 from .qasm import QasmError, emit, parse
 from .states import MAX_QUBITS
 from .transpile import LayoutError, estimate_fidelity, transpile
@@ -374,9 +376,8 @@ def execute_sweep(
         confusion = (exact_confusion_matrix(device, circuit.measured_qubits)
                      if mitigate_flag else None)
         sampled, mitigated = [], []
-        for r in range(repeats):
-            seed_r = _derived_seed(seed, index, r)
-            counts = simulate_noisy(circuit, device, shots, seed_r)
+        seeds = [_derived_seed(seed, index, r) for r in range(repeats)]
+        for seed_r, counts in zip(seeds, simulate_noisy_repeats(circuit, device, shots, seeds)):
             repeat = {**cells, "shots": shots, "seed": seed_r, "device": device_label}
             sampled.append({**repeat, "value": _observable_value(spec, counts),
                             "mitigated": "false"})
@@ -581,9 +582,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attached_layout(argv: list[str]) -> list[str]:
+    """`argv` with `--layout -1,0,1` written `--layout=-1,0,1`.
+
+    argparse takes a value that starts with '-' and is not a plain negative
+    number for an option, so such a layout would never reach the layout check.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--layout" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--layout={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attached_layout(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.handler(args)
     except (ConfigError, QasmError, LayoutError) as exc:

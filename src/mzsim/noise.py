@@ -24,7 +24,7 @@ from the ideal state exactly as `sample_counts` draws it.  A shot whose
 trajectory draws a gate fault re-evolves the circuit from |0...0> with
 the fault's Paulis applied right after the failing gate, on the same
 (matrix, targets) list and `states.apply_unitary` kernel, and redraws its
-index from that state with the same uniform.  Within one block of shots, faulty
+index from that state with the same uniform.  Within one block of rows, faulty
 shots are grouped by fault pattern (the same Paulis after the same gates),
 and the distinct patterns are evolved together, as the columns of one
 (2**n, patterns) array through `apply_unitary`'s batch axis: after each
@@ -46,16 +46,27 @@ reproduces ideal sampling bit for bit at the same seed (it returns before
 any trajectory is drawn), and trajectories can be evaluated in parallel
 without changing results.
 
-How the sampler meets it: a block of shots shares one `_streams.Streams`,
-which holds every shot's (seed, i) PCG64 state, bit for bit, as arrays,
-and advances only the rows that draw.  Every row takes one word per
-fallible gate (a `random()`); the rows it hits then take one `integers(3)`
-per touched qubit, a 32-bit half: the low half of a fresh word, or the
-high half numpy buffered from the last one, even across uniforms in
-between.  The one 32-bit value that `integers(3)` rejects (zero, see
-`_streams.below_three`) is redrawn in place for its row alone, as numpy
-redraws it, so no shot builds a Generator of its own.  The readout
-uniforms follow, drawn by the rows whose flip probability is above zero.
+How the sampler meets it: `simulate_noisy_repeats` samples one circuit
+under many seeds, and `simulate_noisy` is its one-seed case.  It evolves the
+ideal state once, then walks the rows (repeat r, shot i), repeat after
+repeat, in blocks of at most `_BLOCK_SHOTS` rows: a block may span repeats
+and a repeat may span blocks, so memory is bounded by the block at any shot
+count.  A block draws its rows' measurement uniforms from repeat r's own
+`default_rng(seed_r)`; successive `random(k)` calls continue one stream at
+one word per double, so the blocks read what one `random(shots)` would.
+Its noise comes from one `_streams.Streams`, which holds each row's
+(seed_r, i) PCG64 state, bit for bit, as arrays, and advances only the rows
+that draw; seeds whose entropy has a different number of 32-bit words are
+walked apart, never in one `Streams`.  Every row takes one word per fallible
+gate (a `random()`); the rows it hits then take one `integers(3)` per
+touched qubit, a 32-bit half: the low half of a fresh word, or the high half
+numpy buffered from the last one, even across uniforms in between.  The one
+32-bit value that `integers(3)` rejects (zero, see `_streams.below_three`)
+is redrawn in place for its row alone, as numpy redraws it, so no shot
+builds a Generator of its own.  The readout uniforms follow, drawn by the
+rows whose flip probability is above zero.  The fault patterns of all the
+block's repeats are evolved together, and the block is tallied into running
+per-repeat counts that list keys in the order of their first occurrence.
 """
 
 from __future__ import annotations
@@ -63,11 +74,12 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import MAX_SHOTS, Streams, below_three, doubles
+from ._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
 from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
 from .states import StateVector, apply_unitary, evolve, init_state
 
@@ -78,7 +90,7 @@ HOURGLASS_COUPLING: tuple[tuple[int, int], ...] = (
     (0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
 )
 
-#: shots whose noise streams are drawn together; bounds memory at any shot count
+#: (repeat, shot) rows sampled together; bounds memory at any shot count
 _BLOCK_SHOTS = 2**16
 #: amplitudes of the fault-pattern states evolved together (16 MiB); at least one state
 _BLOCK_AMPS = 2**20
@@ -347,17 +359,31 @@ def _inverse_cdf(probs: np.ndarray, us, columns=None):
     return np.minimum(index, len(probs) - 1)
 
 
+def _count(counts: list[dict], repeat, outcomes, qubits: tuple[int, ...], num_qubits: int):
+    """Add basis-index outcomes to running histograms: outcome j to `counts[repeat[j]]`.
+
+    Keys are made of the bits of `qubits`.  `repeat` never decreases, so each
+    histogram lists its keys in the order in which their first outcome
+    appears, block after block.
+    """
+    values, first, tallies = np.unique(np.left_shift(repeat, num_qubits) | outcomes,
+                                       return_index=True, return_counts=True)
+    low = (1 << num_qubits) - 1
+    for j in np.argsort(first).tolist():
+        value = int(values[j])
+        index = value & low
+        key = "".join(str((index >> (num_qubits - 1 - q)) & 1) for q in qubits)
+        tally = counts[value >> num_qubits]
+        tally[key] = tally.get(key, 0) + int(tallies[j])
+
+
 def _tally(outcomes, qubits: tuple[int, ...], num_qubits: int) -> CountsHistogram:
     """Count basis-index outcomes under keys made of the bits of `qubits`.
 
     Keys are listed in the order in which their first outcome appears.
     """
-    values, first, tallies = np.unique(outcomes, return_index=True, return_counts=True)
     counts: dict[str, int] = {}
-    for j in np.argsort(first):
-        index = int(values[j])
-        key = "".join(str((index >> (num_qubits - 1 - q)) & 1) for q in qubits)
-        counts[key] = counts.get(key, 0) + int(tallies[j])
+    _count([counts], np.zeros(len(outcomes), dtype=np.intp), outcomes, qubits, num_qubits)
     return CountsHistogram(shots=len(outcomes), counts=counts)
 
 
@@ -388,15 +414,28 @@ def simulate_noisy(
 ) -> CountsHistogram:
     """Trajectory sampling of `circuit` under `device`'s noise model.
 
-    Follows the shared sampling path described in the module docstring;
-    keys are listed in the order in which they first occur among the shots.
+    The one-seed case of `simulate_noisy_repeats`; keys are listed in the
+    order in which they first occur among the shots.
+    """
+    return simulate_noisy_repeats(circuit, device, shots, [seed])[0]
+
+
+def simulate_noisy_repeats(
+    circuit: Circuit, device: DeviceModel, shots: int, seeds: Sequence[int]
+) -> list[CountsHistogram]:
+    """`simulate_noisy(circuit, device, shots, seed)` for each seed in `seeds`.
+
+    The seeds' shots are sampled together, on the shared path described in
+    the module docstring; each histogram is bit for bit what its seed alone
+    gives.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most 2**32, the streams one seed gives, got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     if circuit.num_qubits > device.num_qubits:
         raise ValueError(
             f"circuit needs {circuit.num_qubits} qubits but device "
@@ -404,29 +443,43 @@ def simulate_noisy(
         )
     n = circuit.num_qubits
     ops = gate_ops(circuit)
-    start = init_state(n).amplitudes
     measured = circuit.measured_qubits or tuple(range(n))
     rates = [device.gate_error(len(targets)) for _, targets in ops]
     fallible = [(pos, rate) for pos, rate in enumerate(rates) if rate > 0.0]
     # (index bit, p01, p10) of every measured qubit, in qubit order
     readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
-
-    us = np.random.default_rng(seed).random(shots)
-    outcomes = _inverse_cdf(np.abs(evolve(start, ops, n)) ** 2, us)
-    if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
-        return _tally(outcomes, measured, n)  # exactly ideal sampling
-
+    noisy = bool(fallible) or any(p01 or p10 for _, p01, p10 in readout)
     rates = [rate for _, rate in fallible]
     arities = [len(ops[pos][1]) for pos, _ in fallible]
-    for first in range(0, shots, _BLOCK_SHOTS):
-        index = np.arange(first, min(first + _BLOCK_SHOTS, shots))
-        streams = Streams(seed, index)
-        paulis, faulty = _fault_paulis(streams, len(index), rates, arities)
-        if faulty.size:
-            outcomes[index[faulty]] = _faulty_outcomes(
-                paulis[faulty], us[index[faulty]], ops, fallible, arities, n)
-        outcomes[index] = _read_out(outcomes[index], streams, readout)
-    return _tally(outcomes, measured, n)
+    probs = np.abs(evolve(init_state(n).amplitudes, ops, n)) ** 2
+
+    counts: list[dict[str, int]] = [{} for _ in seeds]
+    groups: dict[int, list[int]] = {}  # seed word count -> positions of its seeds
+    for r, seed in enumerate(seeds):
+        groups.setdefault(len(seed_words([seed])), []).append(r)
+    for group in groups.values():
+        words = seed_words([seeds[r] for r in group])
+        rngs = (np.random.default_rng(seeds[r]) for r in group)  # measurement streams
+        rows = len(group) * shots
+        for first in range(0, rows, _BLOCK_SHOTS):
+            # row (r, i) is shot i of the group's r-th seed
+            repeat, index = np.divmod(np.arange(first, min(first + _BLOCK_SHOTS, rows)), shots)
+            us = []
+            for k, size in enumerate(np.bincount(repeat - repeat[0]).tolist()):
+                if k or index[0] == 0:  # a repeat starts, else the last block's goes on
+                    rng = next(rngs)
+                us.append(rng.random(size))
+            us = np.concatenate(us)
+            outcomes = _inverse_cdf(probs, us)
+            if noisy:
+                streams = Streams(words[:, repeat], index)
+                paulis, faulty = _fault_paulis(streams, len(index), rates, arities)
+                if faulty.size:
+                    outcomes[faulty] = _faulty_outcomes(
+                        paulis[faulty], us[faulty], ops, fallible, arities, n)
+                outcomes = _read_out(outcomes, streams, readout)
+            _count([counts[r] for r in group], repeat, outcomes, measured, n)
+    return [CountsHistogram(shots=shots, counts=tally) for tally in counts]
 
 
 def _fault_paulis(streams: Streams, size: int, rates, arities):

@@ -323,7 +323,8 @@ class TestRunErrors:
         def sample(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
-        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)
+        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)  # run
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_repeats", sample)  # sweep
         code, out, err = run_cli(capsys, *command, "--device", "vigo", "--shots", "4294967296")
         assert code == 3
         assert out == ""
@@ -571,7 +572,7 @@ class TestSweepErrors:
         def sample(*args, **kwargs):
             raise AssertionError("a point was sampled before the sweep was checked")
 
-        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_repeats", sample)
         # later flags win, so each case overrides one of these defaults
         code, out, err = run_cli(
             capsys, "sweep", "--theta-start", "0.5", "--theta-stop", "0.6",
@@ -685,6 +686,14 @@ class TestTranspileCommand:
         assert err.startswith("error: layout [1, 1] must permute physical qubits 0-4")
         assert "[1, 1, 0" not in err
 
+    def test_negative_layout_after_a_space_reaches_the_layout_check(self, capsys, eraser_qasm):
+        # argparse alone reads "-1,0,1" as an option and prints its usage
+        code, out, err = run_cli(capsys, "transpile", eraser_qasm, "--device", "vigo",
+                                 "--layout", "-1,0,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: layout [-1, 0, 1] must permute physical qubits 0-4")
+
     def test_device_flag_required(self, capsys, eraser_qasm):
         with pytest.raises(SystemExit) as info:
             main(["transpile", eraser_qasm])
@@ -717,6 +726,8 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
     pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,0,1"), id="layout-0,0,1"),
     pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,1,7"), id="layout-0,1,7"),
     pytest.param(("transpile", QASM, "--device", "vigo", "--layout=-1,0,1"), id="layout--1,0,1"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "-1,0,1"),
+                 id="layout-space--1,0,1"),
     pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,1,2,3,4,5"),
                  id="layout-0,1,2,3,4,5"),
     pytest.param(("sweep", "--experiment", "general-bomb", "--n-values", "2,x",

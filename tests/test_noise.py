@@ -1,13 +1,14 @@
 """Device presets, calibration loading, and the stochastic noise sampler."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mzsim import noise
-from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, words
+from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words, words
 from mzsim.circuit import Circuit, gate_ops, simulate_ideal
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
@@ -572,3 +573,73 @@ def test_generators_are_built_only_for_rejected_draws(monkeypatch):
     got = simulate_noisy(circ, dev, 500, 4)
     assert list(got.counts.items()) == list(expected.counts.items())
     assert built == [4]  # the measurement stream alone
+
+
+#: seeds of two uint32 words (2**32, 2**40 + 1) and of one (0, 2**32 - 1), interleaved
+MIXED_WIDTH_SEEDS = (2**32, 0, 2**40 + 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("device", ORACLE_DEVICES)
+@pytest.mark.parametrize("circuit", ORACLE_CIRCUITS)
+def test_repeats_match_per_shot_reference(circuit, device, monkeypatch):
+    """Every seed's histogram, key order included, is what the per-shot
+    reference gives for that seed alone.  Blocks of 3 rows split each repeat
+    and straddle repeats; blocks of shots - 1 and shots + 1 rows straddle
+    every boundary between repeats."""
+    circ, dev = ORACLE_CIRCUITS[circuit], ORACLE_DEVICES[device]
+    shots = 40
+    expected = [list(_reference_simulate_noisy(circ, dev, shots, seed).counts.items())
+                for seed in MIXED_WIDTH_SEEDS]
+    for size in (noise._BLOCK_SHOTS, 3, shots - 1, shots + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "_BLOCK_SHOTS", size)
+            got = noise.simulate_noisy_repeats(circ, dev, shots, MIXED_WIDTH_SEEDS)
+        assert [hist.shots for hist in got] == [shots] * len(MIXED_WIDTH_SEEDS)
+        assert [list(hist.counts.items()) for hist in got] == expected
+
+
+def test_repeats_of_one_seed_and_of_none():
+    circ, dev = ORACLE_CIRCUITS["hardy"], ORACLE_DEVICES["london"]
+    assert noise.simulate_noisy_repeats(circ, dev, 100, []) == []
+    once, again = noise.simulate_noisy_repeats(circ, dev, 100, [9, 9])
+    assert once == again == simulate_noisy(circ, dev, 100, 9)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        noise.simulate_noisy_repeats(circ, dev, 100, [3, -1])
+
+
+def test_seeds_of_different_word_counts_never_share_streams():
+    assert Streams(np.array([[5, 6]], dtype=np.uint32), [0, 1]).next().tolist() == [
+        int(np.random.default_rng((s, i)).bit_generator.random_raw()) for s, i in ((5, 0), (6, 1))]
+    with pytest.raises(ValueError, match="word counts"):
+        seed_words([2**32 - 1, 2**32])
+
+
+def test_block_draws_continue_one_stream():
+    """Successive `random(k)` calls of one Generator read what one
+    `random(shots)` reads, so uniforms may be drawn block by block."""
+    for seed in (0, 7, 2**40 + 1):
+        whole = np.random.default_rng(seed).random(1000)
+        rng = np.random.default_rng(seed)
+        blocks = [rng.random(k) for k in (1, 3, 256, 13, 727)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_peak_memory_is_bounded_by_the_block(monkeypatch):
+    """Sixteen times the rows, as more shots or as more seeds, leave the
+    traced peak flat; holding every shot's uniform and outcome would add
+    at least 16 bytes a row, 240 KiB here."""
+    circ, dev = build_bomb(True), device_preset("vigo")
+    monkeypatch.setattr(noise, "_BLOCK_SHOTS", 256)
+
+    def peak(shots, seeds):
+        tracemalloc.start()
+        try:
+            noise.simulate_noisy_repeats(circ, dev, shots, seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    noise.simulate_noisy_repeats(circ, dev, 4096, [1, 2, 3, 4])  # warm numpy and the free lists
+    base = peak(1024, [1])
+    assert peak(16 * 1024, [1]) < 1.5 * base
+    assert peak(4 * 1024, [1, 2, 3, 4]) < 1.5 * base
