@@ -21,17 +21,22 @@ the sampler would move every seeded histogram.
 
 Sampling takes one path.  Every shot's outcome is a basis index drawn
 from the ideal state exactly as `sample_counts` draws it.  A shot whose
-trajectory draws a gate fault re-evolves the circuit from |0...0> with
-the fault's Paulis applied right after the failing gate, on the same
-(matrix, targets) list and `states.apply_unitary` kernel, and redraws its
-index from that state with the same uniform.  Within one block of rows, faulty
-shots are grouped by fault pattern (the same Paulis after the same gates),
-and the distinct patterns are evolved together, as the columns of one
-(2**n, patterns) array through `apply_unitary`'s batch axis: after each
-gate, each (qubit, Pauli) pair is applied once, to the columns that carry
-it.  At most `_BLOCK_AMPS` amplitudes (and at least one state) are held at
-a time.  Readout flips XOR the measured bits of the index, and one tally
-turns indices into histogram keys.
+trajectory draws a gate fault re-evolves the circuit from |0...0> through
+`states.evolve`, on the same (matrix, targets) list, with the fault's
+Paulis applied right after the failing gate, and redraws its index from
+that state with the same uniform.  Within one block of rows, faulty shots
+are grouped by fault pattern (the same Paulis after the same gates): each
+shot's row of Pauli codes, shifted to 0-3, is one byte-string key, and one
+`np.unique` of the keys finds the patterns in the order that sorting the
+rows would.  The distinct patterns are evolved together, as the columns of
+one (2**n, patterns) array on the gates' batch axis.  After each gate, each
+qubit of it that a pattern faults takes one flip-and-phase step over the
+whole array (`states._apply_paulis`): X and Y swap the halves of every
+column that carries them where the qubit reads 0 and 1, and a per-column
+phase of 1, -1, i or -i follows, so every probability is bit for bit what
+the Pauli's matrix gives.  At most `_BLOCK_AMPS` amplitudes (and at least
+one state) are held at a time.  Readout flips XOR the measured bits of the
+index, and one tally turns indices into histogram keys.
 
 Reproducibility contract (bit-exact for a fixed numpy generation):
 the measurement outcome of shot i consumes the i-th value of a PCG64
@@ -60,10 +65,11 @@ that draw; seeds whose entropy has a different number of 32-bit words are
 walked apart, never in one `Streams`.  Every row takes one word per fallible
 gate (a `random()`); the rows it hits then take one `integers(3)` per
 touched qubit, a 32-bit half: the low half of a fresh word, or the high half
-numpy buffered from the last one, even across uniforms in between.  The one
-32-bit value that `integers(3)` rejects (zero, see `_streams.below_three`)
-is redrawn in place for its row alone, as numpy redraws it, so no shot
-builds a Generator of its own.  The readout uniforms follow, drawn by the
+numpy buffered from the last one, even across uniforms in between; a gate
+that hits no row draws nothing more.  The one 32-bit value that
+`integers(3)` rejects (zero, see `_streams.below_three`) is redrawn in place
+for its row alone, as numpy redraws it, so no shot builds a Generator of its
+own.  The readout uniforms follow, drawn by the
 rows whose flip probability is above zero.  The fault patterns of all the
 block's repeats are evolved together, and the block is tallied into running
 per-repeat counts that list keys in the order of their first occurrence.
@@ -81,7 +87,7 @@ import numpy as np
 
 from ._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
 from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
-from .states import StateVector, apply_unitary, evolve, init_state
+from .states import StateVector, _apply_paulis, evolve, init_state
 
 #: canonical 5-qubit T-shaped coupling (hub at qubit 1, tail 3-4)
 T_COUPLING: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (1, 3), (3, 4))
@@ -94,13 +100,6 @@ HOURGLASS_COUPLING: tuple[tuple[int, int], ...] = (
 _BLOCK_SHOTS = 2**16
 #: amplitudes of the fault-pattern states evolved together (16 MiB); at least one state
 _BLOCK_AMPS = 2**20
-
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),          # X
-    np.array([[0, -1j], [1j, 0]], dtype=complex),       # Y
-    np.array([[1, 0], [0, -1]], dtype=complex),         # Z
-)
-
 
 def _edge(pair) -> tuple[int, int]:
     a, b = sorted(map(int, pair))
@@ -371,20 +370,13 @@ def _count(counts: list[dict], repeat, outcomes, qubits: tuple[int, ...], num_qu
     low = (1 << num_qubits) - 1
     for j in np.argsort(first).tolist():
         value = int(values[j])
-        index = value & low
-        key = "".join(str((index >> (num_qubits - 1 - q)) & 1) for q in qubits)
-        tally = counts[value >> num_qubits]
-        tally[key] = tally.get(key, 0) + int(tallies[j])
+        _add(counts[value >> num_qubits], value & low, int(tallies[j]), qubits, num_qubits)
 
 
-def _tally(outcomes, qubits: tuple[int, ...], num_qubits: int) -> CountsHistogram:
-    """Count basis-index outcomes under keys made of the bits of `qubits`.
-
-    Keys are listed in the order in which their first outcome appears.
-    """
-    counts: dict[str, int] = {}
-    _count([counts], np.zeros(len(outcomes), dtype=np.intp), outcomes, qubits, num_qubits)
-    return CountsHistogram(shots=len(outcomes), counts=counts)
+def _add(counts: dict, index: int, tally: int, qubits: tuple[int, ...], num_qubits: int):
+    """Add `tally` outcomes of basis index `index` to `counts`, under the bits of `qubits`."""
+    key = "".join(str((index >> (num_qubits - 1 - q)) & 1) for q in qubits)
+    counts[key] = counts.get(key, 0) + tally
 
 
 def sample_counts(
@@ -397,7 +389,8 @@ def sample_counts(
 
     Shot i consumes the i-th uniform of the PCG64 stream seeded with
     `seed`, so histograms are reproducible and batch-splittable.  Keys are
-    listed in basis-index order.
+    listed in basis-index order.  Shots are drawn and counted a block at a
+    time, a block of at least `_BLOCK_SHOTS` shots and of the state's size.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -405,8 +398,17 @@ def sample_counts(
         raise ValueError(f"seed must be >= 0, got {seed}")
     n = state.num_qubits
     qubits = tuple(range(n)) if measured_qubits is None else tuple(measured_qubits)
-    us = np.random.default_rng(seed).random(shots)
-    return _tally(np.sort(_inverse_cdf(state.probabilities(), us)), qubits, n)
+    probs = state.probabilities()
+    rng = np.random.default_rng(seed)
+    tallies = np.zeros(len(probs), dtype=np.int64)
+    step = max(_BLOCK_SHOTS, len(probs))  # each block costs at least one pass over probs
+    for first in range(0, shots, step):
+        us = rng.random(min(step, shots - first))
+        tallies += np.bincount(_inverse_cdf(probs, us), minlength=len(probs))
+    counts: dict[str, int] = {}
+    for index in np.flatnonzero(tallies).tolist():
+        _add(counts, index, int(tallies[index]), qubits, n)
+    return CountsHistogram(shots=shots, counts=counts)
 
 
 def simulate_noisy(
@@ -497,10 +499,11 @@ def _fault_paulis(streams: Streams, size: int, rates, arities):
     slot = 0
     for rate, arity in zip(rates, arities):
         hit = np.flatnonzero(doubles(streams.next()) < rate)
-        faulty[hit] = True
-        for _ in range(arity):
-            paulis[hit, slot] = _integers3(streams, hit, half, buffered)
-            slot += 1
+        if hit.size:  # a gate that hits no row draws nothing more
+            faulty[hit] = True
+            for t in range(slot, slot + arity):
+                paulis[hit, t] = _integers3(streams, hit, half, buffered)
+        slot += arity
     return paulis, np.flatnonzero(faulty)
 
 
@@ -533,8 +536,7 @@ def _faulty_outcomes(paulis, us, ops, fallible, arities, n):
     pattern, and the patterns are evolved together as the columns of one
     state array, at most `_BLOCK_AMPS` amplitudes at a time.
     """
-    patterns, column = np.unique(paulis, axis=0, return_inverse=True)
-    column = column.reshape(-1)  # numpy 2.0.0 returns it as a column
+    patterns, column = _patterns(paulis)
     slots: dict[int, list[tuple[int, int]]] = {}  # gate position -> (slot, qubit) of its Paulis
     for (pos, _), offset in zip(fallible, np.cumsum([0, *arities]).tolist()):
         slots[pos] = [(offset + t, q) for t, q in enumerate(ops[pos][1])]
@@ -542,18 +544,33 @@ def _faulty_outcomes(paulis, us, ops, fallible, arities, n):
     outcomes = np.empty(len(paulis), dtype=np.intp)
     for first in range(0, len(patterns), width):
         block = patterns[first:first + width]
+        carried = (block >= 0).any(axis=0).tolist()
         states = np.zeros((2**n, len(block)), dtype=complex)
         states[0] = 1.0
-        for pos, (matrix, targets) in enumerate(ops):
-            states = apply_unitary(states, matrix, targets, n)
-            for slot, q in slots.get(pos, ()):
-                for p, pauli in enumerate(_PAULIS):
-                    cols = np.flatnonzero(block[:, slot] == p)
-                    if cols.size:
-                        states[:, cols] = apply_unitary(states[:, cols], pauli, (q,), n)
+        done = 0  # gates applied so far
+        for pos, gate_slots in slots.items():
+            states = evolve(states, ops[done:pos + 1], n)
+            done = pos + 1
+            for slot, q in gate_slots:
+                if carried[slot]:
+                    states = _apply_paulis(states, block[:, slot], q)
+        states = evolve(states, ops[done:], n)
         mine = np.flatnonzero((column >= first) & (column < first + width))
         outcomes[mine] = _inverse_cdf(np.abs(states) ** 2, us[mine], column[mine] - first)
     return outcomes
+
+
+def _patterns(paulis):
+    """`np.unique(paulis, axis=0, return_inverse=True)`, sorting rows as byte strings.
+
+    Each row of codes + 1 (0-3) is one `np.void` key, whose byte order is the
+    order of the codes, so the patterns, their order and the inverse are the
+    same; sorting byte keys is about ten times faster than sorting rows.
+    """
+    keys = np.ascontiguousarray(paulis + 1).view(np.dtype((np.void, paulis.shape[1])))
+    keys, column = np.unique(keys.reshape(-1), return_inverse=True)
+    patterns = keys.view(np.int8).reshape(len(keys), paulis.shape[1]) - 1
+    return patterns, column.reshape(-1)
 
 
 def _read_out(outcomes: np.ndarray, streams: Streams, readout) -> np.ndarray:

@@ -12,6 +12,7 @@ in one place rather than scattered per call site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,20 +99,56 @@ def apply_unitary(
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
         raise ValueError(f"matrix shape {matrix.shape} does not act on {k} qubit(s)")
-    if len(set(targets)) != k:
+    amps = np.asarray(amplitudes, dtype=complex)
+    forward, back = _target_axes(tuple(targets), num_qubits, amps.ndim - 1)
+
+    # axis j of the reshaped tensor is qubit j (q0 = axis 0 = MSB)
+    tensor = amps.reshape((2,) * num_qubits + amps.shape[1:]).transpose(forward)
+    shape = tensor.shape
+    tensor = matrix @ tensor.reshape(2**k, -1)
+    return tensor.reshape(shape).transpose(back).reshape(amps.shape)
+
+
+@lru_cache(maxsize=None)
+def _target_axes(
+    targets: tuple[int, ...], num_qubits: int, batch_ndim: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that brings `targets` to the front of a qubit tensor, and its inverse.
+
+    Raises ValueError for duplicate or out-of-range targets; a call that
+    raises is not cached, so it raises again every time.
+    """
+    if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
     for q in targets:
         if not 0 <= q < num_qubits:
             raise ValueError(f"target qubit {q} out of range for {num_qubits} qubits")
+    forward = (*targets, *(a for a in range(num_qubits + batch_ndim) if a not in targets))
+    back = tuple(sorted(range(len(forward)), key=forward.__getitem__))
+    return forward, back
 
-    # axis j of the reshaped tensor is qubit j (q0 = axis 0 = MSB)
+
+#: per Pauli code -1 (none), 0 (X), 1 (Y), 2 (Z), shifted by one: whether it
+#: swaps the halves, and the phase of each half after the swap (row 0 bit 0)
+_PAULI_FLIPS = np.array([False, True, True, False])
+_PAULI_PHASES = np.array([[1, 1, -1j, 1], [1, 1, 1j, -1]])
+
+
+def _apply_paulis(amplitudes: np.ndarray, codes: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply Pauli `codes[j]` to `qubit` of batch entry j, as a bit flip and a phase.
+
+    amplitudes has shape (2**num_qubits, *batch) and codes has the batch's
+    shape, holding -1 (none), 0 (X), 1 (Y) or 2 (Z).  X and Y swap the
+    halves where `qubit` is 0 and 1, then each half is multiplied by ±1 or
+    ±i, so every |amplitude|**2 is bit for bit what `apply_unitary` with
+    the Pauli's matrix gives.
+    """
     amps = np.asarray(amplitudes, dtype=complex)
-    tensor = amps.reshape((2,) * num_qubits + amps.shape[1:])
-    tensor = np.moveaxis(tensor, targets, range(k))
-    shape = tensor.shape
-    tensor = matrix @ tensor.reshape(2**k, -1)
-    tensor = np.moveaxis(tensor.reshape(shape), range(k), targets)
-    return tensor.reshape(amps.shape)
+    halves = amps.reshape((2**qubit, 2, -1) + amps.shape[1:])
+    shifted = np.asarray(codes) + 1
+    out = np.where(_PAULI_FLIPS[shifted], halves[:, ::-1], halves)
+    out *= _PAULI_PHASES[:, shifted][:, None]
+    return out.reshape(amps.shape)
 
 
 def evolve(
@@ -130,13 +167,6 @@ def apply_gate(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...])
     if abs(norm - 1.0) > ALGEBRAIC_TOL * 10:
         raise ValueError(f"gate application broke normalization: {norm!r}")
     return StateVector(state.num_qubits, amps)
-
-
-def is_unitary(matrix: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:

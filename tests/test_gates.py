@@ -17,7 +17,14 @@ from mzsim.gates import (
     u2,
     u3,
 )
-from mzsim.states import equal_up_to_global_phase, is_unitary
+from mzsim.states import ALGEBRAIC_TOL, equal_up_to_global_phase
+
+
+def is_unitary(matrix: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def test_signature_table_is_complete():

@@ -9,19 +9,18 @@ import pytest
 
 from mzsim import noise
 from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words, words
-from mzsim.circuit import Circuit, gate_ops, simulate_ideal
+from mzsim.circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
 )
 from mzsim.noise import (
-    _PAULIS,
     DEVICE_PRESETS,
     HOURGLASS_COUPLING,
     T_COUPLING,
     DeviceModel,
     _fault_paulis,
     _inverse_cdf,
-    _tally,
+    _patterns,
     device_preset,
     ideal_counts,
     ideal_device,
@@ -33,6 +32,13 @@ from mzsim.states import evolve, init_state
 
 T_EDGES = ((0, 1), (1, 2), (1, 3), (3, 4))
 HOURGLASS_EDGES = ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
+
+#: the fault Paulis by code: 0 X, 1 Y, 2 Z
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 class TestPresets:
@@ -222,6 +228,39 @@ class TestSampleCounts:
         hist = sample_counts(state, 20000, seed=7)
         p1 = hist.counts.get("1", 0) / 20000
         assert abs(p1 - 0.3) < 4 * np.sqrt(0.3 * 0.7 / 20000)
+
+    @pytest.mark.parametrize("measured", [None, (0,), (2, 0), (1, 2)])
+    def test_blocks_match_one_sorted_draw(self, measured, monkeypatch):
+        """Counting block by block gives the histogram, key order included, of
+        sorting one `random(shots)` draw's outcomes and tallying them."""
+        state = simulate_ideal(Circuit(3).h(0).ry(0.9, 1).cx(0, 2).h(2))
+        n, qubits = 3, measured or (0, 1, 2)
+        for seed, shots in ((0, 1), (5, 37), (2**40 + 1, 1000)):
+            us = np.random.default_rng(seed).random(shots)
+            expected = _tally(np.sort(_inverse_cdf(state.probabilities(), us)), qubits, n)
+            for size in (noise._BLOCK_SHOTS, 1, 7, shots):
+                with monkeypatch.context() as patch:
+                    patch.setattr(noise, "_BLOCK_SHOTS", size)
+                    got = sample_counts(state, shots, seed, measured_qubits=measured)
+                assert got.shots == shots
+                assert list(got.counts.items()) == list(expected.counts.items())
+
+    def test_peak_memory_is_bounded_by_the_block(self, monkeypatch):
+        """Sixteen times the shots leave the traced peak flat; holding every
+        shot's uniform and outcome would add at least 16 bytes a shot."""
+        monkeypatch.setattr(noise, "_BLOCK_SHOTS", 256)
+
+        def peak(shots):
+            tracemalloc.start()
+            try:
+                ideal_counts(build_bomb(True), shots, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ideal_counts(build_bomb(True), 4096, 1)  # warm numpy and the free lists
+        base = peak(1024)
+        assert peak(16 * 1024) < 1.5 * base
 
     def test_argument_validation(self):
         state = simulate_ideal(Circuit(1))
@@ -442,6 +481,56 @@ class TestFaultDraws:
         assert faulty.tolist() == [0, 1, 2, 3]
         # every row has read all but its last word, which comes next
         assert streams.next().tolist() == [101, 102, 103, 104]
+
+    def test_a_gate_that_hits_no_row_draws_no_integers(self, monkeypatch):
+        """Only gates that hit a row call `_integers3`, once per touched qubit."""
+        def word(low, high):
+            return low | high << 32
+        hit, miss = 1 << 40, 2**64 - 1
+        rows = [
+            # the second gate's draw buffers 0x55555556, which the third's first reads
+            [miss, hit, word(2**31, 0x55555556), hit, word(0xAAAAAAAB, 9), miss, 105],
+            [miss, miss, hit, word(1, 0x55555556), miss, 106],
+        ]
+        calls = []
+        integers3 = noise._integers3
+
+        def counting(streams, hit_rows, half, buffered):
+            calls.append(hit_rows.tolist())
+            return integers3(streams, hit_rows, half, buffered)
+
+        monkeypatch.setattr(noise, "_integers3", counting)
+        streams = _CraftedStreams(rows)
+        paulis, faulty = _fault_paulis(streams, 2, [0.5, 0.5, 0.5, 0.5], [2, 1, 2, 3])
+        assert paulis.tolist() == [[-1, -1, 1, 1, 2, -1, -1, -1],
+                                   [-1, -1, -1, 0, 1, -1, -1, -1]]
+        assert faulty.tolist() == [0, 1]
+        assert calls == [[0], [0, 1], [0, 1]]  # the first and last gates hit no row
+        assert streams.next().tolist() == [105, 106]
+
+
+@pytest.mark.parametrize("slots", [1, 8, 9, 40])
+def test_byte_key_patterns_match_row_unique(slots):
+    """`_patterns` finds what `np.unique(axis=0)` finds: the same patterns in
+    the same order, and the same inverse."""
+    rng = np.random.default_rng(slots)
+    pool = rng.integers(-1, 3, size=(12, slots), dtype=np.int8)
+    for rows in (1, 5, 300):
+        for paulis in (pool[rng.integers(0, len(pool), rows)],
+                       rng.integers(-1, 3, size=(rows, slots), dtype=np.int8),
+                       np.full((rows, slots), -1, dtype=np.int8)):
+            patterns, column = _patterns(paulis)
+            expected, inverse = np.unique(paulis, axis=0, return_inverse=True)
+            assert patterns.dtype == np.int8
+            assert np.array_equal(patterns, expected)
+            assert np.array_equal(column, inverse.reshape(-1))
+
+
+def _tally(outcomes, qubits, num_qubits):
+    """Histogram of basis-index outcomes, keys in the order of their first outcome."""
+    counts = {}
+    noise._count([counts], np.zeros(len(outcomes), dtype=np.intp), outcomes, qubits, num_qubits)
+    return CountsHistogram(shots=len(outcomes), counts=counts)
 
 
 def _reference_simulate_noisy(circuit, device, shots, seed):

@@ -7,18 +7,27 @@ from mzsim.states import (
     ALGEBRAIC_TOL,
     MAX_QUBITS,
     StateVector,
+    _apply_paulis,
     apply_gate,
     apply_unitary,
     bitstring_of,
     equal_up_to_global_phase,
     index_of,
     init_state,
-    is_unitary,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def is_unitary(matrix: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def random_unitary(rng, dim):
@@ -147,6 +156,41 @@ class TestApplyUnitary:
                 np.testing.assert_allclose(
                     out[:, j], apply_unitary(batch[:, j], u, targets, 3), atol=1e-12)
 
+    def test_same_bits_as_moving_the_axes(self):
+        """The cached transposes are the views `np.moveaxis` makes, so every
+        amplitude is bit for bit what moving the axes on each call gives."""
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            targets = tuple(rng.permutation(n)[:int(rng.integers(1, min(n, 3) + 1))].tolist())
+            k = len(targets)
+            shape = (2**n, *rng.integers(1, 4, size=int(rng.integers(0, 3))).tolist())
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            u = random_unitary(rng, 2**k)
+            tensor = np.moveaxis(amps.reshape((2,) * n + shape[1:]), targets, range(k))
+            moved = (u @ tensor.reshape(2**k, -1)).reshape(tensor.shape)
+            expected = np.moveaxis(moved, range(k), targets).reshape(shape)
+            assert np.array_equal(apply_unitary(amps, u, targets, n), expected)
+
+    def test_target_checks_hold_whatever_was_cached(self):
+        """Invalid targets raise on every call, after the same targets were
+        used validly and before they are."""
+        two, three = init_state(2).amplitudes, init_state(3).amplitudes
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_unitary(three, X, (3,), 3)
+            apply_unitary(init_state(4).amplitudes, X, (3,), 4)
+            apply_unitary(three, X, (2,), 3)
+            with pytest.raises(ValueError, match="out of range"):
+                apply_unitary(two, X, (2,), 2)
+            with pytest.raises(ValueError, match="out of range"):
+                apply_unitary(two, CX, (0, -1), 2)
+            apply_unitary(three, CX, (1, 2), 3)
+            with pytest.raises(ValueError, match="duplicate"):
+                apply_unitary(three, CX, (1, 1), 3)
+            with pytest.raises(ValueError, match="duplicate"):
+                apply_unitary(np.eye(4, dtype=complex), CX, (1, 1), 2)
+
     def test_norm_preserved_by_random_unitaries(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -160,6 +204,40 @@ class TestApplyUnitary:
     def test_apply_gate_rejects_norm_breaking_matrix(self):
         with pytest.raises(ValueError, match="normalization"):
             apply_gate(init_state(1), 2.0 * X, (0,))
+
+
+class TestPauliStep:
+    """`_apply_paulis` is a bit flip and a phase per column, with the
+    probabilities the Pauli's matrix gives."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_apply_unitary_column_by_column(self, n):
+        rng = np.random.default_rng(n)
+        cols = 11
+        mixed = rng.permutation([-1, 0, 1, 2, *rng.integers(-1, 3, cols - 4)])
+        for q in sorted({0, n - 1}):
+            batch = rng.normal(size=(2**n, cols)) + 1j * rng.normal(size=(2**n, cols))
+            before = batch.copy()
+            for codes in (mixed, np.full(cols, -1), *(np.full(cols, p) for p in range(3))):
+                codes = codes.astype(np.int8)
+                out = _apply_paulis(batch, codes, q)
+                assert out.shape == batch.shape
+                assert np.array_equal(batch, before)
+                for j, p in enumerate(codes.tolist()):
+                    col = batch[:, j]
+                    expected = col if p < 0 else apply_unitary(col, (X, Y, Z)[p], (q,), n)
+                    assert np.array_equal(np.abs(out[:, j]) ** 2, np.abs(expected) ** 2)
+
+    def test_trailing_batch_axes(self):
+        rng = np.random.default_rng(5)
+        n, q = 4, 2
+        batch = rng.normal(size=(2**n, 3, 4)) + 1j * rng.normal(size=(2**n, 3, 4))
+        codes = rng.integers(-1, 3, size=(3, 4)).astype(np.int8)
+        out = _apply_paulis(batch, codes, q)
+        for (a, b), p in np.ndenumerate(codes):
+            col = batch[:, a, b]
+            expected = col if p < 0 else apply_unitary(col, (X, Y, Z)[p], (q,), n)
+            assert np.array_equal(np.abs(out[:, a, b]) ** 2, np.abs(expected) ** 2)
 
 
 class TestPredicates:
