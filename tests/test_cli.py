@@ -659,6 +659,14 @@ class TestTranspileCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {position}:")
 
+    @pytest.mark.parametrize("operands", ["q[0],q[0]", "q,q[1]"])
+    def test_repeated_barrier_operand_exits_2(self, capsys, tmp_path, operands):
+        bad = tmp_path / "barrier.qasm"
+        bad.write_text(f"OPENQASM 2.0;\nqreg q[2];\nbarrier {operands};\n")
+        code, out, err = run_cli(capsys, "transpile", str(bad), "--device", "vigo")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3, column 1: repeated qubit")
+
     def test_ideal_device_rejected(self, capsys, eraser_qasm):
         code, _, err = run_cli(
             capsys, "transpile", eraser_qasm, "--device", "ideal")

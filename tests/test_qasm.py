@@ -1,6 +1,7 @@
 """Reader/writer for the OPENQASM 2.0 subset: round-trips and diagnostics."""
 
 import contextlib
+import hashlib
 import io
 import random
 import tracemalloc
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import qasm
 from mzsim.circuit import Circuit
 from mzsim.cli import main
 from mzsim.gates import GATES, GateDef
@@ -141,6 +141,14 @@ class TestParse:
         params = [i.gate.params[0] for i in parse(src).gate_instructions()]
         assert params == [np.pi / 2, -np.pi, 3 * np.pi / 4, 0.2, 0.5]
 
+    @pytest.mark.parametrize("minuses", [5000, 5001])
+    @pytest.mark.parametrize("operand", ["q[1]", "q"])
+    def test_long_minus_runs(self, minuses, operand):
+        c = parse(HEADER + "qreg q[2]; ry(" + "-" * minuses + "1) " + operand + ";")
+        sign = (-1) ** minuses
+        assert [i.gate.params for i in c.gate_instructions()] == (
+            [(sign * 1.0,)] * (1 if operand == "q[1]" else 2))
+
     def test_comments_and_whitespace_ignored(self):
         src = "// leading comment\nOPENQASM 2.0; // trailing\n\n qreg q[1];\nh q[0]; // done\n"
         assert parse(src).count_gates() == {"H": 1}
@@ -236,6 +244,11 @@ class TestDiagnostics:
     def test_repeated_qubit_argument(self):
         expect_error(HEADER + "qreg q[2]; cx q[0],q[0];", QasmSemanticError, 3, 12, "repeated")
 
+    @pytest.mark.parametrize("operands", ["q[0],q[0]", "q,q[1]"])
+    def test_repeated_barrier_operand_is_rejected_at_the_keyword(self, operands):
+        expect_error(HEADER + f"qreg q[2];\n  barrier {operands};", QasmSemanticError,
+                     4, 3, "repeated qubit")
+
     def test_gate_after_measure(self):
         expect_error(HEADER + "qreg q[1]; creg c[1]; measure q[0] -> c[0]; h q[0];",
                      QasmSemanticError, 3, 45, "terminal")
@@ -281,7 +294,7 @@ class TestDiagnostics:
         assert peak < 1_000_000
 
 
-# ---- the statement fast path against the token path ------------------------
+# ---- pinned outcomes over generated programs -------------------------------
 
 #: angle expressions of every form the grammar allows
 ANGLES = ("pi", "-pi", "pi/2", "-3*pi/8", "2*pi/3", "--1", "- 2 * pi", "0.5", ".25", "5.",
@@ -327,26 +340,33 @@ def random_source(rng: random.Random, statements: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def on_token_path(source: str) -> str:
-    """The same program with no statement the fast path takes: it accepts only
-    blanks and tabs between tokens, while the lexer also reads form feeds and
-    vertical tabs as whitespace.  Every line and column stays where it was."""
+def injected_source(seed: int) -> str:
+    """A random program with one or two of BAD_STATEMENTS inserted."""
+    rng = random.Random(1000 + seed)
+    lines = random_source(rng, 30).split("\n")
+    for _ in range(rng.choice((1, 1, 2))):
+        lines.insert(rng.randrange(3, len(lines)), rng.choice(BAD_STATEMENTS))
+    return "\n".join(lines)
+
+
+def lone_bad_sources() -> list[str]:
+    """Each of BAD_STATEMENTS alone, on line 9 of a valid program."""
+    body = random_source(random.Random(7), 10).split("\n")
+    return ["\n".join(body[:8] + [bad] + body[8:]) for bad in BAD_STATEMENTS]
+
+
+VALID_SOURCES = [random_source(random.Random(seed), 120) for seed in range(8)]
+INJECTED_SOURCES = [injected_source(seed) for seed in range(40)]
+PINNED_SOURCES = VALID_SOURCES + INJECTED_SOURCES + lone_bad_sources()
+
+#: SHA-256 of `outcome_text` over PINNED_SOURCES, one line each
+OUTCOME_SHA256 = "5b82e13cdc148576bad17ee8e6adf751a77dc116b04176dda7eb04e259dc12b4"
+
+
+def with_form_feeds(source: str) -> str:
+    """The same program with every blank a form feed and every tab a vertical
+    tab, which are whitespace too.  Every line and column stays where it was."""
     return source.replace(" ", "\f").replace("\t", "\v")
-
-
-@pytest.fixture
-def fast_hits(monkeypatch):
-    """Record, per statement start, whether the fast path took the statement."""
-    hits = []
-    original = qasm._Parser._fast_gate
-
-    def counting(self):
-        result = original(self)
-        hits.append(result is not None)
-        return result
-
-    monkeypatch.setattr(qasm._Parser, "_fast_gate", counting)
-    return hits
 
 
 def outcome(source: str):
@@ -356,43 +376,55 @@ def outcome(source: str):
         return type(err), err.line, err.column, err.message, err.expected
 
 
+def outcome_text(source: str) -> str:
+    """The circuit, or the error's type, position, message and `expected`, as
+    exact text: float reprs keep every bit and the sign of zero."""
+    result = outcome(source)
+    if isinstance(result, Circuit):
+        return repr((result.num_qubits, result.num_clbits, result.instructions))
+    return repr((result[0].__name__, *result[1:]))
+
+
 class TestStatementFastPath:
+    """Outcomes on generated programs: one-line gate statements with every
+    angle form, comments, tabs, shared lines and injected bad statements.
+    Every circuit and every error's type, position, message and `expected`
+    is pinned by digest, and the same program spelled with form feeds and
+    vertical tabs gives the same outcome."""
+
+    def test_outcomes_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for source in PINNED_SOURCES:
+            digest.update(outcome_text(source).encode() + b"\n")
+        assert digest.hexdigest() == OUTCOME_SHA256
+
     @pytest.mark.parametrize("seed", range(8))
-    def test_both_paths_give_equal_circuits(self, seed, fast_hits):
-        source = random_source(random.Random(seed), 120)
-        fast = parse(source)
-        assert sum(fast_hits) > 100
-        fast_hits.clear()
-        assert parse(on_token_path(source)) == fast
-        assert not any(fast_hits)
+    def test_both_paths_give_equal_circuits(self, seed):
+        source = VALID_SOURCES[seed]
+        circuit = parse(source)
+        assert len(circuit.gate_instructions()) == 120
+        assert outcome_text(with_form_feeds(source)) == outcome_text(source)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_both_paths_raise_the_same_error(self, seed, fast_hits):
-        rng = random.Random(1000 + seed)
-        lines = random_source(rng, 30).split("\n")
-        for _ in range(rng.choice((1, 1, 2))):
-            lines.insert(rng.randrange(3, len(lines)), rng.choice(BAD_STATEMENTS))
-        source = "\n".join(lines)
-        fast = outcome(source)
-        assert not isinstance(fast, Circuit), source
-        fast_hits.clear()
-        assert outcome(on_token_path(source)) == fast
-        assert not any(fast_hits)
+    def test_both_paths_raise_the_same_error(self, seed):
+        source = INJECTED_SOURCES[seed]
+        result = outcome(source)
+        assert not isinstance(result, Circuit), source
+        assert outcome_text(with_form_feeds(source)) == outcome_text(source)
 
     def test_every_bad_statement_is_reported_alike(self):
-        body = random_source(random.Random(7), 10).split("\n")
-        for bad in BAD_STATEMENTS:
-            source = "\n".join(body[:8] + [bad] + body[8:])
-            assert outcome(source) == outcome(on_token_path(source)), bad
+        for source in lone_bad_sources():
+            assert not isinstance(outcome(source), Circuit), source
+            assert outcome_text(with_form_feeds(source)) == outcome_text(source), source
 
     def test_lexical_error_is_reported_before_an_earlier_semantic_error(self):
         source = HEADER + "qreg q[2];\nh q[0];\nh q[5];\ncx q[0],q[1];\nx q[1]; @\n"
-        for text in (source, on_token_path(source)):
+        for text in (source, with_form_feeds(source)):
             expect_error(text, QasmParseError, 7, 9, "unexpected character '@'")
 
     def test_semantic_error_on_a_fast_statement_keeps_its_position(self):
         source = HEADER + "qreg q[2];\nh q[0];\n  cx q[1], q[1];\n"
-        for text in (source, on_token_path(source)):
+        for text in (source, with_form_feeds(source)):
             expect_error(text, QasmSemanticError, 5, 3, "repeated qubit")
 
     @pytest.mark.parametrize("seed", range(3))
@@ -401,7 +433,7 @@ class TestStatementFastPath:
         for _ in range(30):
             c = random_circuit(rng, max_qubits=5, max_gates=30)
             assert parse(emit(c)) == c
-            assert parse(on_token_path(emit(c))) == c
+            assert parse(with_form_feeds(emit(c))) == c
 
 
 # ---- fuzzing the reader and the transpile command --------------------------
