@@ -53,14 +53,12 @@ from .noise import (
     ideal_counts,
     ideal_device,
     load_device,
-    sample_counts,
     simulate_noisy,
     simulate_noisy_repeats,
 )
 from .qasm import QasmError, QasmParseError, QasmSemanticError, emit, parse
 from .states import (
     StateVector,
-    apply_gate,
     apply_unitary,
     equal_up_to_global_phase,
     init_state,

@@ -153,12 +153,6 @@ class Streams:
         return x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
 
 
-def words(seed: int, shots, k: int) -> np.ndarray:
-    """The first `k` >= 1 raw words of each stream, as a (len(shots), k) uint64 array."""
-    streams = Streams(seed, shots)
-    return np.stack([streams.next() for _ in range(k)], axis=1)
-
-
 def doubles(raw: np.ndarray) -> np.ndarray:
     """`random()`'s doubles from raw words: the top 53 bits times 2**-53."""
     return (raw >> np.uint64(11)) * 2.0**-53

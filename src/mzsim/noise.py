@@ -19,12 +19,15 @@ CCX's nine 1-qubit gates, prices a SWAP as one 2-qubit gate, not three
 CNOTs, and never sees routing SWAPs.  Pricing the transpiled circuit in
 the sampler would move every seeded histogram.
 
-Sampling takes one path.  Every shot's outcome is a basis index drawn
-from the ideal state exactly as `sample_counts` draws it.  A shot whose
-trajectory draws a gate fault re-evolves the circuit from |0...0> through
-`states.evolve`, on the same (matrix, targets) list, with the fault's
-Paulis applied right after the failing gate, and redraws its index from
-that state with the same uniform.  Within one block of rows, faulty shots
+Sampling takes one path, ideal sampling included: `ideal_counts` runs the
+sampler on `ideal_device`, whose zero rates draw no noise.  Every shot's
+outcome is a basis index drawn from the ideal state: its uniform selects
+the first index whose cumulative probability exceeds it, the cumulative
+distribution being taken once per call.  A shot whose trajectory draws a
+gate fault re-evolves the circuit from |0...0> through `states.evolve`, on
+the same (matrix, targets) list, with the fault's Paulis applied right
+after the failing gate, and redraws its index from that state with the
+same uniform.  Within one block of rows, faulty shots
 are grouped by fault pattern (the same Paulis after the same gates): each
 shot's row of Pauli codes, shifted to 0-3, is one byte-string key, and one
 `np.unique` of the keys finds the patterns in the order that sorting the
@@ -36,7 +39,8 @@ column that carries them where the qubit reads 0 and 1, and a per-column
 phase of 1, -1, i or -i follows, so every probability is bit for bit what
 the Pauli's matrix gives.  At most `_BLOCK_AMPS` amplitudes (and at least
 one state) are held at a time.  Readout flips XOR the measured bits of the
-index, and one tally turns indices into histogram keys.
+index.  The measured bits, packed into an int in qubit order, are the
+shot's key, and one tally counts the keys.
 
 Reproducibility contract (bit-exact for a fixed numpy generation):
 the measurement outcome of shot i consumes the i-th value of a PCG64
@@ -46,10 +50,9 @@ uniform per gate whose rate is above zero, in circuit order; on a hit,
 one integer in {0, 1, 2} (X, Y, Z) per touched qubit in target order;
 then one uniform per measured qubit, in ascending qubit order, whose flip
 probability for its current bit is above zero.  Events with probability
-0 consume no randomness.  Consequently a device with all rates zero
-reproduces ideal sampling bit for bit at the same seed (it returns before
-any trajectory is drawn), and trajectories can be evaluated in parallel
-without changing results.
+0 consume no randomness.  Consequently a device with all rates zero draws
+no trajectory at all, which is ideal sampling, and trajectories can be
+evaluated in parallel without changing results.
 
 How the sampler meets it: `simulate_noisy_repeats` samples one circuit
 under many seeds, and `simulate_noisy` is its one-seed case.  It evolves the
@@ -71,23 +74,25 @@ that hits no row draws nothing more.  The one 32-bit value that
 for its row alone, as numpy redraws it, so no shot builds a Generator of its
 own.  The readout uniforms follow, drawn by the
 rows whose flip probability is above zero.  The fault patterns of all the
-block's repeats are evolved together, and the block is tallied into running
-per-repeat counts that list keys in the order of their first occurrence.
+block's repeats are evolved together, and the block's keys are tallied, as
+ints, into running per-repeat counts; the keys become bit strings once, at
+the end of the call.  Every histogram, ideal or noisy, lists its keys in
+the order of their first occurrence among the shots.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
-from .circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
-from .states import StateVector, _apply_paulis, evolve, init_state
+from .circuit import Circuit, CountsHistogram, gate_ops
+from .states import _apply_paulis, evolve, init_state
 
 #: canonical 5-qubit T-shaped coupling (hub at qubit 1, tail 3-4)
 T_COUPLING: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (1, 3), (3, 4))
@@ -324,7 +329,7 @@ def load_device(source: str) -> DeviceModel:
 
 
 def ideal_device(num_qubits: int, coupling: tuple[tuple[int, int], ...] | None = None) -> DeviceModel:
-    """All-zero error rates; useful as a control in tests and sweeps."""
+    """All-zero error rates: the device on which the sampler is ideal sampling (`ideal_counts`)."""
     if coupling is None:
         coupling = tuple((q, q + 1) for q in range(num_qubits - 1))
     return DeviceModel(
@@ -339,15 +344,20 @@ def ideal_device(num_qubits: int, coupling: tuple[tuple[int, int], ...] | None =
     )
 
 
-def _inverse_cdf(probs: np.ndarray, us, columns=None):
-    """Basis index that each uniform in `us` selects from the distribution `probs`.
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of `probs` along axis 0, its top edge guarded against rounding."""
+    cum = np.cumsum(probs, axis=0)
+    cum[-1] = np.maximum(cum[-1], 1.0)
+    return cum
 
-    With `columns`, each column of `probs` is a distribution and uniform j
+
+def _inverse_cdf(cum: np.ndarray, us, columns=None):
+    """Basis index that each uniform in `us` selects from the cumulative distribution `cum`.
+
+    With `columns`, each column of `cum` is a distribution and uniform j
     selects from column `columns[j]`: counting the cumulative probabilities
     at or below it finds what `searchsorted` finds in that column.
     """
-    cum = np.cumsum(probs, axis=0)
-    cum[-1] = np.maximum(cum[-1], 1.0)  # guard the top edge against rounding
     if columns is None:
         index = np.searchsorted(cum, us, side="right")
     else:
@@ -355,60 +365,35 @@ def _inverse_cdf(probs: np.ndarray, us, columns=None):
         index = np.concatenate([
             np.count_nonzero(cum[:, columns[s:s + step]] <= us[s:s + step], axis=0)
             for s in range(0, len(us), step)])
-    return np.minimum(index, len(probs) - 1)
+    return np.minimum(index, len(cum) - 1)
 
 
-def _count(counts: list[dict], repeat, outcomes, qubits: tuple[int, ...], num_qubits: int):
-    """Add basis-index outcomes to running histograms: outcome j to `counts[repeat[j]]`.
+def _count(tallies: list[defaultdict[int, int]], repeat, outcomes, qubits: tuple[int, ...],
+           num_qubits: int):
+    """Add basis-index outcomes to running tallies: outcome j to `tallies[repeat[j]]`.
 
-    Keys are made of the bits of `qubits`.  `repeat` never decreases, so each
-    histogram lists its keys in the order in which their first outcome
-    appears, block after block.
+    An outcome is tallied under its key, the bits of `qubits` packed into an
+    int in that order.  `repeat` never decreases, so each tally lists its
+    keys in the order in which they first occur, block after block.  Sorting
+    the block's (repeat, key) values, stably or not, puts each value in one
+    run, and the value first occurs at the least position of its run.
     """
-    values, first, tallies = np.unique(np.left_shift(repeat, num_qubits) | outcomes,
-                                       return_index=True, return_counts=True)
-    low = (1 << num_qubits) - 1
-    for j in np.argsort(first).tolist():
-        value = int(values[j])
-        _add(counts[value >> num_qubits], value & low, int(tallies[j]), qubits, num_qubits)
-
-
-def _add(counts: dict, index: int, tally: int, qubits: tuple[int, ...], num_qubits: int):
-    """Add `tally` outcomes of basis index `index` to `counts`, under the bits of `qubits`."""
-    key = "".join(str((index >> (num_qubits - 1 - q)) & 1) for q in qubits)
-    counts[key] = counts.get(key, 0) + tally
-
-
-def sample_counts(
-    state: StateVector,
-    shots: int,
-    seed: int,
-    measured_qubits: tuple[int, ...] | None = None,
-) -> CountsHistogram:
-    """Multinomial sampling of a statevector's distribution.
-
-    Shot i consumes the i-th uniform of the PCG64 stream seeded with
-    `seed`, so histograms are reproducible and batch-splittable.  Keys are
-    listed in basis-index order.  Shots are drawn and counted a block at a
-    time, a block of at least `_BLOCK_SHOTS` shots and of the state's size.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    n = state.num_qubits
-    qubits = tuple(range(n)) if measured_qubits is None else tuple(measured_qubits)
-    probs = state.probabilities()
-    rng = np.random.default_rng(seed)
-    tallies = np.zeros(len(probs), dtype=np.int64)
-    step = max(_BLOCK_SHOTS, len(probs))  # each block costs at least one pass over probs
-    for first in range(0, shots, step):
-        us = rng.random(min(step, shots - first))
-        tallies += np.bincount(_inverse_cdf(probs, us), minlength=len(probs))
-    counts: dict[str, int] = {}
-    for index in np.flatnonzero(tallies).tolist():
-        _add(counts, index, int(tallies[index]), qubits, n)
-    return CountsHistogram(shots=shots, counts=counts)
+    values, size = repeat, 0
+    for q, after in zip(qubits, (*qubits[1:], None)):
+        size += 1
+        if after != q + 1:  # q ends a stretch of consecutive qubits: one field of the index
+            values = values << size | outcomes >> (num_qubits - 1 - q) & ((1 << size) - 1)
+            size = 0
+    position = np.argsort(values)
+    values = values[position]
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    counts = np.diff(starts, append=len(values))
+    order = np.argsort(np.minimum.reduceat(position, starts))
+    values = values[starts][order]
+    width = len(qubits)
+    for r, key, count in zip((values >> width).tolist(), (values & ((1 << width) - 1)).tolist(),
+                             counts[order].tolist()):
+        tallies[r][key] += count
 
 
 def simulate_noisy(
@@ -453,9 +438,9 @@ def simulate_noisy_repeats(
     noisy = bool(fallible) or any(p01 or p10 for _, p01, p10 in readout)
     rates = [rate for _, rate in fallible]
     arities = [len(ops[pos][1]) for pos, _ in fallible]
-    probs = np.abs(evolve(init_state(n).amplitudes, ops, n)) ** 2
+    cum = _cdf(np.abs(evolve(init_state(n).amplitudes, ops, n)) ** 2)
 
-    counts: list[dict[str, int]] = [{} for _ in seeds]
+    tallies = [defaultdict(int) for _ in seeds]  # each seed's key, as an int -> shots
     groups: dict[int, list[int]] = {}  # seed word count -> positions of its seeds
     for r, seed in enumerate(seeds):
         groups.setdefault(len(seed_words([seed])), []).append(r)
@@ -472,7 +457,7 @@ def simulate_noisy_repeats(
                     rng = next(rngs)
                 us.append(rng.random(size))
             us = np.concatenate(us)
-            outcomes = _inverse_cdf(probs, us)
+            outcomes = _inverse_cdf(cum, us)
             if noisy:
                 streams = Streams(words[:, repeat], index)
                 paulis, faulty = _fault_paulis(streams, len(index), rates, arities)
@@ -480,8 +465,11 @@ def simulate_noisy_repeats(
                     outcomes[faulty] = _faulty_outcomes(
                         paulis[faulty], us[faulty], ops, fallible, arities, n)
                 outcomes = _read_out(outcomes, streams, readout)
-            _count([counts[r] for r in group], repeat, outcomes, measured, n)
-    return [CountsHistogram(shots=shots, counts=tally) for tally in counts]
+            _count([tallies[r] for r in group], repeat, outcomes, measured, n)
+    fmt = f"0{len(measured)}b"  # a key as its bit string
+    return [CountsHistogram(shots=shots, counts={format(key, fmt): count
+                                                 for key, count in tally.items()})
+            for tally in tallies]
 
 
 def _fault_paulis(streams: Streams, size: int, rates, arities):
@@ -556,7 +544,7 @@ def _faulty_outcomes(paulis, us, ops, fallible, arities, n):
                     states = _apply_paulis(states, block[:, slot], q)
         states = evolve(states, ops[done:], n)
         mine = np.flatnonzero((column >= first) & (column < first + width))
-        outcomes[mine] = _inverse_cdf(np.abs(states) ** 2, us[mine], column[mine] - first)
+        outcomes[mine] = _inverse_cdf(_cdf(np.abs(states) ** 2), us[mine], column[mine] - first)
     return outcomes
 
 
@@ -588,6 +576,5 @@ def _read_out(outcomes: np.ndarray, streams: Streams, readout) -> np.ndarray:
 
 
 def ideal_counts(circuit: Circuit, shots: int, seed: int) -> CountsHistogram:
-    """Sample the exact distribution of `circuit` (no noise)."""
-    state = simulate_ideal(circuit)
-    return sample_counts(state, shots, seed, measured_qubits=circuit.measured_qubits or None)
+    """Sample the exact distribution of `circuit` (no noise): the sampler on `ideal_device`."""
+    return simulate_noisy_repeats(circuit, ideal_device(circuit.num_qubits), shots, [seed])[0]

@@ -76,7 +76,7 @@ class QasmSemanticError(QasmError):
     """Well-formed syntax with invalid meaning (bad register, arity, ...)."""
 
 
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 #: blanks and comments, then one token: symbol, identifier, number, arrow,
 #: minus, string, a stray character or the end of input.  The alternatives
 #: start with different characters, but for "-" and "->" and the catch-alls
@@ -85,19 +85,17 @@ _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 #: a comment back.
 _TOKEN_RE = re.compile(
     rf'(?:\s|//[^\n]*)*([\[\](),;*/]|[a-zA-Z_][a-zA-Z0-9_]*|{_NUMBER}|->|-|"[^"\n]*"|\S|\Z)')
-#: a token's kind by its first character, "" being the end of input; a token
-#: that starts with any other character is a non-ASCII decimal digit
+#: a token's kind by its first character, "" being the end of input
 _KINDS = {"": "EOF", '"': "STRING", ".": "NUMBER", **dict.fromkeys(string.digits, "NUMBER"),
           **dict.fromkeys(string.ascii_letters + "_", "ID"),
           **dict.fromkeys("[](),;*/-", "SYMBOL")}
-#: the one-character texts that are tokens, besides non-ASCII decimal digits:
-#: a quote or a dot alone is a stray
+#: the one-character texts that are tokens: a quote or a dot alone is a stray
 _ONE_CHAR_TOKENS = frozenset(_KINDS).difference(("", '"', "."))
 
 
 def _kind(text: str) -> str:
     """ID, NUMBER, STRING, SYMBOL or EOF, for a token that is not a stray."""
-    return _KINDS.get(text[:1], "NUMBER")
+    return _KINDS[text[:1]]
 
 
 def _unexpected(text: str) -> str:
@@ -159,8 +157,7 @@ class _Parser:
 
     def parse(self) -> Circuit:
         texts = self.texts
-        strays = {text for text in set(texts).difference(_ONE_CHAR_TOKENS)
-                  if len(text) == 1 and not text.isdecimal()}
+        strays = {text for text in set(texts).difference(_ONE_CHAR_TOKENS) if len(text) == 1}
         if strays:
             tok = next(i for i, text in enumerate(texts) if text in strays)
             raise self.error(QasmParseError, tok, f"unexpected character {texts[tok]!r}")

@@ -160,15 +160,6 @@ def evolve(
     return amplitudes
 
 
-def apply_gate(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...]) -> StateVector:
-    """Apply a unitary to `targets` of `state`, preserving normalization."""
-    amps = apply_unitary(state.amplitudes, matrix, tuple(targets), state.num_qubits)
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > ALGEBRAIC_TOL * 10:
-        raise ValueError(f"gate application broke normalization: {norm!r}")
-    return StateVector(state.num_qubits, amps)
-
-
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:
     """True if a == c*b entrywise for some |c| = 1, within tol.
 

@@ -659,6 +659,13 @@ class TestTranspileCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {position}:")
 
+    def test_non_ascii_digits_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "digits.qasm"
+        bad.write_text("OPENQASM 2.0;\nqreg q[\u0663];\nh q[\u0661];\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "transpile", str(bad), "--device", "vigo")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2, column 8: unexpected character")
+
     @pytest.mark.parametrize("operands", ["q[0],q[0]", "q,q[1]"])
     def test_repeated_barrier_operand_exits_2(self, capsys, tmp_path, operands):
         bad = tmp_path / "barrier.qasm"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mzsim import noise
-from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words, words
+from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
 from mzsim.circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
@@ -19,13 +19,11 @@ from mzsim.noise import (
     T_COUPLING,
     DeviceModel,
     _fault_paulis,
-    _inverse_cdf,
     _patterns,
     device_preset,
     ideal_counts,
     ideal_device,
     load_device,
-    sample_counts,
     simulate_noisy,
 )
 from mzsim.states import evolve, init_state
@@ -194,10 +192,12 @@ def test_noise_channel_rates_keyed_by_arity():
 
 
 class TestSampleCounts:
+    """`ideal_counts`, the sampler on a device without noise."""
+
     def test_reproducible_and_complete(self):
-        state = simulate_ideal(Circuit(2).h(0).cx(0, 1))
-        a = sample_counts(state, 1000, seed=42)
-        b = sample_counts(state, 1000, seed=42)
+        circ = Circuit(2).h(0).cx(0, 1)
+        a = ideal_counts(circ, 1000, seed=42)
+        b = ideal_counts(circ, 1000, seed=42)
         assert a == b
         assert sum(a.counts.values()) == 1000
         assert set(a.counts) <= {"00", "11"}  # Bell state support only
@@ -205,43 +205,43 @@ class TestSampleCounts:
     def test_shot_i_consumes_uniform_i(self):
         # pin the RNG contract: searchsorted over the cumulative distribution,
         # fed by the raw PCG64 stream in shot order
-        state = simulate_ideal(Circuit(2).h(0).h(1))
+        circ = Circuit(2).h(0).h(1)
         shots, seed = 64, 9
         us = np.random.default_rng(seed).random(shots)
-        cum = np.cumsum(state.probabilities())
+        cum = np.cumsum(simulate_ideal(circ).probabilities())
         expected: dict[str, int] = {}
         for u in us:
             idx = int(np.searchsorted(cum, u, side="right"))
             key = format(idx, "02b")
             expected[key] = expected.get(key, 0) + 1
-        assert sample_counts(state, shots, seed).counts == expected
+        assert list(ideal_counts(circ, shots, seed).counts.items()) == list(expected.items())
 
     def test_measured_subset_marginalizes(self):
-        state = simulate_ideal(Circuit(3).x(0).h(2))
-        hist = sample_counts(state, 100, seed=0, measured_qubits=(0,))
+        hist = ideal_counts(Circuit(3, 1).x(0).h(2).measure(0, 0), 100, seed=0)
         assert hist.counts == {"1": 100}
-        hist2 = sample_counts(state, 100, seed=0, measured_qubits=(2, 0))
-        assert set(hist2.counts) <= {"01", "11"}  # q2 random, q0 always 1
+        # measured q2 first: keys still read the qubits in order (q0, q2)
+        hist2 = ideal_counts(Circuit(3, 2).x(0).h(2).measure(2, 0).measure(0, 1), 100, seed=0)
+        assert set(hist2.counts) <= {"10", "11"}  # q0 always 1, q2 random
 
     def test_statistics_converge(self):
-        state = simulate_ideal(Circuit(1).ry(2 * np.arcsin(np.sqrt(0.3)), 0))
-        hist = sample_counts(state, 20000, seed=7)
+        hist = ideal_counts(Circuit(1).ry(2 * np.arcsin(np.sqrt(0.3)), 0), 20000, seed=7)
         p1 = hist.counts.get("1", 0) / 20000
         assert abs(p1 - 0.3) < 4 * np.sqrt(0.3 * 0.7 / 20000)
 
+    # the qubits measured, in statement order; None measures none, so all are read
     @pytest.mark.parametrize("measured", [None, (0,), (2, 0), (1, 2)])
     def test_blocks_match_one_sorted_draw(self, measured, monkeypatch):
         """Counting block by block gives the histogram, key order included, of
-        sorting one `random(shots)` draw's outcomes and tallying them."""
-        state = simulate_ideal(Circuit(3).h(0).ry(0.9, 1).cx(0, 2).h(2))
-        n, qubits = 3, measured or (0, 1, 2)
+        one `random(shots)` draw searchsorted and tallied shot by shot."""
+        circ = Circuit(3, 3).h(0).ry(0.9, 1).cx(0, 2).h(2)
+        for c, q in enumerate(measured or ()):
+            circ.measure(q, c)
         for seed, shots in ((0, 1), (5, 37), (2**40 + 1, 1000)):
-            us = np.random.default_rng(seed).random(shots)
-            expected = _tally(np.sort(_inverse_cdf(state.probabilities(), us)), qubits, n)
+            expected = _ideal_reference(circ, shots, seed)
             for size in (noise._BLOCK_SHOTS, 1, 7, shots):
                 with monkeypatch.context() as patch:
                     patch.setattr(noise, "_BLOCK_SHOTS", size)
-                    got = sample_counts(state, shots, seed, measured_qubits=measured)
+                    got = ideal_counts(circ, shots, seed)
                 assert got.shots == shots
                 assert list(got.counts.items()) == list(expected.counts.items())
 
@@ -262,12 +262,19 @@ class TestSampleCounts:
         base = peak(1024)
         assert peak(16 * 1024) < 1.5 * base
 
-    def test_argument_validation(self):
-        state = simulate_ideal(Circuit(1))
+    def test_argument_validation(self, monkeypatch):
+        circ = Circuit(1)
         with pytest.raises(ValueError, match="shots"):
-            sample_counts(state, 0, seed=0)
+            ideal_counts(circ, 0, seed=0)
         with pytest.raises(ValueError, match="seed"):
-            sample_counts(state, 1, seed=-1)
+            ideal_counts(circ, 1, seed=-1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled past the shot cap")
+
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            ideal_counts(circ, MAX_SHOTS + 1, seed=0)
 
 
 class TestSimulateNoisy:
@@ -281,7 +288,9 @@ class TestSimulateNoisy:
         for circ in circuits:
             dev = ideal_device(circ.num_qubits)
             for seed in (0, 3, 17):
-                assert simulate_noisy(circ, dev, 500, seed) == ideal_counts(circ, 500, seed)
+                expected = list(_ideal_reference(circ, 500, seed).counts.items())
+                assert list(simulate_noisy(circ, dev, 500, seed).counts.items()) == expected
+                assert list(ideal_counts(circ, 500, seed).counts.items()) == expected
 
     def test_deterministic_per_seed(self):
         circ = Circuit(2, 2).h(0).cx(0, 1).measure_all()
@@ -349,6 +358,12 @@ class TestSimulateNoisy:
         hist = simulate_noisy(circ, dev, 5000, seed=0)
         assert hist.counts.get("00", 0) < 4000  # ideal would be all 5000
         assert set(hist.counts) == {"00", "01", "10", "11"}
+
+
+def words(seed: int, shots, k: int) -> np.ndarray:
+    """The first `k` >= 1 raw words of each stream, as a (len(shots), k) uint64 array."""
+    streams = Streams(seed, shots)
+    return np.stack([streams.next() for _ in range(k)], axis=1)
 
 
 class TestBatchedStreams:
@@ -526,11 +541,28 @@ def test_byte_key_patterns_match_row_unique(slots):
             assert np.array_equal(column, inverse.reshape(-1))
 
 
+def _draw(probs, us):
+    """The basis index each uniform selects: searchsorted over the cumulative sum."""
+    cum = np.cumsum(probs)
+    return [min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1) for u in us]
+
+
 def _tally(outcomes, qubits, num_qubits):
-    """Histogram of basis-index outcomes, keys in the order of their first outcome."""
+    """Histogram of basis-index outcomes, counted shot by shot: keys in the order of
+    their first outcome, each reading the bits of `qubits`."""
     counts = {}
-    noise._count([counts], np.zeros(len(outcomes), dtype=np.intp), outcomes, qubits, num_qubits)
+    for index in outcomes:
+        key = "".join(str(index >> (num_qubits - 1 - q) & 1) for q in qubits)
+        counts[key] = counts.get(key, 0) + 1
     return CountsHistogram(shots=len(outcomes), counts=counts)
+
+
+def _ideal_reference(circuit, shots, seed):
+    """Ideal sampling shot by shot: uniform i of `default_rng(seed)` selects shot i."""
+    n = circuit.num_qubits
+    us = np.random.default_rng(seed).random(shots)
+    outcomes = _draw(simulate_ideal(circuit).probabilities(), us)
+    return _tally(outcomes, circuit.measured_qubits or tuple(range(n)), n)
 
 
 def _reference_simulate_noisy(circuit, device, shots, seed):
@@ -544,10 +576,9 @@ def _reference_simulate_noisy(circuit, device, shots, seed):
     readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
 
     us = np.random.default_rng(seed).random(shots)
-    outcomes = _inverse_cdf(np.abs(evolve(start, ops, n)) ** 2, us)
+    outcomes = _draw(np.abs(evolve(start, ops, n)) ** 2, us)
     if not fallible and not any(p01 or p10 for _, p01, p10 in readout):
         return _tally(outcomes, measured, n)
-    outcomes = outcomes.tolist()
 
     def read_out(index, traj) -> int:
         for bit, p01, p10 in readout:
@@ -573,8 +604,8 @@ def _reference_simulate_noisy(circuit, device, shots, seed):
         for pos, (matrix, targets) in enumerate(ops):
             path.append((matrix, targets))
             path.extend((_PAULIS[p], (q,)) for q, p in zip(targets, paulis.get(pos, ())))
-        draws = _inverse_cdf(np.abs(evolve(start, path, n)) ** 2, us[[i for i, _ in group]])
-        for (i, traj), index in zip(group, draws.tolist()):
+        draws = _draw(np.abs(evolve(start, path, n)) ** 2, us[[i for i, _ in group]])
+        for (i, traj), index in zip(group, draws):
             outcomes[i] = read_out(index, traj)
     return _tally(outcomes, measured, n)
 

@@ -234,6 +234,12 @@ class TestDiagnostics:
     def test_stray_character(self):
         expect_error(HEADER + "qreg q[1]; @", QasmParseError, 3, 12, "unexpected character")
 
+    def test_non_ascii_digits_are_strays(self):
+        # Arabic-Indic three and one: numbers are ASCII digits only
+        err = expect_error(HEADER + "qreg q[\u0663]; h q[\u0661];", QasmParseError, 3, 8,
+                           "unexpected character")
+        assert err.message == "unexpected character '\u0663'"
+
     def test_wrong_parameter_count(self):
         expect_error(HEADER + "qreg q[1]; ry q[0];", QasmSemanticError, 3, 12, "1 parameter")
         expect_error(HEADER + "qreg q[1]; u2(1,2,3) q[0];", QasmSemanticError, 3, 12, "2 parameter")

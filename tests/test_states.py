@@ -8,7 +8,6 @@ from mzsim.states import (
     MAX_QUBITS,
     StateVector,
     _apply_paulis,
-    apply_gate,
     apply_unitary,
     bitstring_of,
     equal_up_to_global_phase,
@@ -21,6 +20,15 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def apply_gate(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...]) -> StateVector:
+    """Apply a unitary to `targets` of `state`, refusing one that breaks normalization."""
+    amps = apply_unitary(state.amplitudes, matrix, tuple(targets), state.num_qubits)
+    norm = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm - 1.0) > ALGEBRAIC_TOL * 10:
+        raise ValueError(f"gate application broke normalization: {norm!r}")
+    return StateVector(state.num_qubits, amps)
 
 
 def is_unitary(matrix: np.ndarray, tol: float = ALGEBRAIC_TOL) -> bool:
