@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CountsHistogram
-from .experiments import gamma_diagonal
 
 #: below this, an eta denominator means "all shots in the excluded state"
 DEGENERATE_TOL = 1e-12
@@ -133,6 +132,7 @@ def argmax_gamma(step: float) -> tuple[float, float]:
     The grid is k*step for k = 1, 2, ... strictly inside (0, pi).  Returns
     (theta_star, gamma_star).
     """
+    from .experiments import gamma_diagonal  # here, as experiments imports this module
     if not 0.0 < step < np.pi:
         raise ValueError(f"step must lie in (0, pi), got {step}")
     best_theta, best_gamma = None, -1.0

@@ -210,9 +210,11 @@ class CountsHistogram:
         lengths = {len(k) for k in self.counts}
         if len(lengths) > 1:
             raise ValueError(f"inconsistent key lengths: {sorted(lengths)}")
-        for key, c in self.counts.items():
-            if c < 0 or set(key) - {"0", "1"}:
-                raise ValueError(f"bad histogram entry {key!r}: {c}")
+        keys = "".join([k if type(k) is str else "?" for k in self.counts])  # "?": not a str
+        if keys.encode("ascii", "replace").translate(None, b"01") or min(self.counts.values()) < 0:
+            for key, c in self.counts.items():  # one pass found a bad entry: name the first
+                if c < 0 or set(key) - {"0", "1"}:
+                    raise ValueError(f"bad histogram entry {key!r}: {c}")
 
     def probabilities(self) -> dict[str, float]:
         return {k: v / self.shots for k, v in sorted(self.counts.items())}

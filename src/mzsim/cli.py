@@ -3,9 +3,8 @@
 Angles cross this boundary in units of pi (e.g. ``--theta0 0.575`` means
 0.575*pi radians); the library itself works in radians throughout.  Exit
 codes: 0 success, 2 usage/configuration errors, 3 runtime failures (running
-out of memory among them).  All
-outputs are deterministic: the same configuration and seed produce
-byte-identical files.
+out of memory among them).  All outputs are deterministic: the same
+configuration and seed produce byte-identical files.
 
 Noisy runs sample the logical circuit under the arity-keyed noise model;
 transpilation (basis decomposition + routing) feeds the reported fidelity
@@ -15,15 +14,16 @@ exact confusion matrix.
 `run` and `sweep` share one path: `_device_from` resolves --device,
 `_check_sampling` checks shots, seed and --mitigate, and `_write_output`
 renders the chosen --format (each command's first format is its default)
-to --output or stdout.  A sweep builds the experiment of every grid point
-before it samples any, so a bad point or chain length is a configuration
-error (exit 2) that costs no sampling.
+to --output or stdout.  `experiments.ExperimentSpec` owns an experiment's
+circuit, width and observable.  A bad parameter, or a circuit wider than
+the simulator or the device, exits 2 in every command before any sampling.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -32,15 +32,14 @@ import sys
 import numpy as np
 
 from ._streams import MAX_SHOTS
-from .analysis import _as_distribution, eta_from_counts, gamma_from_counts, run_statistics
+from .analysis import run_statistics
 from .circuit import CircuitError, simulate_ideal
-from .experiments import ExperimentSpec, chain_angles_for_sweep
+from .experiments import EXPERIMENT_KINDS, ExperimentSpec, chain_angles_for_sweep
 from .mitigation import exact_confusion_matrix, mitigate
 from .noise import (
     DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy, simulate_noisy_repeats,
 )
 from .qasm import QasmError, emit, parse
-from .states import MAX_QUBITS
 from .transpile import LayoutError, estimate_fidelity, transpile
 
 CSV_COLUMNS = (
@@ -174,17 +173,6 @@ def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
 # run
 # ---------------------------------------------------------------------------
 
-def _observable_value(spec: ExperimentSpec, dist) -> float | dict:
-    """Extract this experiment's observable from a distribution/counts."""
-    name = spec.observable()
-    if name == "distribution":
-        return dict(sorted(_as_distribution(dist).items()))
-    if name == "eta":
-        labeling = "single-stage" if spec.kind == "bomb" else "multi-stage"
-        return eta_from_counts(dist, labeling=labeling)
-    return gamma_from_counts(dist)
-
-
 def _check_sampling(shots: int, seed: int, mitigate_flag: bool, device: DeviceModel | None):
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
@@ -230,7 +218,7 @@ def execute_run(
         state = simulate_ideal(circuit)
         dist = {k: float(v) for k, v in state.probability_dict().items()}
         doc["shots"] = None
-        doc["value"] = _observable_value(spec, dist)
+        doc["value"] = spec.value(dist)
         doc["probabilities"] = dict(sorted(dist.items()))
         return doc
 
@@ -240,13 +228,13 @@ def execute_run(
     else:
         counts = simulate_noisy(circuit, device, shots, seed)
     doc["counts"] = dict(sorted(counts.counts.items()))
-    doc["value"] = _observable_value(spec, counts)
+    doc["value"] = spec.value(counts)
 
     if mitigate_flag:
         confusion = exact_confusion_matrix(device, circuit.measured_qubits)
         corrected = mitigate(counts, confusion)
         doc["mitigated_probabilities"] = dict(sorted(corrected.items()))
-        doc["mitigated_value"] = _observable_value(spec, corrected)
+        doc["mitigated_value"] = spec.value(corrected)
     return doc
 
 
@@ -256,7 +244,7 @@ def _run_rows(doc: dict, spec: ExperimentSpec) -> list[dict]:
     base = {
         **doc["parameters"],  # Hardy's theta0_over_pi and theta1_over_pi are columns
         "experiment": doc["experiment"],
-        "N": {"eraser": 2, "bomb": 2, "general-bomb": len(spec.angles), "hardy": 3}[spec.kind],
+        "N": spec.num_qubits,
         "shots": doc["shots"] if doc["shots"] is not None else "",
         "seed": "" if doc["exact"] else doc["seed"],
         "device": doc["device"],
@@ -329,46 +317,40 @@ def execute_sweep(
     _check_sampling(shots, seed, mitigate_flag, device)
     if hardy_grid not in ("diagonal", "full"):
         raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
-    # every point is built before any is sampled, so a bad one costs no work
-    points: list[tuple[ExperimentSpec, dict]] = []
+    # every point is built and fitted to the device before any is sampled
+    points: list[tuple[str, ExperimentSpec, dict]] = []  # (what it is, spec, cells)
     try:
         if experiment == "general-bomb":
             if not n_values:
                 raise ConfigError("general-bomb sweep needs --n-values")
-            for n in n_values:  # a chain of N stages is N qubits wide
-                if n > MAX_QUBITS:
-                    raise ConfigError(f"a chain of N = {n} needs {n} qubits, more than "
-                                      f"the simulator's {MAX_QUBITS}")
-                if device is not None and n > device.num_qubits:
-                    raise ConfigError(f"a chain of N = {n} needs {n} qubits but device "
-                                      f"{device_label!r} has {device.num_qubits}")
-            for n in n_values:
-                for t in theta_grid:
-                    if not 0.0 < t < 1.0:
-                        raise ConfigError(
-                            f"theta/pi must lie strictly inside (0, 1), got {t}")
-                    spec = ExperimentSpec(
-                        "general-bomb", angles=chain_angles_for_sweep(t * np.pi, n))
-                    points.append((spec, {"N": n, "theta_over_pi": t,
-                                          "theta0_over_pi": "", "theta1_over_pi": ""}))
+            for n, t in itertools.product(n_values, theta_grid):
+                if not 0.0 < t < 1.0:
+                    raise ConfigError(f"theta/pi must lie strictly inside (0, 1), got {t}")
+                spec = ExperimentSpec("general-bomb", angles=chain_angles_for_sweep(t * np.pi, n))
+                points.append((f"a chain of N = {n}", spec, {
+                    "theta_over_pi": t, "theta0_over_pi": "", "theta1_over_pi": ""}))
         elif experiment == "hardy":
-            pairs = ([(t, t) for t in theta_grid] if hardy_grid == "diagonal"
-                     else [(a, b) for a in theta_grid for b in theta_grid])
-            for t0, t1 in pairs:
+            diagonal = hardy_grid == "diagonal"
+            for t0, t1 in (zip(theta_grid, theta_grid) if diagonal
+                           else itertools.product(theta_grid, repeat=2)):
                 spec = ExperimentSpec("hardy", theta0=t0 * np.pi, theta1=t1 * np.pi)
-                points.append((spec, {"N": 3, "theta0_over_pi": t0, "theta1_over_pi": t1,
-                                      "theta_over_pi": t0 if hardy_grid == "diagonal" else ""}))
+                points.append(("a Hardy test", spec, {"theta0_over_pi": t0, "theta1_over_pi": t1,
+                                                      "theta_over_pi": t0 if diagonal else ""}))
         else:
             raise ConfigError(f"sweep supports general-bomb and hardy, not {experiment!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for what, spec, _ in points:
+        if device is not None and spec.num_qubits > device.num_qubits:
+            raise ConfigError(f"{what} needs {spec.num_qubits} qubits but device "
+                              f"{device_label!r} has {device.num_qubits}")
 
     rows: list[dict] = []
-    for index, (spec, point) in enumerate(points):
+    for index, (_, spec, point) in enumerate(points):
         circuit = spec.build()
-        cells = {**point, "experiment": spec.kind, "observable": spec.observable(),
-                 "theory": spec.theory()}
-        exact = _observable_value(spec, simulate_ideal(circuit).probability_dict())
+        cells = {**point, "experiment": spec.kind, "N": spec.num_qubits,
+                 "observable": spec.observable(), "theory": spec.theory()}
+        exact = spec.value(simulate_ideal(circuit).probability_dict())
         rows.append({**cells, "shots": "", "seed": "", "value": exact, "std_dev": "",
                      "device": "ideal", "mitigated": "false"})
         if device is None:
@@ -379,10 +361,9 @@ def execute_sweep(
         seeds = [_derived_seed(seed, index, r) for r in range(repeats)]
         for seed_r, counts in zip(seeds, simulate_noisy_repeats(circuit, device, shots, seeds)):
             repeat = {**cells, "shots": shots, "seed": seed_r, "device": device_label}
-            sampled.append({**repeat, "value": _observable_value(spec, counts),
-                            "mitigated": "false"})
+            sampled.append({**repeat, "value": spec.value(counts), "mitigated": "false"})
             if mitigate_flag:
-                value = _observable_value(spec, mitigate(counts, confusion))
+                value = spec.value(mitigate(counts, confusion))
                 mitigated.append({**repeat, "value": value, "mitigated": "true"})
         for group in (sampled, mitigated):
             if group:
@@ -544,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one experiment")
     add_common(run_p)
-    run_p.add_argument("--experiment", choices=["eraser", "bomb", "general-bomb", "hardy"])
+    run_p.add_argument("--experiment", choices=EXPERIMENT_KINDS)
     run_p.add_argument("--erase", action=argparse.BooleanOptionalAction, default=None,
                        help="eraser: include the erasing H on the marker qubit")
     run_p.add_argument("--bomb", action=argparse.BooleanOptionalAction, default=None,

@@ -31,11 +31,13 @@ maximized at gamma* = (5*sqrt(5) - 11)/2 ~ 0.0902 near theta = 0.575 pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _as_distribution, eta_from_counts, gamma_from_counts
 from .circuit import Circuit
+from .states import MAX_QUBITS
 
 #: sum(theta_i) must equal pi this tightly for a valid detection chain
 ANGLE_SUM_TOL = 1e-9
@@ -144,6 +146,9 @@ def chain_angles_for_sweep(theta: float, n: int) -> tuple[float, ...]:
     """Sweep parametrization: theta_N = theta, the rest split (pi-theta) evenly."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if n > MAX_QUBITS:  # a chain of N stages is N qubits wide
+        raise ValueError(f"a chain of N = {n} needs {n} qubits, more than "
+                         f"the simulator's {MAX_QUBITS}")
     if not 0.0 < theta < np.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
     head = (np.pi - theta) / (n - 1)
@@ -206,27 +211,38 @@ class ExperimentSpec:
     angles: tuple[float, ...] = ()
     theta0: float = float("nan")
     theta1: float = float("nan")
+    num_qubits: int = field(init=False, repr=False, compare=False)  # the circuit's width
+    _circuit: Circuit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(
-                f"unknown experiment {self.kind!r}; choose from {EXPERIMENT_KINDS}"
-            )
-        if self.kind == "general-bomb":
+        # the circuit is built once, which checks every parameter and the width
+        if self.kind == "eraser":
+            circuit = build_eraser(self.erase)
+        elif self.kind == "bomb":
+            circuit = build_bomb(self.present)
+        elif self.kind == "general-bomb":
             object.__setattr__(self, "angles", validate_chain_angles(self.angles))
-        if self.kind == "hardy":
-            for label, t in (("theta0", self.theta0), ("theta1", self.theta1)):
-                if not 0.0 <= t <= np.pi:
-                    raise ValueError(f"{label} must lie in [0, pi], got {t}")
+            circuit = build_general_bomb(self.angles)
+        elif self.kind == "hardy":
+            circuit = build_hardy(self.theta0, self.theta1)
+        else:
+            raise ValueError(f"unknown experiment {self.kind!r}; choose from {EXPERIMENT_KINDS}")
+        object.__setattr__(self, "_circuit", circuit)
+        object.__setattr__(self, "num_qubits", circuit.num_qubits)
 
     def build(self) -> Circuit:
-        if self.kind == "eraser":
-            return build_eraser(self.erase)
-        if self.kind == "bomb":
-            return build_bomb(self.present)
-        if self.kind == "general-bomb":
-            return build_general_bomb(self.angles)
-        return build_hardy(self.theta0, self.theta1)
+        """A copy of the circuit built when this spec was made."""
+        return self._circuit.copy()
+
+    def value(self, counts) -> float | dict:
+        """observable() read from counts or a distribution (keys sorted)."""
+        name = self.observable()
+        if name == "distribution":
+            return dict(sorted(_as_distribution(counts).items()))
+        if name == "eta":
+            labeling = "single-stage" if self.kind == "bomb" else "multi-stage"
+            return eta_from_counts(counts, labeling=labeling)
+        return gamma_from_counts(counts)
 
     def parameters(self) -> dict:
         """This kind's parameters, angles in units of pi."""

@@ -446,21 +446,22 @@ def simulate_noisy_repeats(
         groups.setdefault(len(seed_words([seed])), []).append(r)
     for group in groups.values():
         words = seed_words([seeds[r] for r in group])
-        rngs = (np.random.default_rng(seeds[r]) for r in group)  # measurement streams
         rows = len(group) * shots
         for first in range(0, rows, _BLOCK_SHOTS):
+            last = min(first + _BLOCK_SHOTS, rows)
             # row (r, i) is shot i of the group's r-th seed
-            repeat, index = np.divmod(np.arange(first, min(first + _BLOCK_SHOTS, rows)), shots)
+            met = range(first // shots, (last - 1) // shots + 1)  # the block's repeats
             us = []
-            for k, size in enumerate(np.bincount(repeat - repeat[0]).tolist()):
-                if k or index[0] == 0:  # a repeat starts, else the last block's goes on
-                    rng = next(rngs)
-                us.append(rng.random(size))
+            for r in met:
+                if r * shots >= first:  # repeat r starts here: its measurement stream
+                    rng = np.random.default_rng(seeds[group[r]])
+                us.append(rng.random(min(last, (r + 1) * shots) - max(first, r * shots)))
+            repeat = np.repeat(met, [len(u) for u in us])
             us = np.concatenate(us)
             outcomes = _inverse_cdf(cum, us)
             if noisy:
-                streams = Streams(words[:, repeat], index)
-                paulis, faulty = _fault_paulis(streams, len(index), rates, arities)
+                streams = Streams(words[:, repeat], np.arange(first, last) - repeat * shots)
+                paulis, faulty = _fault_paulis(streams, last - first, rates, arities)
                 if faulty.size:
                     outcomes[faulty] = _faulty_outcomes(
                         paulis[faulty], us[faulty], ops, fallible, arities, n)

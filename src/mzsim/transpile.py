@@ -7,8 +7,8 @@ CNOT's endpoints are not adjacent on the coupling graph, SWAPs (each
 emitted as 3 CNOTs) walk one endpoint along a BFS shortest path until the
 pair touches.  The initial layout defaults to the identity with the
 busiest logical qubit (highest 2-qubit-gate degree) placed on the
-best-connected physical qubit.  An explicit layout that does not put the
-logical qubits on distinct physical ones raises `LayoutError`.
+best-connected physical qubit.  A circuit wider than the graph, or a
+layout that is not one-to-one onto physical qubits, raises `LayoutError`.
 
 The passes keep what they compute for one call only: `route` its shortest
 paths and SWAP networks, keyed by qubits, and `fuse_single_qubit_runs` its
@@ -42,8 +42,8 @@ class TranspiledCircuit:
 
 
 class LayoutError(CircuitError):
-    """An initial layout that does not place the logical qubits on distinct
-    physical ones."""
+    """A circuit wider than the device, or an initial layout that does not
+    place the logical qubits on distinct physical ones."""
 
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -98,7 +98,7 @@ def route(
                 f"route expects a basis-decomposed circuit; found {inst.gate.name}"
             )
     if circuit.num_qubits > graph.num_qubits:
-        raise CircuitError(
+        raise LayoutError(
             f"{circuit.num_qubits}-qubit circuit cannot map onto "
             f"{graph.num_qubits} physical qubits"
         )

@@ -23,7 +23,7 @@ from mzsim.experiments import (
     gamma_closed,
 )
 from mzsim.qasm import emit, parse
-from mzsim.experiments import build_eraser
+from mzsim.experiments import build_eraser, build_general_bomb
 
 
 def run_cli(capsys, *argv):
@@ -790,6 +790,39 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *resolved)
     assert code == 2
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+TWO_QUBIT_DEVICE = calibration(num_qubits=2, coupling=[[0, 1]])
+SIX_QUBIT_QASM = object()  # stands for the path of a 6-qubit chain's QASM file
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("run", "--experiment", "general-bomb",
+                  "--angles", "0.2,0.2,0.2,0.2,0.1,0.1", "--device", "vigo"),
+                 id="run-chain-wider-than-device"),
+    pytest.param(("run", "--experiment", "general-bomb", "--angles", ",".join(["0.04"] * 25)),
+                 id="run-chain-wider-than-simulator"),
+    pytest.param(("run", "--experiment", "hardy", "--theta0", "0.5", "--theta1", "0.5",
+                  "--device", TWO_QUBIT_DEVICE), id="run-hardy-wider-than-device"),
+    pytest.param(HARDY_SWEEP + ("--device", TWO_QUBIT_DEVICE), id="sweep-hardy-wider-than-device"),
+    pytest.param(("transpile", SIX_QUBIT_QASM, "--device", "vigo"),
+                 id="transpile-wider-than-device"),
+])
+def test_circuit_wider_than_device_or_simulator_exits_2_before_sampling(
+        capsys, monkeypatch, tmp_path, argv):
+    def sample(*args, **kwargs):
+        raise AssertionError("shots were sampled before the circuit was fitted")
+
+    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_repeats"):
+        monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
+    qasm = tmp_path / "chain.qasm"
+    qasm.write_text(emit(build_general_bomb(equal_angles(6))))
+    code, out, err = run_cli(capsys, *(str(qasm) if arg is SIX_QUBIT_QASM else arg
+                                       for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -243,3 +243,19 @@ class TestExperimentSpec:
     def test_angle_range_checked(self):
         with pytest.raises(ValueError, match="lie in"):
             ExperimentSpec("hardy", theta0=4.0, theta1=0.5)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(ExperimentSpec("eraser"), id="eraser"),
+        pytest.param(ExperimentSpec("eraser", erase=False), id="marker"),
+        pytest.param(ExperimentSpec("bomb"), id="bomb"),
+        pytest.param(ExperimentSpec("bomb", present=False), id="empty"),
+        pytest.param(ExperimentSpec("hardy", theta0=0.5, theta1=0.7), id="hardy"),
+        *(pytest.param(ExperimentSpec("general-bomb", angles=equal_angles(n)), id=f"chain-{n}")
+          for n in range(2, 25)),
+    ])
+    def test_num_qubits_is_the_built_width(self, spec):
+        assert spec.num_qubits == spec.build().num_qubits
+
+    def test_chain_wider_than_the_simulator_is_rejected_when_made(self):
+        with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 24\], got 25"):
+            ExperimentSpec("general-bomb", angles=equal_angles(25))
