@@ -53,7 +53,7 @@ class ConfigError(ValueError):
     """Bad combination of flags/config-file values."""
 
 
-#: the most points a sweep's theta grid may hold (a step of 1e-4 over [0, 1])
+#: the most points a sweep may hold, all axes together (a step of 1e-4 over [0, 1])
 _MAX_GRID_POINTS = 10_001
 
 
@@ -317,7 +317,11 @@ def execute_sweep(
     _check_sampling(shots, seed, mitigate_flag, device)
     if hardy_grid not in ("diagonal", "full"):
         raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
-    # every point is built and fitted to the device before any is sampled
+    # every point is counted, then built and fitted to the device, before any is sampled
+    count = len(theta_grid) * (len(n_values) if experiment == "general-bomb" else
+                               len(theta_grid) if hardy_grid == "full" else 1)
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"the sweep grid has {count} points, more than {_MAX_GRID_POINTS}")
     points: list[tuple[str, ExperimentSpec, dict]] = []  # (what it is, spec, cells)
     try:
         if experiment == "general-bomb":

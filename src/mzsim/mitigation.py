@@ -10,16 +10,15 @@ M^{-1} p already satisfies the constraints it *is* the optimum (zero
 residual).  Otherwise the nonnegativity boundary is active, and the
 fallback projects p onto the probability simplex in the metric of M
 (Smolin, Gambetta & Smith, PRL 108, 070502, 2012) and meets sum(x) = 1
-exactly.  It projects the direct solve onto the simplex (Condat, Math.
-Program. 158, 575, 2016), solves the problem on the support of that point
-exactly from one KKT system, and returns the solution when it meets the
-KKT conditions over the whole simplex: positive on the support, with the
-gradient M^T (M x - p) no lower off it.  Otherwise it takes accelerated
-projected-gradient steps (FISTA; Beck & Teboulle, SIAM J. Imaging Sci. 2,
-183, 2009) of length 1/L, where L = the largest row sum of M bounds
-||M||_2^2 <= ||M||_1 ||M||_inf for a column-stochastic M, and retries the
-support solve every few steps.  The result is clipped and renormalised as
-the direct solve's is.
+exactly.  It is a primal active-set method (Lawson & Hanson, Solving Least
+Squares Problems, 1974, ch. 23, with sum(x) = 1 added).  The support starts as
+that of the direct solve projected onto the simplex (Condat, Math. Program.
+158, 575, 2016), and each step solves the problem on the support exactly from
+one KKT system.  A solution positive on the support, with the gradient
+M^T (M x - p) no lower off it, is the optimum; one positive but with a lower
+gradient off the support adds the index of lowest gradient; otherwise x moves
+toward the solution until a support entry reaches 0 and leaves.  The result
+is clipped and renormalised as the direct solve's is.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ from .states import bitstring_of
 
 #: above this condition number the unmixing is numerically meaningless
 CONDITION_LIMIT = 1e8
-#: gradient steps the fallback takes before it gives up
+#: support solves the fallback makes before it gives up
 _MAX_STEPS = 5000
-#: the fallback retries the exact support solve every this many steps
-_SOLVE_EVERY = 8
 #: slack of the KKT inequality on the gradient off the support
 _KKT_TOL = 1e-13
 
@@ -157,38 +154,41 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - excess[rho] / (rho + 1), 0.0)
 
 
-def _support_optimum(m: np.ndarray, p: np.ndarray, support: np.ndarray) -> np.ndarray | None:
-    """The minimiser of ||M x - p|| with sum(x) = 1 and x = 0 off `support`, if it
-    is also the optimum over the simplex; None otherwise."""
+def _support_solve(m: np.ndarray, p: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, float]:
+    """The minimiser z of ||M x - p|| with sum(x) = 1 and x = 0 off `support`,
+    and its multiplier: the gradient M^T (M z - p) is -multiplier on the support."""
     cols = m[:, support]
     k = cols.shape[1]
     kkt = np.ones((k + 1, k + 1))
     kkt[:k, :k] = cols.T @ cols
     kkt[k, k] = 0.0
     solution = np.linalg.solve(kkt, np.append(cols.T @ p, 1.0))
-    x = np.zeros(len(p))
-    x[support] = solution[:k]
-    # the gradient M^T (M x - p) is -solution[k] on the support
-    if solution[:k].min() > 0.0 and (m.T @ (m @ x - p)).min() >= -solution[k] - _KKT_TOL:
-        return x
-    return None
+    z = np.zeros(len(p))
+    z[support] = solution[:k]
+    return z, solution[k]
 
 
 def _simplex_least_squares(m: np.ndarray, p: np.ndarray, direct: np.ndarray) -> np.ndarray:
     """Minimise ||M x - p|| over the probability simplex, starting from the
     direct solve; see the module docstring."""
-    step = 1.0 / m.sum(axis=1).max()
-    x = y = _project_to_simplex(direct)
-    t = 1.0
-    for k in range(_MAX_STEPS):
-        if k % _SOLVE_EVERY == 0:
-            optimum = _support_optimum(m, p, x > 0.0)
-            if optimum is not None:
-                return optimum
-        x_next = _project_to_simplex(y - step * (m.T @ (m @ y - p)))
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        x, t = x_next, t_next
+    x = _project_to_simplex(direct)
+    support = x > 0.0
+    for _ in range(_MAX_STEPS):
+        z, multiplier = _support_solve(m, p, support)
+        if z[support].min() > 0.0:
+            gradient = m.T @ (m @ z - p)
+            if gradient.min() >= -multiplier - _KKT_TOL:
+                return z
+            support[np.argmin(np.where(support, np.inf, gradient))] = True
+            x = z
+        else:
+            # move toward z until the first support entry reaches 0, and drop it
+            shrinking = np.flatnonzero(support & (z <= 0.0))
+            ratios = x[shrinking] / (x[shrinking] - z[shrinking])
+            first = np.argmin(ratios)
+            x = x + ratios[first] * (z - x)
+            x[shrinking[first]] = 0.0
+            support[shrinking[first]] = False
     raise ValueError("mitigation fallback did not converge")
 
 

@@ -518,6 +518,23 @@ class TestSweepErrors:
         with pytest.raises(cli.ConfigError, match="more than 10001 points"):
             cli._grid(0.0, 1.0, 0.9999e-4)  # 10,002 points
 
+    def test_grid_cap_counts_every_axis_before_any_point_is_made(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 20)
+        grid = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
+                "--theta-stop", "0.9", "--theta-step", "0.1")
+        with monkeypatch.context() as patched:
+            def made(*args, **kwargs):
+                raise AssertionError("a point was made before the grid was counted")
+
+            patched.setattr(cli, "ExperimentSpec", made)
+            code, out, err = run_cli(capsys, *grid, "--hardy-grid", "full")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the sweep grid has 25 points, more than 20\n"
+        code, out, err = run_cli(capsys, *grid, "--hardy-grid", "diagonal")
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)[1]) == 5
+
     def test_bad_repeats(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--experiment", "hardy",

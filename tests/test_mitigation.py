@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -395,8 +396,8 @@ class TestSimplexLeastSquares:
     @pytest.mark.parametrize("n", sorted(CHAIN_SEEDS))
     def test_chain_histograms_need_gradient_steps(self, n):
         # the support of the projected direct solve is not the optimal one, so the
-        # fallback takes gradient steps before test_meets_kkt_conditions_to_rounding
-        # sees its result
+        # fallback adds or drops support indices before
+        # test_meets_kkt_conditions_to_rounding sees its result
         conf, p = chain_input(n)
         m = conf.matrix
         start = support_solution(m, p, projected_direct_solve(m, p) > 0.0)
@@ -415,6 +416,81 @@ class TestSimplexLeastSquares:
         x = np.array(list(mitigate(p, conf).values()))
         assert np.abs(x - ref).max() <= 1e-8
         assert np.linalg.norm(m @ x - p) <= np.linalg.norm(m @ ref - p) * (1 + 1e-12)
+
+
+def heavy_noise_input(n, seed):
+    """A 1,024-shot histogram of a Dirichlet(0.3) truth read through heavy readout
+    noise: every p01 and p10 from 0.30-0.45 at 7 qubits, 0.38-0.41 at 8."""
+    lo, hi = {7: (0.30, 0.45), 8: (0.38, 0.41)}[n]
+    rng = np.random.default_rng(seed)
+    readout = tuple((rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n))
+    conf = exact_confusion_matrix(DeviceModel("heavy", n, 50.0, 50.0, 0.0, readout,
+                                              tuple((q, q + 1) for q in range(n - 1))), n)
+    truth = rng.dirichlet(np.full(2**n, 0.3))
+    return conf, rng.multinomial(1024, conf.matrix @ truth) / 1024
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (7, 8) for seed in range(4)])
+def test_heavy_readout_noise_needs_few_support_solves(monkeypatch, n, seed):
+    # these inputs need 30-42 support solves; 100 leaves room and bounds a count, not a time
+    monkeypatch.setattr(mitigation, "_MAX_STEPS", 100)
+    conf, p = heavy_noise_input(n, seed)
+    m = conf.matrix
+    assert conf.condition_number() <= CONDITION_LIMIT
+    assert np.linalg.solve(m, p).min() < -1e-10  # the fallback really runs
+    x = np.array(list(mitigate(p, conf).values()))
+    assert kkt_violation(m, p, x) <= 1e-12
+
+
+def wide_input(seed):
+    """A wide-mitigate-style input: a 6-8-stage chain with jittered angles on an
+    asymmetric-readout device with gate noise, sampled at about 1,000 shots."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 9))
+    readout = tuple((rng.uniform(0.005, 0.03), rng.uniform(0.02, 0.07)) for _ in range(n))
+    device = DeviceModel("wide", n, rng.uniform(50, 110), rng.uniform(40, 90),
+                         rng.uniform(0.008, 0.018), readout,
+                         tuple((q, q + 1) for q in range(n - 1)))
+    weights = 1.0 + rng.uniform(-0.5, 0.5, n)
+    angles = tuple(np.pi * weights / weights.sum())
+    shots = int(rng.integers(960, 1089))
+    hist = simulate_noisy(build_general_bomb(angles), device, shots, seed=seed)
+    return exact_confusion_matrix(device, n), hist
+
+
+def mitigated_digest(inputs):
+    """SHA-256 of each mitigated output's keys, in order, and its float bytes."""
+    digest = hashlib.sha256()
+    for conf, data in inputs:
+        out = mitigate(data, conf)
+        digest.update(",".join(out).encode())
+        digest.update(np.fromiter(out.values(), float, len(out)).tobytes())
+    return digest.hexdigest()
+
+
+class TestFallbackDigest:
+    """The fallback's output bytes, key order included.  They are fixed by the
+    final support solve, so any path to the optimal support must keep them."""
+
+    FAMILIES = {
+        "sparse": lambda: [sparse_input(n) for n in range(2, 11)],
+        "chain": lambda: [chain_input(n) for n in range(5, 9)],
+        "wide": lambda: [wide_input(seed) for seed in range(24)],
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_input_takes_the_fallback(self, family):
+        for conf, data in self.FAMILIES[family]():
+            p, _ = mitigation._as_probability_vector(data, conf.num_qubits)
+            assert np.linalg.solve(conf.matrix, p).min() < -1e-10
+
+    @pytest.mark.parametrize("family, expected", [
+        ("sparse", "a3c140ae3355b73a56e758017ce92d6b4e97752b4d535ce96cdb6cfd3c3e1831"),
+        ("chain", "663ee574fd0ef28d3d72adb3323eea257ad4bc049924286fa7e6827cf9c24182"),
+        ("wide", "c9948426c362c18bd98028128fef864b8d0f714ebc46fb55682233267f058156"),
+    ])
+    def test_output_bytes_are_pinned(self, family, expected):
+        assert mitigated_digest(self.FAMILIES[family]()) == expected
 
 
 def test_mitigated_run_never_imports_scipy():
