@@ -1,9 +1,12 @@
 """Circuit intermediate representation.
 
 A circuit is an ordered list of instructions over `num_qubits` qubits and
-`num_clbits` classical bits.  Measurement is terminal: once a qubit has
-been measured, no later gate may touch it (append raises).  Barriers are
-scheduling markers and never change simulation output.
+`num_clbits` classical bits.  An instruction is a plain record, checked
+when it enters a circuit: `Circuit.append` checks its kind, gate arity,
+measure shape, repeated and out-of-range qubits, and clbit.  Measurement
+is terminal: once a qubit has been measured, no later gate may touch it
+(append raises).  Barriers are scheduling markers and never change
+simulation output.
 
 Counts histograms key on bitstrings of the *measured* qubits in qubit
 order, q0 leftmost, regardless of which classical bit each measurement
@@ -13,6 +16,7 @@ writes to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,39 +28,13 @@ class CircuitError(ValueError):
     """Raised for structurally invalid circuit construction or use."""
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
+    """One circuit step, as a plain record: `Circuit.append` checks it."""
+
     kind: str  # "gate" | "measure" | "barrier"
     qubits: tuple[int, ...]
     gate: GateDef | None = None
     clbit: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gate", "measure", "barrier"):
-            raise CircuitError(f"unknown instruction kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
-        if self.kind == "gate":
-            if self.gate is None:
-                raise CircuitError("gate instruction needs a GateDef")
-            if len(self.qubits) != self.gate.arity:
-                raise CircuitError(
-                    f"{self.gate.name} acts on {self.gate.arity} qubit(s), "
-                    f"got {len(self.qubits)}"
-                )
-        if self.kind == "measure":
-            if len(self.qubits) != 1 or self.clbit is None:
-                raise CircuitError("measure takes one qubit and one clbit")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"repeated qubit in {self.qubits}")
-
-    @classmethod
-    def _trusted(cls, kind: str, qubits: tuple[int, ...], gate: GateDef | None = None,
-                 clbit: int | None = None) -> "Instruction":
-        """An instruction built without the checks above, for passes that
-        rewrite a circuit which already passed them."""
-        inst = object.__new__(cls)
-        inst.__dict__.update(kind=kind, qubits=qubits, gate=gate, clbit=clbit)
-        return inst
 
 
 class Circuit:
@@ -78,24 +56,35 @@ class Circuit:
     # -- construction --------------------------------------------------------
 
     def append(self, instruction: Instruction) -> "Circuit":
-        for q in instruction.qubits:
+        kind, qubits, gate, clbit = instruction
+        if kind not in ("gate", "measure", "barrier"):
+            raise CircuitError(f"unknown instruction kind {kind!r}")
+        qubits = tuple(map(int, qubits))
+        if kind == "gate":
+            if gate is None:
+                raise CircuitError("gate instruction needs a GateDef")
+            if len(qubits) != gate.arity:
+                raise CircuitError(f"{gate.name} acts on {gate.arity} qubit(s), got {len(qubits)}")
+        elif kind == "measure" and (len(qubits) != 1 or clbit is None):
+            raise CircuitError("measure takes one qubit and one clbit")
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"repeated qubit in {qubits}")
+        for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise CircuitError(
                     f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
                 )
-        if instruction.kind == "gate":
-            self._check_unmeasured(instruction.qubits)
-        elif instruction.kind == "measure":
-            (q,) = instruction.qubits
+        if kind == "gate":
+            self._check_unmeasured(qubits)
+        elif kind == "measure":
+            (q,) = qubits
             if q in self._measured:
                 raise CircuitError(f"qubit {q} measured twice")
-            if not 0 <= instruction.clbit < self.num_clbits:
-                raise CircuitError(
-                    f"clbit {instruction.clbit} out of range for "
-                    f"{self.num_clbits} classical bits"
-                )
+            if not 0 <= clbit < self.num_clbits:
+                raise CircuitError(f"clbit {clbit} out of range for "
+                                   f"{self.num_clbits} classical bits")
             self._measured.add(q)
-        self.instructions.append(instruction)
+        self.instructions.append(Instruction(kind, qubits, gate, clbit))
         return self
 
     def _check_unmeasured(self, qubits: tuple[int, ...]):
@@ -108,8 +97,9 @@ class Circuit:
 
     def _append_trusted(self, instruction: Instruction) -> "Circuit":
         """append() of a gate that a pass over a valid circuit produced, so
-        its qubits are in range.  Only measurement being terminal is
-        checked: a routing SWAP can reach a measured wire."""
+        the record is well formed and its qubits are in range: the IR's one
+        pass-internal shortcut.  Only measurement being terminal is checked:
+        a routing SWAP can reach a measured wire."""
         if self._measured:
             self._check_unmeasured(instruction.qubits)
         self.instructions.append(instruction)
@@ -175,8 +165,8 @@ class Circuit:
 
     def copy(self) -> "Circuit":
         out = Circuit(self.num_qubits, self.num_clbits, self.name)
-        for inst in self.instructions:
-            out.append(inst)
+        out.instructions = list(self.instructions)
+        out._measured = set(self._measured)
         return out
 
     def __eq__(self, other) -> bool:

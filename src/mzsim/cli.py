@@ -105,6 +105,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A JSON number or its text; never a boolean."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _split(text) -> list:
     """A comma list's non-blank items; a JSON list passes through."""
     if isinstance(text, (list, tuple)):
@@ -118,7 +125,7 @@ def _int_list(text) -> tuple[int, ...]:
 
 def _parse_angle_list(text) -> tuple[float, ...]:
     try:
-        return tuple(float(v) * np.pi for v in _split(text))
+        return tuple(_real(v) * np.pi for v in _split(text))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad angle list {text!r}: {exc}") from exc
 
@@ -159,8 +166,8 @@ def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
                 raise ConfigError("general-bomb requires --angles (units of pi)")
             return ExperimentSpec("general-bomb", angles=angles)
         if kind == "hardy":
-            theta0 = _merged(args, config, "theta0", float)
-            theta1 = _merged(args, config, "theta1", float)
+            theta0 = _merged(args, config, "theta0", _real)
+            theta1 = _merged(args, config, "theta1", _real)
             if theta0 is None or theta1 is None:
                 raise ConfigError("hardy requires --theta0 and --theta1 (units of pi)")
             return ExperimentSpec("hardy", theta0=theta0 * np.pi, theta1=theta1 * np.pi)
@@ -383,8 +390,6 @@ def execute_sweep(
 def _csv_cell(value) -> str:
     if value is None or value == "":
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         # plain-float repr; numpy scalars would otherwise print np.float64(...)
         return repr(float(value))
@@ -448,9 +453,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if experiment is None:
         raise ConfigError("a sweep experiment is required (--experiment)")
     n_values = _merged(args, config, "n_values", _int_list, ())
-    start = _merged(args, config, "theta_start", float)
-    stop = _merged(args, config, "theta_stop", float)
-    step = _merged(args, config, "theta_step", float)
+    start = _merged(args, config, "theta_start", _real)
+    stop = _merged(args, config, "theta_stop", _real)
+    step = _merged(args, config, "theta_step", _real)
     if start is None or stop is None or step is None:
         raise ConfigError("sweep needs --theta-start, --theta-stop, --theta-step (units of pi)")
     device, device_label = _device_from(args, config)

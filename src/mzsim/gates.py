@@ -70,14 +70,6 @@ class GateDef:
             raise ValueError(f"{self.name} parameters must be finite: {params}")
         object.__setattr__(self, "params", params)
 
-    @classmethod
-    def _trusted(cls, name: str, params: tuple[float, ...]) -> "GateDef":
-        """A gate built without the checks above, from a known name and a
-        tuple of finite floats of the right length."""
-        gate = object.__new__(cls)
-        gate.__dict__.update(name=name, params=params)
-        return gate
-
     @property
     def arity(self) -> int:
         return GATES[self.name].arity

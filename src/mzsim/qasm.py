@@ -184,12 +184,12 @@ class _Parser:
         """The circuit of the parsed statements, raising their deferred problems
         and gates on measured qubits in statement order."""
         circuit = Circuit(self.num_qubits, self.num_clbits)
-        append, trusted = circuit._append_trusted, Instruction._trusted
+        append = circuit._append_trusted
         for tok, kind, qubits, operand, problem in self.items:
             if problem is None:
                 try:
                     if kind == "gate":
-                        append(trusted(kind, qubits, operand))
+                        append(Instruction(kind, qubits, operand))
                     elif kind == "measure":
                         for q, c in zip(qubits, operand):
                             circuit.measure(q, c)
@@ -309,10 +309,10 @@ class _Parser:
         problem = None
         if not params:
             gate = _FIXED_GATES[canonical]
+        elif all(map(math.isfinite, params)):
+            gate = GateDef(canonical, params)
         else:
-            gate = GateDef._trusted(canonical, tuple(params))
-            if not all(map(math.isfinite, params)):
-                problem = f"{canonical} parameters must be finite: {gate.params}"
+            gate, problem = None, f"{canonical} parameters must be finite: {tuple(params)}"
         if spec.arity == 1 and len(args) == 1 and args[0][1] is None:
             # broadcast over the whole register
             for q in self._resolve(self.qregs, args[0][0], None, "quantum"):

@@ -52,7 +52,6 @@ _IDENTITY = np.eye(2, dtype=complex)
 def decompose_to_basis(circuit: Circuit) -> Circuit:
     """Rewrite every gate over `BASIS_GATES`; measures/barriers pass through."""
     out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    trusted = Instruction._trusted
     for inst in circuit.instructions:
         if inst.kind != "gate":
             out.append(inst)
@@ -62,7 +61,7 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
             out._append_trusted(inst)
             continue
         for gate, targets in rewrite(inst.gate.params, inst.qubits):
-            out._append_trusted(trusted("gate", targets, gate))
+            out._append_trusted(Instruction("gate", targets, gate))
     return out
 
 
@@ -120,7 +119,7 @@ def route(
     for logical, physical in enumerate(l2p):
         p2l[physical] = logical
     out = Circuit(num_physical, circuit.num_clbits, circuit.name)
-    append, trusted = out._append_trusted, Instruction._trusted
+    append = out._append_trusted
     swap_network = GATES["SWAP"].basis
     # for this call: the shortest path between two physical qubits, and the
     # CNOT triple of a SWAP on an edge
@@ -141,7 +140,7 @@ def route(
             for edge in zip(path[:-2], path[1:-1]):
                 network = swaps.get(edge)
                 if network is None:
-                    network = swaps[edge] = [trusted("gate", targets, gate)
+                    network = swaps[edge] = [Instruction("gate", targets, gate)
                                              for gate, targets in swap_network((), edge)]
                 for swap in network:
                     append(swap)
@@ -151,7 +150,7 @@ def route(
                 l2p[la], l2p[lb] = pb, pa
                 p2l[pa], p2l[pb] = lb, la
             qubits = (path[-2], path[-1])
-        append(inst if qubits == inst.qubits else trusted("gate", qubits, inst.gate))
+        append(inst if qubits == inst.qubits else Instruction("gate", qubits, inst.gate))
 
     return TranspiledCircuit(
         circuit=out,
@@ -221,8 +220,7 @@ def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
             return
         if abs(m - _IDENTITY).max() < 1e-12:
             return  # run collapsed to identity
-        gate = GateDef._trusted("U3", zyz_angles(m))
-        out._append_trusted(Instruction._trusted("gate", (q,), gate))
+        out._append_trusted(Instruction("gate", (q,), GateDef("U3", zyz_angles(m))))
 
     for inst in circuit.instructions:
         if inst.kind == "gate" and len(inst.qubits) == 1:

@@ -16,25 +16,25 @@ from mzsim.states import equal_up_to_global_phase, index_of
 class TestInstruction:
     def test_gate_instruction_needs_gate(self):
         with pytest.raises(CircuitError, match="needs a GateDef"):
-            Instruction("gate", (0,))
+            Circuit(2).append(Instruction("gate", (0,)))
 
     def test_gate_arity_must_match(self):
         with pytest.raises(CircuitError, match="acts on"):
-            Instruction("gate", (0, 1), gate=H)
+            Circuit(2).append(Instruction("gate", (0, 1), gate=H))
 
     def test_unknown_kind(self):
         with pytest.raises(CircuitError, match="unknown instruction kind"):
-            Instruction("reset", (0,))
+            Circuit(2).append(Instruction("reset", (0,)))
 
     def test_measure_shape(self):
-        with pytest.raises(CircuitError):
-            Instruction("measure", (0, 1), clbit=0)
-        with pytest.raises(CircuitError):
-            Instruction("measure", (0,))  # no clbit
+        with pytest.raises(CircuitError, match="one qubit and one clbit"):
+            Circuit(2, 1).append(Instruction("measure", (0, 1), clbit=0))
+        with pytest.raises(CircuitError, match="one qubit and one clbit"):
+            Circuit(2, 1).append(Instruction("measure", (0,)))  # no clbit
 
     def test_repeated_qubit(self):
         with pytest.raises(CircuitError, match="repeated qubit"):
-            Instruction("gate", (1, 1), gate=CNOT)
+            Circuit(2).append(Instruction("gate", (1, 1), gate=CNOT))
 
 
 class TestBuilder:

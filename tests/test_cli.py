@@ -370,6 +370,20 @@ class TestSweep:
             assert row["mitigated"] == "false"
         assert [float(r["theta_over_pi"]) for r in rows[:3]] == [0.3, 0.4, 0.5]
 
+    def test_config_n_values_list_sweeps_each_length(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "general-bomb", "n_values": [2, 3], "theta_start": 0.4,
+            "theta_stop": 0.4, "theta_step": 0.1,
+        }))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row["N"] for row in rows] == ["2", "3"]
+        for row in rows:
+            expected = eta_general(chain_angles_for_sweep(0.4 * np.pi, int(row["N"])))
+            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
+
     def test_hardy_diagonal(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--experiment", "hardy",
@@ -791,6 +805,27 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
     pytest.param(BOMB_RUN + ("--exact", "--device", "london"), id="exact-with-device"),
     pytest.param(("run", "--config", {"experiment": "bomb", "exact": True, "device": "london"}),
                  id="config-exact-with-device"),
+    pytest.param(("run", "--config", {"experiment": "general-bomb", "angles": [True, 0]}),
+                 id="config-angles-bool"),
+    pytest.param(("run", "--config", {"experiment": "hardy", "theta0": True, "theta1": True}),
+                 id="config-hardy-thetas-bool"),
+    pytest.param(("run", "--config", {"experiment": "hardy", "theta0": 0.5, "theta1": True}),
+                 id="config-hardy-theta1-bool"),
+    pytest.param(("sweep", "--config", {"experiment": "hardy", "theta_start": True,
+                                        "theta_stop": 1, "theta_step": 0.5}),
+                 id="config-theta-start-bool"),
+    pytest.param(("sweep", "--config", {"experiment": "hardy", "theta_start": 0.5,
+                                        "theta_stop": True, "theta_step": 0.5}),
+                 id="config-theta-stop-bool"),
+    pytest.param(("sweep", "--config", {"experiment": "hardy", "theta_start": 0.5,
+                                        "theta_stop": 0.5, "theta_step": True}),
+                 id="config-theta-step-bool"),
+    pytest.param(BOMB_RUN + ("--shots", "0"), id="run-shots-0"),
+    pytest.param(("run", "--config", {"experiment": "nope"}), id="config-experiment-unknown"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "format": "xml"}),
+                 id="config-format-xml"),
+    pytest.param(("sweep", "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
+                 id="sweep-no-experiment"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     qasm = tmp_path / "eraser.qasm"

@@ -356,7 +356,7 @@ def _reference_route(
 
     l2p = list(layout)  # logical (possibly padded) -> physical
     out = Circuit(graph.num_qubits, circuit.num_clbits, circuit.name)
-    append, trusted = out._append_trusted, Instruction._trusted
+    append, trusted = out._append_trusted, Instruction
     swap_network = GATES["SWAP"].basis
     swap_count = 0
 
