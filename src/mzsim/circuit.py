@@ -15,6 +15,7 @@ writes to.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,6 +27,13 @@ from .states import MAX_QUBITS, StateVector, evolve, init_state
 
 class CircuitError(ValueError):
     """Raised for structurally invalid circuit construction or use."""
+
+
+def _index(value, error: type[Exception] = TypeError) -> int:
+    """An integer (numpy's too) as an int index; a bool, float or text raises `error`."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"expected an integer index, got {value!r}")
+    return operator.index(value)
 
 
 class Instruction(NamedTuple):
@@ -59,7 +67,7 @@ class Circuit:
         kind, qubits, gate, clbit = instruction
         if kind not in ("gate", "measure", "barrier"):
             raise CircuitError(f"unknown instruction kind {kind!r}")
-        qubits = tuple(map(int, qubits))
+        qubits = tuple(_index(q, CircuitError) for q in qubits)
         if kind == "gate":
             if gate is None:
                 raise CircuitError("gate instruction needs a GateDef")
@@ -77,7 +85,7 @@ class Circuit:
         if kind == "gate":
             self._check_unmeasured(qubits)
         elif kind == "measure":
-            (q,) = qubits
+            (q,), clbit = qubits, _index(clbit, CircuitError)
             if q in self._measured:
                 raise CircuitError(f"qubit {q} measured twice")
             if not 0 <= clbit < self.num_clbits:

@@ -12,11 +12,16 @@ estimate.  Mitigated results unmix the sampled counts with the device's
 exact confusion matrix.
 
 `run` and `sweep` share one path: `_device_from` resolves --device,
-`_check_sampling` checks shots, seed and --mitigate, and `_write_output`
-renders the chosen --format (each command's first format is its default)
-to --output or stdout.  `experiments.ExperimentSpec` owns an experiment's
-circuit, width and observable.  A bad parameter, or a circuit wider than
-the simulator or the device, exits 2 in every command before any sampling.
+`_check_sampling` checks shots, seed and --mitigate, and `_output_from`
+reads --format (each command's first format is its default) and --output.
+`experiments.ExperimentSpec` owns an experiment's circuit, width and
+observable.  A bad parameter, or a circuit wider than the simulator or the
+device, exits 2 in every command before any sampling.
+
+argparse only splits the command line; what it cannot split is a
+ConfigError.  A flag and its config key go through one `_merged` converter
+and check.  `main` prints each refusal as one ``error:`` line and returns 2;
+only ``--help`` raises SystemExit.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ _MAX_GRID_POINTS = 10_001
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
+def _load_config_file(args: argparse.Namespace) -> dict:
+    if (path := args.config) is None:
         return {}
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -73,13 +78,16 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(doc.keys() - (vars(args).keys() - {"command", "handler"}))
+    if unknown:
+        raise ConfigError(f"config key(s) that name no {args.command} flag: {', '.join(unknown)}")
     return doc
 
 
 def _merged(args: argparse.Namespace, config: dict, key: str, convert, default=None):
     """Explicit flag > config file > default; the value found goes through
     `convert`, whose TypeError or ValueError becomes a ConfigError (exit 2)."""
-    value = getattr(args, key.replace("-", "_"), None)
+    value = getattr(args, key, None)
     if value is None:
         value = config.get(key)
     if value is None:
@@ -416,13 +424,12 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(args: argparse.Namespace, config: dict, renderers: dict) -> None:
-    """Render in the --format chosen from `renderers` (the first one is the
-    default) and write to --output, or to stdout."""
-    fmt = _merged(args, config, "format", str, next(iter(renderers)))
-    if fmt not in renderers:
-        raise ConfigError(f"unknown format {fmt!r} (expected {' or '.join(renderers)})")
-    _write_text(renderers[fmt](), _merged(args, config, "output", str))
+def _output_from(args: argparse.Namespace, config: dict, formats: tuple[str, ...]):
+    """--format, one of `formats` (the first is the default), and --output."""
+    fmt = _merged(args, config, "format", str, formats[0])
+    if fmt not in formats:
+        raise ConfigError(f"unknown format {fmt!r} (expected {' or '.join(formats)})")
+    return fmt, _merged(args, config, "output", str)
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +437,24 @@ def _write_output(args: argparse.Namespace, config: dict, renderers: dict) -> No
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
+    config = _load_config_file(args)
+    fmt, output = _output_from(args, config, ("json", "csv"))
     spec = _experiment_from(args, config)
     device, device_label = _device_from(args, config)
     doc = execute_run(
-        spec,
-        device,
-        device_label,
+        spec, device, device_label,
         shots=_merged(args, config, "shots", _integer, 8192),
         seed=_merged(args, config, "seed", _integer, 0),
         mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
         exact=_merged(args, config, "exact", _boolean, False),
     )
-    _write_output(args, config, {"json": lambda: _dump_json(doc),
-                                 "csv": lambda: _rows_to_csv(_run_rows(doc, spec))})
+    _write_text(_dump_json(doc) if fmt == "json" else _rows_to_csv(_run_rows(doc, spec)), output)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
+    config = _load_config_file(args)
+    fmt, output = _output_from(args, config, ("csv", "json"))
     experiment = _merged(args, config, "experiment", str)
     if experiment is None:
         raise ConfigError("a sweep experiment is required (--experiment)")
@@ -460,19 +466,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --theta-start, --theta-stop, --theta-step (units of pi)")
     device, device_label = _device_from(args, config)
     rows = execute_sweep(
-        experiment,
-        n_values,
-        _grid(start, stop, step),
-        _merged(args, config, "hardy_grid", str, "diagonal"),
-        device,
-        device_label,
+        experiment, n_values, _grid(start, stop, step),
+        _merged(args, config, "hardy_grid", str, "diagonal"), device, device_label,
         shots=_merged(args, config, "shots", _integer, 8192),
         seed=_merged(args, config, "seed", _integer, 0),
         repeats=_merged(args, config, "repeats", _integer, 1),
         mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
     )
-    _write_output(args, config, {"csv": lambda: _rows_to_csv(rows),
-                                 "json": lambda: _dump_json({"rows": rows})})
+    _write_text(_rows_to_csv(rows) if fmt == "csv" else _dump_json({"rows": rows}), output)
     return 0
 
 
@@ -513,11 +514,16 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # what argparse cannot split is refused like a bad setting
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: parsing keeps no
-    state in it."""
-    parser = argparse.ArgumentParser(
+    state in it.  It neither converts nor checks a value: `_merged` does."""
+    parser = _Parser(
         prog="mzsim",
         description="Simulate interferometer-style experiments on noisy virtual devices.",
     )
@@ -526,38 +532,37 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--device", help="'ideal' (default), a preset name, or a calibration JSON file")
-        p.add_argument("--shots", type=int, help="samples per execution (default 8192)")
-        p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+        p.add_argument("--shots", help="samples per execution (default 8192)")
+        p.add_argument("--seed", help="base RNG seed (default 0)")
         p.add_argument("--mitigate", action="store_true", default=None,
                        help="also report readout-mitigated results")
         p.add_argument("--output", help="write to this file instead of stdout")
 
     run_p = sub.add_parser("run", help="execute one experiment")
     add_common(run_p)
-    run_p.add_argument("--experiment", choices=EXPERIMENT_KINDS)
+    run_p.add_argument("--experiment", help=" | ".join(EXPERIMENT_KINDS))
     run_p.add_argument("--erase", action=argparse.BooleanOptionalAction, default=None,
                        help="eraser: include the erasing H on the marker qubit")
     run_p.add_argument("--bomb", action=argparse.BooleanOptionalAction, default=None,
                        help="bomb: whether the probe object is present")
     run_p.add_argument("--angles", help="general-bomb: comma list in units of pi, summing to 1")
-    run_p.add_argument("--theta0", type=float, help="hardy: first angle / pi")
-    run_p.add_argument("--theta1", type=float, help="hardy: second angle / pi")
+    run_p.add_argument("--theta0", help="hardy: first angle / pi")
+    run_p.add_argument("--theta1", help="hardy: second angle / pi")
     run_p.add_argument("--exact", action="store_true", default=None,
                        help="use exact probabilities instead of sampling")
-    run_p.add_argument("--format", choices=["json", "csv"], help="output format (default json)")
+    run_p.add_argument("--format", help="json (default) | csv")
     run_p.set_defaults(handler=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="scan an experiment over a parameter grid")
     add_common(sweep_p)
-    sweep_p.add_argument("--experiment", choices=["general-bomb", "hardy"])
+    sweep_p.add_argument("--experiment", help="general-bomb | hardy")
     sweep_p.add_argument("--n-values", help="general-bomb: comma list of chain lengths")
-    sweep_p.add_argument("--theta-start", type=float, help="grid start, units of pi")
-    sweep_p.add_argument("--theta-stop", type=float, help="grid stop (inclusive), units of pi")
-    sweep_p.add_argument("--theta-step", type=float, help="grid step, units of pi")
-    sweep_p.add_argument("--hardy-grid", choices=["diagonal", "full"],
-                         help="hardy: theta0=theta1 line or full 2-D grid")
-    sweep_p.add_argument("--repeats", type=int, help="sampled repetitions per grid point")
-    sweep_p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+    sweep_p.add_argument("--theta-start", help="grid start, units of pi")
+    sweep_p.add_argument("--theta-stop", help="grid stop (inclusive), units of pi")
+    sweep_p.add_argument("--theta-step", help="grid step, units of pi")
+    sweep_p.add_argument("--hardy-grid", help="hardy: diagonal (theta0=theta1, default) | full")
+    sweep_p.add_argument("--repeats", help="sampled repetitions per grid point (default 1)")
+    sweep_p.add_argument("--format", help="csv (default) | json")
     sweep_p.set_defaults(handler=_cmd_sweep)
 
     tr_p = sub.add_parser("transpile", help="map an OPENQASM file onto a device")
@@ -572,25 +577,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attached_layout(argv: list[str]) -> list[str]:
-    """`argv` with `--layout -1,0,1` written `--layout=-1,0,1`.
-
-    argparse takes a value that starts with '-' and is not a plain negative
-    number for an option, so such a layout would never reach the layout check.
-    """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--layout" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--layout={arg}"
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attached_layout(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (ConfigError, QasmError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)

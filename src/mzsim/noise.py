@@ -91,7 +91,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
-from .circuit import Circuit, CountsHistogram, gate_ops
+from .circuit import Circuit, CountsHistogram, _index, gate_ops
 from .states import _apply_paulis, evolve, init_state
 
 #: canonical 5-qubit T-shaped coupling (hub at qubit 1, tail 3-4)
@@ -107,7 +107,7 @@ _BLOCK_SHOTS = 2**16
 _BLOCK_AMPS = 2**20
 
 def _edge(pair) -> tuple[int, int]:
-    a, b = sorted(map(int, pair))
+    a, b = sorted(map(_index, pair))
     return a, b
 
 

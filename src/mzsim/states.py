@@ -18,9 +18,10 @@ import numpy as np
 
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MiB; hard cap
 
-# Tolerance for algebraic identities: normalization, unitarity,
-# phase-aligned matrix equality.
+# Tolerance for algebraic identities: unitarity, phase-aligned matrix
+# equality, a matrix or angle that is zero or the identity.
 ALGEBRAIC_TOL = 1e-12
+NORM_TOL = 1e-10  # slack on sum |a|^2 = 1 for a state given as amplitudes
 
 
 def bitstring_of(index: int, num_qubits: int) -> str:
@@ -52,12 +53,12 @@ class StateVector:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
 
     def probabilities(self) -> np.ndarray:
-        """|amplitude|^2 for every basis index; sums to 1 within 1e-12."""
+        """|amplitude|^2 for every basis index; sums to 1 within NORM_TOL."""
         return np.abs(self.amplitudes) ** 2
 
     def probability_dict(self, cutoff: float = 0.0) -> dict[str, float]:

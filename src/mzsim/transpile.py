@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Instruction
+from .circuit import Circuit, CircuitError, Instruction, _index
 from .gates import BASIS_GATES, GATES, GateDef, matrix_of
 from .noise import CouplingGraph, DeviceModel
+from .states import ALGEBRAIC_TOL
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def route(
     if initial_layout is None:
         layout = list(default_layout(circuit, graph))
     else:
-        given = layout = [int(p) for p in initial_layout]
+        given = layout = [_index(p, LayoutError) for p in initial_layout]
         if len(given) == circuit.num_qubits < num_physical:
             layout = given + [p for p in range(num_physical) if p not in given]
         if sorted(layout) != list(range(num_physical)):
@@ -190,10 +191,10 @@ def zyz_angles(matrix: np.ndarray) -> tuple[float, float, float]:
     if m.shape != (2, 2):
         raise ValueError(f"need a 2x2 matrix, got {m.shape}")
     theta = 2.0 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[1, 0]) < 1e-12:  # diagonal: only phi+lam is defined
+    if abs(m[1, 0]) < ALGEBRAIC_TOL:  # diagonal: only phi+lam is defined
         phi = 0.0
         lam = float(np.angle(m[1, 1]) - np.angle(m[0, 0]))
-    elif abs(m[0, 0]) < 1e-12:  # antidiagonal: only phi-lam is defined
+    elif abs(m[0, 0]) < ALGEBRAIC_TOL:  # antidiagonal: only phi-lam is defined
         lam = 0.0
         phi = float(np.angle(m[1, 0]) - np.angle(-m[0, 1]))
     else:
@@ -218,7 +219,7 @@ def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
         m = pending.pop(q, None)
         if m is None:
             return
-        if abs(m - _IDENTITY).max() < 1e-12:
+        if abs(m - _IDENTITY).max() < ALGEBRAIC_TOL:
             return  # run collapsed to identity
         out._append_trusted(Instruction("gate", (q,), GateDef("U3", zyz_angles(m))))
 

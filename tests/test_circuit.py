@@ -47,6 +47,22 @@ class TestBuilder:
         with pytest.raises(CircuitError, match="out of range"):
             Circuit(2).h(2)
 
+    @pytest.mark.parametrize("qubit", [1.5, 1.0, True, "1"])
+    def test_qubit_must_be_an_integer(self, qubit):
+        with pytest.raises(CircuitError, match="expected an integer index"):
+            Circuit(2).h(qubit)
+
+    @pytest.mark.parametrize("clbit", [0.5, 0.0, False, "0"])
+    def test_clbit_must_be_an_integer(self, clbit):
+        with pytest.raises(CircuitError, match="expected an integer index"):
+            Circuit(2, 2).measure(0, clbit)
+
+    def test_numpy_integer_indices_become_ints(self):
+        c = Circuit(2, 2).cx(np.int64(0), np.int32(1)).measure(np.int64(1), np.int8(1))
+        assert [(inst.qubits, inst.clbit) for inst in c.instructions] == [((0, 1), None),
+                                                                         ((1,), 1)]
+        assert all(type(i) is int for i in (*c.instructions[0].qubits, c.instructions[1].clbit))
+
     def test_size_limits(self):
         with pytest.raises(CircuitError):
             Circuit(0)

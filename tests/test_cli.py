@@ -293,10 +293,9 @@ class TestRunErrors:
         assert "neither" in err
 
     def test_invalid_experiment_choice_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["run", "--experiment", "nope"])
-        assert info.value.code == 2
-        capsys.readouterr()
+        code, out, err = run_cli(capsys, "run", "--experiment", "nope")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("shots", [2**32 + 1, 10**12])
     @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
@@ -732,19 +731,17 @@ class TestTranspileCommand:
         assert err.startswith("error: layout [1, 1] must permute physical qubits 0-4")
         assert "[1, 1, 0" not in err
 
-    def test_negative_layout_after_a_space_reaches_the_layout_check(self, capsys, eraser_qasm):
-        # argparse alone reads "-1,0,1" as an option and prints its usage
+    def test_negative_layout_after_a_space_is_one_error_line(self, capsys, eraser_qasm):
+        # argparse reads "-1,0,1" as an option, so --layout has no value
         code, out, err = run_cli(capsys, "transpile", eraser_qasm, "--device", "vigo",
                                  "--layout", "-1,0,1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: layout [-1, 0, 1] must permute physical qubits 0-4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_device_flag_required(self, capsys, eraser_qasm):
-        with pytest.raises(SystemExit) as info:
-            main(["transpile", eraser_qasm])
-        assert info.value.code == 2
-        capsys.readouterr()
+        code, out, err = run_cli(capsys, "transpile", eraser_qasm)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def calibration(**changes) -> str:
@@ -826,6 +823,15 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
                  id="config-format-xml"),
     pytest.param(("sweep", "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
                  id="sweep-no-experiment"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "shots": 100, "sead": 5}),
+                 id="config-key-misspelt"),
+    pytest.param(("run", "--config", {"experiment": "bomb", "shots": 100, "repeats": 2}),
+                 id="config-key-of-another-command"),
+    pytest.param(BOMB_RUN + ("--device", calibration(coupling=[[0, 1.9], [1, 2], [1, 3], [3, 4]])),
+                 id="coupling-float"),
+    pytest.param(BOMB_RUN + ("--device", calibration(coupling=[["0", True], [1, 2], [1, 3],
+                                                               [3, 4]])),
+                 id="coupling-text-and-bool"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     qasm = tmp_path / "eraser.qasm"
@@ -843,6 +849,71 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((), id="no-command"),
+    pytest.param(BOMB_RUN + ("--sead", "5"), id="unknown-flag"),
+    pytest.param(("run", "--experiment"), id="missing-value"),
+    pytest.param(("transpile", QASM), id="missing-device"),
+    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "-1,0,1"),
+                 id="layout-space--1,0,1"),
+    pytest.param(("run", "--experiment", "bomb", "--shots", "x"), id="shots-x"),
+    pytest.param(("run", "--experiment", "nope"), id="experiment-nope"),
+    pytest.param(BOMB_RUN + ("--format", "xml"), id="format-xml"),
+])
+def test_command_line_refusals_are_one_error_line(capsys, tmp_path, argv):
+    qasm = tmp_path / "eraser.qasm"
+    qasm.write_text(emit(build_eraser(erase=True)))
+    code, out, err = run_cli(capsys, *(str(qasm) if arg is QASM else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [BOMB_RUN + ("--device", "vigo"), HARDY_SWEEP + ("--device", "vigo")],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_unknown_format_exits_2_before_sampling(capsys, monkeypatch, tmp_path, argv, where):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before the format was read")
+
+    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_repeats", "simulate_ideal"):
+        monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
+    if where == "flag":
+        argv += ("--format", "xml")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown format 'xml'")
+
+
+def test_flag_and_config_key_are_refused_alike(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bomb", "shots": "x"}))
+    from_config = run_cli(capsys, "run", "--config", str(cfg))
+    from_flag = run_cli(capsys, "run", "--experiment", "bomb", "--shots", "x")
+    assert from_flag == from_config
+    assert from_flag[0] == 2 and from_flag[2].startswith("error: bad shots 'x'")
+
+
+def test_config_key_that_names_no_flag_is_named(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bomb", "sead": 5, "repeats": 2}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert err == "error: config key(s) that name no run flag: repeats, sead\n"
+
+
+def test_config_key_of_another_experiment_is_ignored(capsys, tmp_path):
+    # as the --angles flag is on an eraser run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "eraser", "angles": "0.5,0.5", "exact": True}))
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"erase": True}
 
 
 TWO_QUBIT_DEVICE = calibration(num_qubits=2, coupling=[[0, 1]])
@@ -1005,10 +1076,7 @@ def test_run_and_sweep_settings_keep_exit_code_contract(drawn, tmp_path_factory)
         argv += ["--config", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code:

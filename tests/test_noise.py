@@ -166,6 +166,14 @@ class TestLoadDevice:
                 "coupling": [[0, 1], [1, 2], [1, 3], [3, 4]],
             }))
 
+    @pytest.mark.parametrize("edge", [[0, 1.9], ["0", True], [1.0, 2]])
+    def test_coupling_indices_must_be_integers(self, edge):
+        with pytest.raises(ValueError, match="invalid calibration.*expected an integer index"):
+            load_device(json.dumps({
+                "name": "toy", "num_qubits": 3, "t1_us": 80.0, "t2_us": 60.0,
+                "cnot_error": 0.0, "readout_error": 0.0, "coupling": [edge, [1, 2]],
+            }))
+
     def test_out_of_range_value_rejected(self):
         with pytest.raises(ValueError, match="invalid calibration"):
             load_device(json.dumps({

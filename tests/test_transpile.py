@@ -12,6 +12,7 @@ from mzsim.qasm import emit, parse
 from mzsim.states import equal_up_to_global_phase, index_of
 from mzsim.transpile import (
     CouplingGraph,
+    LayoutError,
     TranspiledCircuit,
     decompose_to_basis,
     default_layout,
@@ -179,6 +180,11 @@ class TestRoute:
     def test_rejects_oversized_circuit(self):
         with pytest.raises(CircuitError, match="cannot map"):
             route(Circuit(6).cx(0, 5), T_GRAPH)
+
+    @pytest.mark.parametrize("layout", [(0, 1.5), (True, 0), ("0", 1)])
+    def test_layout_entries_must_be_integers(self, layout):
+        with pytest.raises(LayoutError, match="expected an integer index"):
+            route(Circuit(2).cx(0, 1), T_GRAPH, initial_layout=layout)
 
     def test_rejects_non_permutation_layout(self):
         with pytest.raises(CircuitError, match="permute"):
