@@ -14,21 +14,20 @@ exact confusion matrix.
 `run` and `sweep` share one path: `_device_from` resolves --device,
 `_check_sampling` checks shots, seed and --mitigate, and `_output_from`
 reads --format (each command's first format is its default) and --output.
-`experiments.ExperimentSpec` owns an experiment's circuit, width and
-observable.  A bad parameter, or a circuit wider than the simulator or the
-device, exits 2 in every command before any sampling.
+`experiments` owns each experiment kind; this module converts a setting by
+its flag's name.  A bad parameter, or a circuit wider than the simulator or
+the device, exits 2 in every command before any sampling.
 
 argparse only splits the command line; what it cannot split is a
-ConfigError.  A flag and its config key go through one `_merged` converter
-and check.  `main` prints each refusal as one ``error:`` line and returns 2;
-only ``--help`` raises SystemExit.
+ConfigError.  A flag is spelt in full, as its config key is, and both go
+through one `_merged` converter and check.  `main` prints each refusal as
+one ``error:`` line and returns 2; only ``--help`` raises SystemExit.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -39,7 +38,7 @@ import numpy as np
 from ._streams import MAX_SHOTS
 from .analysis import run_statistics
 from .circuit import CircuitError, simulate_ideal
-from .experiments import EXPERIMENT_KINDS, ExperimentSpec, chain_angles_for_sweep
+from .experiments import RUN_SETTINGS, ExperimentSpec, sweep_points
 from .mitigation import exact_confusion_matrix, mitigate
 from .noise import (
     DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy, simulate_noisy_repeats,
@@ -94,8 +93,6 @@ def _merged(args: argparse.Namespace, config: dict, key: str, convert, default=N
         return default
     try:
         return convert(value)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
 
@@ -131,11 +128,10 @@ def _int_list(text) -> tuple[int, ...]:
     return tuple(_integer(v) for v in _split(text))
 
 
-def _parse_angle_list(text) -> tuple[float, ...]:
-    try:
-        return tuple(_real(v) * np.pi for v in _split(text))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad angle list {text!r}: {exc}") from exc
+#: the converter of each experiment setting, by its flag's name; angles are in units of pi
+_SETTING_CONVERTERS = dict(erase=_boolean, bomb=_boolean,
+                           theta0=lambda v: _real(v) * np.pi, theta1=lambda v: _real(v) * np.pi,
+                           angles=lambda text: tuple(_real(v) * np.pi for v in _split(text)))
 
 
 def _device_from(args: argparse.Namespace, config: dict) -> tuple[DeviceModel | None, str]:
@@ -163,23 +159,14 @@ def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
     kind = _merged(args, config, "experiment", str)
     if kind is None:
         raise ConfigError("an experiment is required (--experiment or config file)")
+    settings = RUN_SETTINGS.get(kind, {})  # the spec refuses an unknown kind
+    fields = {name: _merged(args, config, setting, _SETTING_CONVERTERS[setting], default)
+              for setting, (name, default) in settings.items()}
+    if None in fields.values():  # the settings without a default are angles
+        required = [f"--{s}" for s, (_, default) in settings.items() if default is None]
+        raise ConfigError(f"{kind} requires {' and '.join(required)} (units of pi)")
     try:
-        if kind == "eraser":
-            return ExperimentSpec("eraser", erase=_merged(args, config, "erase", _boolean, True))
-        if kind == "bomb":
-            return ExperimentSpec("bomb", present=_merged(args, config, "bomb", _boolean, True))
-        if kind == "general-bomb":
-            angles = _merged(args, config, "angles", _parse_angle_list)
-            if angles is None:
-                raise ConfigError("general-bomb requires --angles (units of pi)")
-            return ExperimentSpec("general-bomb", angles=angles)
-        if kind == "hardy":
-            theta0 = _merged(args, config, "theta0", _real)
-            theta1 = _merged(args, config, "theta1", _real)
-            if theta0 is None or theta1 is None:
-                raise ConfigError("hardy requires --theta0 and --theta1 (units of pi)")
-            return ExperimentSpec("hardy", theta0=theta0 * np.pi, theta1=theta1 * np.pi)
-        raise ConfigError(f"unknown experiment {kind!r}")
+        return ExperimentSpec(kind, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -332,31 +319,13 @@ def execute_sweep(
     _check_sampling(shots, seed, mitigate_flag, device)
     if hardy_grid not in ("diagonal", "full"):
         raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
-    # every point is counted, then built and fitted to the device, before any is sampled
-    count = len(theta_grid) * (len(n_values) if experiment == "general-bomb" else
-                               len(theta_grid) if hardy_grid == "full" else 1)
-    if count > _MAX_GRID_POINTS:
-        raise ConfigError(f"the sweep grid has {count} points, more than {_MAX_GRID_POINTS}")
-    points: list[tuple[str, ExperimentSpec, dict]] = []  # (what it is, spec, cells)
+    # every point is counted, then made and fitted to the device, before any is sampled
+    made = sweep_points(experiment, n_values, theta_grid, hardy_grid)
     try:
-        if experiment == "general-bomb":
-            if not n_values:
-                raise ConfigError("general-bomb sweep needs --n-values")
-            for n, t in itertools.product(n_values, theta_grid):
-                if not 0.0 < t < 1.0:
-                    raise ConfigError(f"theta/pi must lie strictly inside (0, 1), got {t}")
-                spec = ExperimentSpec("general-bomb", angles=chain_angles_for_sweep(t * np.pi, n))
-                points.append((f"a chain of N = {n}", spec, {
-                    "theta_over_pi": t, "theta0_over_pi": "", "theta1_over_pi": ""}))
-        elif experiment == "hardy":
-            diagonal = hardy_grid == "diagonal"
-            for t0, t1 in (zip(theta_grid, theta_grid) if diagonal
-                           else itertools.product(theta_grid, repeat=2)):
-                spec = ExperimentSpec("hardy", theta0=t0 * np.pi, theta1=t1 * np.pi)
-                points.append(("a Hardy test", spec, {"theta0_over_pi": t0, "theta1_over_pi": t1,
-                                                      "theta_over_pi": t0 if diagonal else ""}))
-        else:
-            raise ConfigError(f"sweep supports general-bomb and hardy, not {experiment!r}")
+        count = next(made)
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(f"the sweep grid has {count} points, more than {_MAX_GRID_POINTS}")
+        points = list(made)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for what, spec, _ in points:
@@ -515,6 +484,9 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag is spelt in full, as its config key is
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # what argparse cannot split is refused like a bad setting
         raise ConfigError(message)
 
@@ -540,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one experiment")
     add_common(run_p)
-    run_p.add_argument("--experiment", help=" | ".join(EXPERIMENT_KINDS))
+    run_p.add_argument("--experiment", help=" | ".join(RUN_SETTINGS))
     run_p.add_argument("--erase", action=argparse.BooleanOptionalAction, default=None,
                        help="eraser: include the erasing H on the marker qubit")
     run_p.add_argument("--bomb", action=argparse.BooleanOptionalAction, default=None,

@@ -1,4 +1,4 @@
-"""Circuit builders and closed-form predictions for the three experiments.
+"""Circuit builders, closed forms and the one owner of each experiment kind.
 
 Interferometer (eraser) — two qubits.  H(q0), CNOT(q0->q1), H(q0) marks
 which path the q0 "photon" took on q1; a trailing H(q1) erases the marker
@@ -195,15 +195,21 @@ def alpha_beta_from_theta(theta: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# experiment plumbing for the CLI
+# experiment kinds: each kind's run settings, its spec and its sweep points
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_KINDS = ("eraser", "bomb", "general-bomb", "hardy")
+#: each kind's `run` settings: setting -> (the spec field it sets, its default or None if required)
+RUN_SETTINGS = {
+    "eraser": {"erase": ("erase", True)},
+    "bomb": {"bomb": ("present", True)},
+    "general-bomb": {"angles": ("angles", None)},
+    "hardy": {"theta0": ("theta0", None), "theta1": ("theta1", None)},
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named experiment plus its parameters, as configured from outside."""
+    """A named experiment and its parameters; all its kind decides is settled when made."""
 
     kind: str
     erase: bool = True
@@ -213,22 +219,43 @@ class ExperimentSpec:
     theta1: float = float("nan")
     num_qubits: int = field(init=False, repr=False, compare=False)  # the circuit's width
     _circuit: Circuit = field(init=False, repr=False, compare=False)
+    _observable: str = field(init=False, repr=False, compare=False)
+    _labeling: str = field(init=False, repr=False, compare=False)  # eta's stage labeling
+    _theory: float | dict = field(init=False, repr=False, compare=False)
+    _parameters: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the circuit is built once, which checks every parameter and the width
+        # the one switch on kind; building the circuit checks every parameter and the width
+        labeling = "multi-stage"
         if self.kind == "eraser":
             circuit = build_eraser(self.erase)
+            observable = "distribution"
+            theory = ({"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5} if self.erase
+                      else {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
+            parameters = {"erase": self.erase}
         elif self.kind == "bomb":
             circuit = build_bomb(self.present)
+            # without the probe every shot reads 00, so eta is undefined
+            observable = "eta" if self.present else "distribution"
+            theory = 1.0 / 3.0 if self.present else {"00": 1.0, "01": 0.0, "10": 0.0, "11": 0.0}
+            labeling = "single-stage"
+            parameters = {"present": self.present}
         elif self.kind == "general-bomb":
             object.__setattr__(self, "angles", validate_chain_angles(self.angles))
             circuit = build_general_bomb(self.angles)
+            observable = "eta"
+            theory = eta_general(self.angles)
+            parameters = {"angles_over_pi": [t / np.pi for t in self.angles]}
         elif self.kind == "hardy":
             circuit = build_hardy(self.theta0, self.theta1)
+            observable = "gamma"
+            theory = gamma_closed(self.theta0, self.theta1)
+            parameters = {"theta0_over_pi": self.theta0 / np.pi,
+                          "theta1_over_pi": self.theta1 / np.pi}
         else:
-            raise ValueError(f"unknown experiment {self.kind!r}; choose from {EXPERIMENT_KINDS}")
-        object.__setattr__(self, "_circuit", circuit)
-        object.__setattr__(self, "num_qubits", circuit.num_qubits)
+            raise ValueError(f"unknown experiment {self.kind!r}; choose from {tuple(RUN_SETTINGS)}")
+        vars(self).update(_circuit=circuit, num_qubits=circuit.num_qubits, _observable=observable,
+                          _labeling=labeling, _theory=theory, _parameters=parameters)
 
     def build(self) -> Circuit:
         """A copy of the circuit built when this spec was made."""
@@ -236,45 +263,46 @@ class ExperimentSpec:
 
     def value(self, counts) -> float | dict:
         """observable() read from counts or a distribution (keys sorted)."""
-        name = self.observable()
-        if name == "distribution":
+        if self._observable == "distribution":
             return dict(sorted(_as_distribution(counts).items()))
-        if name == "eta":
-            labeling = "single-stage" if self.kind == "bomb" else "multi-stage"
-            return eta_from_counts(counts, labeling=labeling)
+        if self._observable == "eta":
+            return eta_from_counts(counts, labeling=self._labeling)
         return gamma_from_counts(counts)
 
     def parameters(self) -> dict:
         """This kind's parameters, angles in units of pi."""
-        if self.kind == "eraser":
-            return {"erase": self.erase}
-        if self.kind == "bomb":
-            return {"present": self.present}
-        if self.kind == "general-bomb":
-            return {"angles_over_pi": [t / np.pi for t in self.angles]}
-        return {"theta0_over_pi": self.theta0 / np.pi, "theta1_over_pi": self.theta1 / np.pi}
+        return self._parameters
 
     def observable(self) -> str:
         """Name of the derived quantity this experiment reports."""
-        if self.kind == "eraser":
-            return "distribution"
-        if self.kind == "bomb":
-            # without the probe every shot reads 00, so eta is undefined
-            return "eta" if self.present else "distribution"
-        if self.kind == "general-bomb":
-            return "eta"
-        return "gamma"
+        return self._observable
 
     def theory(self):
         """Closed-form prediction: a float, or a distribution where natural."""
-        if self.kind == "eraser":
-            if self.erase:
-                return {"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}
-            return {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}
-        if self.kind == "bomb":
-            if self.present:
-                return 1.0 / 3.0
-            return {"00": 1.0, "01": 0.0, "10": 0.0, "11": 0.0}
-        if self.kind == "general-bomb":
-            return eta_general(self.angles)
-        return gamma_closed(self.theta0, self.theta1)
+        return self._theory
+
+
+def sweep_points(kind: str, n_values, thetas, hardy_grid: str):
+    """A sweep over `thetas` (units of pi, as its rows report them): yields its point
+    count before it makes any, then each point as (what it is, its spec, its cells)."""
+    if kind == "general-bomb":
+        yield len(n_values) * len(thetas)
+        if not n_values:
+            raise ValueError("general-bomb sweep needs --n-values")
+        for n in n_values:
+            for t in thetas:
+                if not 0.0 < t < 1.0:
+                    raise ValueError(f"theta/pi must lie strictly inside (0, 1), got {t}")
+                spec = ExperimentSpec(kind, angles=chain_angles_for_sweep(t * np.pi, n))
+                yield (f"a chain of N = {n}", spec,
+                       {"theta_over_pi": t, "theta0_over_pi": "", "theta1_over_pi": ""})
+    elif kind == "hardy":
+        diagonal = hardy_grid == "diagonal"
+        yield len(thetas) if diagonal else len(thetas) ** 2
+        for t0 in thetas:
+            for t1 in [t0] if diagonal else thetas:
+                spec = ExperimentSpec(kind, theta0=t0 * np.pi, theta1=t1 * np.pi)
+                yield ("a Hardy test", spec, {"theta0_over_pi": t0, "theta1_over_pi": t1,
+                                              "theta_over_pi": t0 if diagonal else ""})
+    else:
+        raise ValueError(f"sweep supports general-bomb and hardy, not {kind!r}")

@@ -6,6 +6,7 @@ user would hit them.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim import cli, noise
+from mzsim import cli, experiments, noise
 from mzsim.cli import CSV_COLUMNS, main
 from mzsim.experiments import (
+    ExperimentSpec,
     chain_angles_for_sweep,
     equal_angles,
     eta_general,
@@ -277,7 +279,7 @@ class TestRunErrors:
             capsys, "run", "--experiment", "general-bomb",
             "--angles", "0.3,oops")
         assert code == 2
-        assert "bad angle list" in err
+        assert err == "error: bad angles '0.3,oops': could not convert string to float: 'oops'\n"
 
     def test_angles_violating_sum_rule(self, capsys):
         code, _, err = run_cli(
@@ -539,7 +541,7 @@ class TestSweepErrors:
             def made(*args, **kwargs):
                 raise AssertionError("a point was made before the grid was counted")
 
-            patched.setattr(cli, "ExperimentSpec", made)
+            patched.setattr(experiments, "ExperimentSpec", made)
             code, out, err = run_cli(capsys, *grid, "--hardy-grid", "full")
         assert code == 2
         assert out == ""
@@ -832,6 +834,13 @@ BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
     pytest.param(BOMB_RUN + ("--device", calibration(coupling=[["0", True], [1, 2], [1, 3],
                                                                [3, 4]])),
                  id="coupling-text-and-bool"),
+    pytest.param(("run", "--experiment", "general-bomb", "--angles", "0,1"),
+                 id="degenerate-chain-0,1"),
+    pytest.param(("run", "--experiment", "general-bomb", "--angles", "0,0,1"),
+                 id="degenerate-chain-0,0,1"),
+    pytest.param(BOMB_RUN + ("--shot", "8"), id="abbreviated-shots"),
+    pytest.param(("run", "--experiment", "bomb", "--no-b"), id="abbreviated-no-bomb"),
+    pytest.param(HARDY_SWEEP + ("--rep", "2"), id="abbreviated-repeats"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     qasm = tmp_path / "eraser.qasm"
@@ -868,6 +877,51 @@ def test_command_line_refusals_are_one_error_line(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *(str(qasm) if arg is QASM else arg for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    pytest.param(BOMB_RUN + ("--shot", "8"), "--shot 8", id="shots"),
+    pytest.param(("run", "--experiment", "bomb", "--no-b"), "--no-b", id="no-bomb"),
+    pytest.param(HARDY_SWEEP + ("--rep", "2"), "--rep 2", id="repeats"),
+])
+def test_flags_are_spelt_in_full(capsys, argv, unrecognized):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {unrecognized}\n"
+
+
+def test_full_negated_flags_and_help_still_work(capsys):
+    code, out, _ = run_cli(capsys, "run", "--experiment", "bomb", "--no-bomb", "--exact")
+    assert code == 0 and json.loads(out)["parameters"] == {"present": False}
+    code, out, _ = run_cli(capsys, "run", "--experiment", "eraser", "--no-erase", "--exact")
+    assert code == 0 and json.loads(out)["parameters"] == {"erase": False}
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "-h"])
+    assert exited.value.code == 0
+    assert "--shots" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [("--angles", "0,1"), ("--angles", "0,1", "--exact"),
+                                   ("--angles", "0,0,1"), ("--angles", "0,1", "--device", "vigo")])
+def test_degenerate_chain_exits_2_before_sampling(capsys, monkeypatch, extra):
+    def sample(*args, **kwargs):
+        raise AssertionError("a degenerate chain was sampled")
+
+    for sampler in ("ideal_counts", "simulate_noisy", "simulate_ideal"):
+        monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
+    code, out, err = run_cli(capsys, "run", "--experiment", "general-bomb", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: degenerate chain: photon never reaches the detectors\n"
+
+
+def test_every_run_setting_is_a_run_flag_and_a_spec_field():
+    flags = set(vars(cli._build_parser().parse_args(["run"])))
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec) if f.init}
+    for kind, settings in experiments.RUN_SETTINGS.items():
+        for setting, (field, _) in settings.items():
+            assert setting in flags, (kind, setting)
+            assert setting in cli._SETTING_CONVERTERS, (kind, setting)
+            assert field in fields, (kind, field)
 
 
 @pytest.mark.parametrize("argv", [BOMB_RUN + ("--device", "vigo"), HARDY_SWEEP + ("--device", "vigo")],

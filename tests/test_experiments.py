@@ -240,6 +240,11 @@ class TestExperimentSpec:
         assert spec.observable() == "gamma"
         assert spec.theory() == pytest.approx(gamma_closed(0.5, 0.7))
 
+    @pytest.mark.parametrize("angles", [(0.0, np.pi), (0.0, 0.0, np.pi)])
+    def test_degenerate_chain_is_rejected_when_made(self, angles):
+        with pytest.raises(ValueError, match="degenerate chain"):
+            ExperimentSpec("general-bomb", angles=angles)
+
     def test_angle_range_checked(self):
         with pytest.raises(ValueError, match="lie in"):
             ExperimentSpec("hardy", theta0=4.0, theta1=0.5)
