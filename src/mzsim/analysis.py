@@ -143,6 +143,4 @@ def argmax_gamma(step: float) -> tuple[float, float]:
         if g > best_gamma:
             best_theta, best_gamma = theta, g
         k += 1
-    if best_theta is None:
-        raise ValueError(f"step {step} leaves no grid points inside (0, pi)")
     return float(best_theta), float(best_gamma)

@@ -11,9 +11,12 @@ transpilation (basis decomposition + routing) feeds the reported fidelity
 estimate.  Mitigated results unmix the sampled counts with the device's
 exact confusion matrix.
 
-`run` and `sweep` share one path: `_device_from` resolves --device,
-`_check_sampling` checks shots, seed and --mitigate, and `_output_from`
-reads --format (each command's first format is its default) and --output.
+Each command is one function (`_cmd_run`, `_cmd_sweep`, `_cmd_transpile`)
+that reads, checks and executes its settings in a fixed order, so a command
+with two bad settings names the one it reads first.  `run` and `sweep`
+share their readers: `_device_from` resolves --device, `_check_sampling`
+checks shots, seed and --mitigate, and `_output_from` reads --format (each
+command's first format is its default) and --output.
 `experiments` owns each experiment kind; this module converts a setting by
 its flag's name.  A bad parameter, or a circuit wider than the simulator or
 the device, exits 2 in every command before any sampling.
@@ -134,13 +137,13 @@ _SETTING_CONVERTERS = dict(erase=_boolean, bomb=_boolean,
                            angles=lambda text: tuple(_real(v) * np.pi for v in _split(text)))
 
 
-def _device_from(args: argparse.Namespace, config: dict) -> tuple[DeviceModel | None, str]:
-    """The --device setting and the label output reports for it: 'ideal'
-    (the default) gives None; else a preset name or a calibration JSON
-    path or text, reported by its model's name."""
+def _device_from(args: argparse.Namespace, config: dict) -> DeviceModel | None:
+    """The --device setting: 'ideal' (the default) gives None; else a preset
+    name or a calibration JSON path or text.  Output names a device by its
+    model's name."""
     label = _merged(args, config, "device", str, "ideal")
     if label == "ideal":
-        return None, label
+        return None
     try:
         device = device_preset(label)
     except KeyError:
@@ -152,7 +155,7 @@ def _device_from(args: argparse.Namespace, config: dict) -> tuple[DeviceModel | 
             device = load_device(label)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return device, device.name
+    return device
 
 
 def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
@@ -162,9 +165,9 @@ def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
     settings = RUN_SETTINGS.get(kind, {})  # the spec refuses an unknown kind
     fields = {name: _merged(args, config, setting, _SETTING_CONVERTERS[setting], default)
               for setting, (name, default) in settings.items()}
-    if None in fields.values():  # the settings without a default are angles
-        required = [f"--{s}" for s, (_, default) in settings.items() if default is None]
-        raise ConfigError(f"{kind} requires {' and '.join(required)} (units of pi)")
+    missing = [f"--{s}" for s, (name, _) in settings.items() if fields[name] is None]
+    if missing:  # the settings without a default are angles
+        raise ConfigError(f"{kind} requires {' and '.join(missing)} (units of pi)")
     try:
         return ExperimentSpec(kind, **fields)
     except ValueError as exc:
@@ -184,60 +187,6 @@ def _check_sampling(shots: int, seed: int, mitigate_flag: bool, device: DeviceMo
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if mitigate_flag and device is None:
         raise ConfigError("--mitigate needs a noisy device")
-
-
-def execute_run(
-    spec: ExperimentSpec,
-    device: DeviceModel | None,
-    device_label: str,
-    shots: int,
-    seed: int,
-    mitigate_flag: bool,
-    exact: bool,
-) -> dict:
-    _check_sampling(shots, seed, mitigate_flag, device)
-    if exact and device is not None:
-        raise ConfigError("--exact gives ideal probabilities and cannot take a noisy device")
-
-    circuit = spec.build()
-    doc: dict = {
-        "experiment": spec.kind,
-        "observable": spec.observable(),
-        "device": device_label,
-        "seed": seed,
-        "exact": bool(exact),
-        "theory": spec.theory(),
-        "parameters": spec.parameters(),
-        "fidelity_estimate": 1.0,
-        "error_estimate": 0.0,
-    }
-    if device is not None:
-        transpiled = transpile(circuit, device)
-        doc["fidelity_estimate"], doc["error_estimate"] = estimate_fidelity(transpiled, device)
-        doc["swap_count"] = transpiled.swap_count
-
-    if exact:
-        state = simulate_ideal(circuit)
-        dist = {k: float(v) for k, v in state.probability_dict().items()}
-        doc["shots"] = None
-        doc["value"] = spec.value(dist)
-        doc["probabilities"] = dict(sorted(dist.items()))
-        return doc
-
-    doc["shots"] = shots
-    if device is None:
-        counts = ideal_counts(circuit, shots, seed)
-    else:
-        counts = simulate_noisy(circuit, device, shots, seed)
-    doc["counts"] = dict(sorted(counts.counts.items()))
-    doc["value"] = spec.value(counts)
-
-    if mitigate_flag:
-        confusion = exact_confusion_matrix(device, circuit.measured_qubits)
-        corrected = mitigate(counts, confusion)
-        doc["mitigated_probabilities"] = dict(sorted(corrected.items()))
-        doc["mitigated_value"] = spec.value(corrected)
-    return doc
 
 
 def _run_rows(doc: dict, spec: ExperimentSpec) -> list[dict]:
@@ -302,64 +251,6 @@ def _derived_seed(base: int, *context: int) -> int:
     return int(np.random.SeedSequence((base, *context)).generate_state(1)[0])
 
 
-def execute_sweep(
-    experiment: str,
-    n_values: tuple[int, ...],
-    theta_grid: list[float],
-    hardy_grid: str,
-    device: DeviceModel | None,
-    device_label: str,
-    shots: int,
-    seed: int,
-    repeats: int,
-    mitigate_flag: bool,
-) -> list[dict]:
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    _check_sampling(shots, seed, mitigate_flag, device)
-    if hardy_grid not in ("diagonal", "full"):
-        raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
-    # every point is counted, then made and fitted to the device, before any is sampled
-    made = sweep_points(experiment, n_values, theta_grid, hardy_grid)
-    try:
-        count = next(made)
-        if count > _MAX_GRID_POINTS:
-            raise ConfigError(f"the sweep grid has {count} points, more than {_MAX_GRID_POINTS}")
-        points = list(made)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for what, spec, _ in points:
-        if device is not None and spec.num_qubits > device.num_qubits:
-            raise ConfigError(f"{what} needs {spec.num_qubits} qubits but device "
-                              f"{device_label!r} has {device.num_qubits}")
-
-    rows: list[dict] = []
-    for index, (_, spec, point) in enumerate(points):
-        circuit = spec.build()
-        cells = {**point, "experiment": spec.kind, "N": spec.num_qubits,
-                 "observable": spec.observable(), "theory": spec.theory()}
-        exact = spec.value(simulate_ideal(circuit).probability_dict())
-        rows.append({**cells, "shots": "", "seed": "", "value": exact, "std_dev": "",
-                     "device": "ideal", "mitigated": "false"})
-        if device is None:
-            continue
-        confusion = (exact_confusion_matrix(device, circuit.measured_qubits)
-                     if mitigate_flag else None)
-        sampled, mitigated = [], []
-        seeds = [_derived_seed(seed, index, r) for r in range(repeats)]
-        for seed_r, counts in zip(seeds, simulate_noisy_repeats(circuit, device, shots, seeds)):
-            repeat = {**cells, "shots": shots, "seed": seed_r, "device": device_label}
-            sampled.append({**repeat, "value": spec.value(counts), "mitigated": "false"})
-            if mitigate_flag:
-                value = spec.value(mitigate(counts, confusion))
-                mitigated.append({**repeat, "value": value, "mitigated": "true"})
-        for group in (sampled, mitigated):
-            if group:
-                std = run_statistics([entry["value"] for entry in group], 1.0).std_dev
-                rows.extend({**entry, "std_dev": std} for entry in group)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -409,14 +300,49 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config_file(args)
     fmt, output = _output_from(args, config, ("json", "csv"))
     spec = _experiment_from(args, config)
-    device, device_label = _device_from(args, config)
-    doc = execute_run(
-        spec, device, device_label,
-        shots=_merged(args, config, "shots", _integer, 8192),
-        seed=_merged(args, config, "seed", _integer, 0),
-        mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
-        exact=_merged(args, config, "exact", _boolean, False),
-    )
+    device = _device_from(args, config)
+    shots = _merged(args, config, "shots", _integer, 8192)
+    seed = _merged(args, config, "seed", _integer, 0)
+    mitigate_flag = _merged(args, config, "mitigate", _boolean, False)
+    exact = _merged(args, config, "exact", _boolean, False)
+    _check_sampling(shots, seed, mitigate_flag, device)
+    if exact and device is not None:
+        raise ConfigError("--exact gives ideal probabilities and cannot take a noisy device")
+
+    circuit = spec.build()
+    doc: dict = {
+        "experiment": spec.kind,
+        "observable": spec.observable(),
+        "device": "ideal" if device is None else device.name,
+        "shots": None if exact else shots,
+        "seed": seed,
+        "exact": exact,
+        "theory": spec.theory(),
+        "parameters": spec.parameters(),
+        "fidelity_estimate": 1.0,
+        "error_estimate": 0.0,
+    }
+    if device is not None:
+        transpiled = transpile(circuit, device)
+        doc["fidelity_estimate"], doc["error_estimate"] = estimate_fidelity(transpiled, device)
+        doc["swap_count"] = transpiled.swap_count
+
+    if exact:
+        dist = simulate_ideal(circuit).probability_dict()
+        doc["value"] = spec.value(dist)
+        doc["probabilities"] = dict(sorted(dist.items()))
+    else:
+        if device is None:
+            counts = ideal_counts(circuit, shots, seed)
+        else:
+            counts = simulate_noisy(circuit, device, shots, seed)
+        doc["counts"] = dict(sorted(counts.counts.items()))
+        doc["value"] = spec.value(counts)
+        if mitigate_flag:
+            confusion = exact_confusion_matrix(device, circuit.measured_qubits)
+            corrected = mitigate(counts, confusion)
+            doc["mitigated_probabilities"] = dict(sorted(corrected.items()))
+            doc["mitigated_value"] = spec.value(corrected)
     _write_text(_dump_json(doc) if fmt == "json" else _rows_to_csv(_run_rows(doc, spec)), output)
     return 0
 
@@ -433,15 +359,56 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     step = _merged(args, config, "theta_step", _real)
     if start is None or stop is None or step is None:
         raise ConfigError("sweep needs --theta-start, --theta-stop, --theta-step (units of pi)")
-    device, device_label = _device_from(args, config)
-    rows = execute_sweep(
-        experiment, n_values, _grid(start, stop, step),
-        _merged(args, config, "hardy_grid", str, "diagonal"), device, device_label,
-        shots=_merged(args, config, "shots", _integer, 8192),
-        seed=_merged(args, config, "seed", _integer, 0),
-        repeats=_merged(args, config, "repeats", _integer, 1),
-        mitigate_flag=_merged(args, config, "mitigate", _boolean, False),
-    )
+    device = _device_from(args, config)
+    theta_grid = _grid(start, stop, step)
+    hardy_grid = _merged(args, config, "hardy_grid", str, "diagonal")
+    shots = _merged(args, config, "shots", _integer, 8192)
+    seed = _merged(args, config, "seed", _integer, 0)
+    repeats = _merged(args, config, "repeats", _integer, 1)
+    mitigate_flag = _merged(args, config, "mitigate", _boolean, False)
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    _check_sampling(shots, seed, mitigate_flag, device)
+    if hardy_grid not in ("diagonal", "full"):
+        raise ConfigError(f"hardy_grid must be 'diagonal' or 'full', got {hardy_grid!r}")
+    # every point is counted, then made and fitted to the device, before any is sampled
+    made = sweep_points(experiment, n_values, theta_grid, hardy_grid)
+    try:
+        count = next(made)
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(f"the sweep grid has {count} points, more than {_MAX_GRID_POINTS}")
+        points = list(made)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for what, spec, _ in points:
+        if device is not None and spec.num_qubits > device.num_qubits:
+            raise ConfigError(f"{what} needs {spec.num_qubits} qubits but device "
+                              f"{device.name!r} has {device.num_qubits}")
+
+    rows: list[dict] = []
+    for index, (_, spec, point) in enumerate(points):
+        circuit = spec.build()
+        cells = {**point, "experiment": spec.kind, "N": spec.num_qubits,
+                 "observable": spec.observable(), "theory": spec.theory()}
+        exact = spec.value(simulate_ideal(circuit).probability_dict())
+        rows.append({**cells, "shots": "", "seed": "", "value": exact, "std_dev": "",
+                     "device": "ideal", "mitigated": "false"})
+        if device is None:
+            continue
+        confusion = (exact_confusion_matrix(device, circuit.measured_qubits)
+                     if mitigate_flag else None)
+        sampled, mitigated = [], []
+        seeds = [_derived_seed(seed, index, r) for r in range(repeats)]
+        for seed_r, counts in zip(seeds, simulate_noisy_repeats(circuit, device, shots, seeds)):
+            repeat = {**cells, "shots": shots, "seed": seed_r, "device": device.name}
+            sampled.append({**repeat, "value": spec.value(counts), "mitigated": "false"})
+            if mitigate_flag:
+                value = spec.value(mitigate(counts, confusion))
+                mitigated.append({**repeat, "value": value, "mitigated": "true"})
+        for group in (sampled, mitigated):
+            if group:
+                std = run_statistics([entry["value"] for entry in group], 1.0).std_dev
+                rows.extend({**entry, "std_dev": std} for entry in group)
     _write_text(_rows_to_csv(rows) if fmt == "csv" else _dump_json({"rows": rows}), output)
     return 0
 
@@ -452,7 +419,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8") as fh:
         source = fh.read()
     circuit = parse(source)  # QasmError -> exit 2 in main()
-    device, _ = _device_from(args, {})
+    device = _device_from(args, {})
     if device is None:
         raise ConfigError("transpile requires a real device (--device PRESET|FILE)")
     layout = _merged(args, {}, "layout", _int_list) or None

@@ -8,6 +8,7 @@ one is a release decision, not a refactor.
 """
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from mzsim.analysis import argmax_gamma, eta_from_counts, run_statistics
 from mzsim.circuit import Circuit, simulate_ideal, unitary_of
-from mzsim.cli import execute_sweep
+from mzsim.cli import main
 from mzsim.experiments import (
     alpha_beta_from_theta,
     build_bomb,
@@ -256,11 +257,12 @@ def test_criterion_03_general_bomb_equivalence():
           f"{elapsed:.1f} s")
 
 
-def test_criterion_04_sweep_theory_curves():
+def test_criterion_04_sweep_theory_curves(capsys):
     grid = [round(0.05 * k, 10) for k in range(1, 20)]  # 0.05 .. 0.95
-    rows = execute_sweep(
-        "general-bomb", (2, 3, 4, 5, 6), grid, "diagonal",
-        None, "ideal", shots=1, seed=0, repeats=1, mitigate_flag=False)
+    assert main(["sweep", "--experiment", "general-bomb", "--n-values", "2,3,4,5,6",
+                 "--theta-start", "0.05", "--theta-stop", "0.95", "--theta-step", "0.05",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 5 * len(grid)
     for row in rows:
         expected = eta_general(

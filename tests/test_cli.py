@@ -890,6 +890,61 @@ def test_flags_are_spelt_in_full(capsys, argv, unrecognized):
     assert err == f"error: unrecognized arguments: {unrecognized}\n"
 
 
+HARDY_SWEEP_WIDE = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
+                    "--theta-stop", "0.6", "--theta-step", "0.1")
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    pytest.param(("run", "--experiment", "bomb", "--shots", "0", "--seed", "-1"), None,
+                 "shots must be >= 1, got 0", id="run-shots-before-seed"),
+    pytest.param(("run", "--experiment", "bomb", "--seed", "-1", "--mitigate"), None,
+                 "seed must be >= 0, got -1", id="run-seed-before-mitigate"),
+    pytest.param(("run", "--experiment", "bomb", "--shots", "0"), {"exact": "yes"},
+                 "bad exact 'yes': expected a JSON boolean (true or false)",
+                 id="run-exact-read-before-shots-checked"),
+    pytest.param(("run", "--experiment", "bomb", "--shots", "x", "--device", "nope"), None,
+                 "device 'nope' is neither 'ideal', a preset, nor a calibration file",
+                 id="run-device-before-shots-read"),
+    pytest.param(("run", "--experiment", "bomb", "--exact", "--device", "vigo", "--shots", "0"),
+                 None, "shots must be >= 1, got 0", id="run-shots-before-exact-with-device"),
+    pytest.param(HARDY_SWEEP_WIDE + ("--repeats", "0", "--shots", "0"), None,
+                 "repeats must be >= 1, got 0", id="sweep-repeats-before-shots"),
+    pytest.param(HARDY_SWEEP_WIDE + ("--repeats", "x", "--shots", "0"), None,
+                 "bad repeats 'x': invalid literal for int() with base 10: 'x'",
+                 id="sweep-repeats-read-before-shots-checked"),
+    pytest.param(HARDY_SWEEP_WIDE + ("--shots", "0", "--hardy-grid", "xyz"), None,
+                 "shots must be >= 1, got 0", id="sweep-shots-before-hardy-grid"),
+    pytest.param(("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
+                  "--theta-step", "-1", "--shots", "x"), None,
+                 "theta-step must be positive, got -1.0", id="sweep-grid-before-shots-read"),
+])
+def test_settings_are_refused_in_a_fixed_order(capsys, tmp_path, argv, config, error):
+    # a command with two bad settings names the one it reads and checks first
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(("--experiment", "hardy", "--theta0", "0.5"),
+                 "hardy requires --theta1 (units of pi)", id="hardy-theta0-only"),
+    pytest.param(("--experiment", "hardy", "--theta1", "0.5"),
+                 "hardy requires --theta0 (units of pi)", id="hardy-theta1-only"),
+    pytest.param(("--experiment", "hardy"),
+                 "hardy requires --theta0 and --theta1 (units of pi)", id="hardy-neither"),
+    pytest.param(("--experiment", "general-bomb"),
+                 "general-bomb requires --angles (units of pi)", id="general-bomb-no-angles"),
+])
+def test_missing_settings_are_named(capsys, argv, error):
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
+
+
 def test_full_negated_flags_and_help_still_work(capsys):
     code, out, _ = run_cli(capsys, "run", "--experiment", "bomb", "--no-bomb", "--exact")
     assert code == 0 and json.loads(out)["parameters"] == {"present": False}

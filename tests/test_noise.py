@@ -85,6 +85,10 @@ class TestDeviceModel:
         with pytest.raises(ValueError, match="readout pair"):
             DeviceModel("d", 2, 50.0, 50.0, 0.01, ((0.1, 0.1),), ((0, 1),))
 
+    def test_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="num_qubits must be >= 1, got 0"):
+            DeviceModel("d", 0, 50.0, 50.0, 0.01, (), ())
+
     def test_rate_ranges(self):
         with pytest.raises(ValueError, match="cnot_error"):
             DeviceModel("d", 1, 50.0, 50.0, 1.5, ((0.0, 0.0),), ())

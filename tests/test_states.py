@@ -98,6 +98,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             init_state(MAX_QUBITS + 1)
 
+    @pytest.mark.parametrize("num_qubits", [0, MAX_QUBITS + 1])
+    def test_constructor_checks_qubit_bounds_before_amplitudes(self, num_qubits):
+        with pytest.raises(ValueError, match=rf"num_qubits must be in \[1, {MAX_QUBITS}\]"):
+            StateVector(num_qubits, np.array([1.0]))
+
     def test_probability_dict_cutoff(self):
         s = apply_gate(init_state(2), H, (0,))
         full = s.probability_dict()
@@ -267,3 +272,10 @@ class TestPredicates:
         w = np.array([np.sqrt(1 - 1e-6), np.sqrt(1e-6)])
         assert not equal_up_to_global_phase(v, w, tol=ALGEBRAIC_TOL)
         assert equal_up_to_global_phase(v, w, tol=1e-2)
+
+    def test_phase_equality_of_mismatched_shapes_and_zero_vectors(self):
+        assert not equal_up_to_global_phase(np.ones(2), np.ones(4))
+        assert not equal_up_to_global_phase(np.eye(2), np.ones(4))
+        # two zero vectors have no phase to align, and only they are phase-equal
+        assert equal_up_to_global_phase(np.zeros(4), np.zeros(4))
+        assert not equal_up_to_global_phase(np.zeros(2), np.array([0.0, 1.0]))

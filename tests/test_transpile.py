@@ -79,6 +79,10 @@ class TestCouplingGraph:
         square = CouplingGraph(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
         assert square.shortest_path(0, 3) == [0, 1, 3]
 
+    def test_shortest_path_to_a_qubit_off_the_graph(self):
+        with pytest.raises(ValueError, match="no path between 0 and 5"):
+            T_GRAPH.shortest_path(0, 5)
+
     def test_device_graph(self):
         assert device_preset("vigo").graph.edges == T_GRAPH.edges
         assert device_preset("x2").graph.degree(2) == 4  # hourglass center
