@@ -62,6 +62,8 @@ class ConfigError(ValueError):
 
 #: the most points a sweep may hold, all axes together (a step of 1e-4 over [0, 1])
 _MAX_GRID_POINTS = 10_001
+#: the one refusal of a command that names no experiment, for run and sweep
+_NO_EXPERIMENT = "an experiment is required (--experiment or config file)"
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,7 @@ def _device_from(args: argparse.Namespace, config: dict) -> DeviceModel | None:
 def _experiment_from(args: argparse.Namespace, config: dict) -> ExperimentSpec:
     kind = _merged(args, config, "experiment", str)
     if kind is None:
-        raise ConfigError("an experiment is required (--experiment or config file)")
+        raise ConfigError(_NO_EXPERIMENT)
     settings = RUN_SETTINGS.get(kind, {})  # the spec refuses an unknown kind
     fields = {name: _merged(args, config, setting, _SETTING_CONVERTERS[setting], default)
               for setting, (name, default) in settings.items()}
@@ -352,7 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fmt, output = _output_from(args, config, ("csv", "json"))
     experiment = _merged(args, config, "experiment", str)
     if experiment is None:
-        raise ConfigError("a sweep experiment is required (--experiment)")
+        raise ConfigError(_NO_EXPERIMENT)
     n_values = _merged(args, config, "n_values", _int_list, ())
     start = _merged(args, config, "theta_start", _real)
     stop = _merged(args, config, "theta_stop", _real)

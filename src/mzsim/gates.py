@@ -84,15 +84,17 @@ _SWAP_MATRIX = np.array(
 )
 
 
-def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+def _u3_matrix(theta, phi, lam) -> np.ndarray:
+    """U3's matrix; array angles broadcast to a stack of shape (..., 2, 2),
+    each entry computed as a scalar call computes it."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
+    bottom_right = np.exp(1j * (phi + lam)) * c  # has every angle's shape
+    out = np.empty(bottom_right.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -np.exp(1j * lam) * s
+    out[..., 1, 0] = np.exp(1j * phi) * s
+    out[..., 1, 1] = bottom_right
+    return out
 
 
 # ---- basis rewrites (their gate constants are built below the table) -------

@@ -10,20 +10,33 @@ busiest logical qubit (highest 2-qubit-gate degree) placed on the
 best-connected physical qubit.  A circuit wider than the graph, or a
 layout that is not one-to-one onto physical qubits, raises `LayoutError`.
 
+Fusion runs in two phases.  The first walks the instructions once: it
+gives each distinct gate object a row of a matrix stack and records each
+run of single-qubit gates as rows, closing a run at a multi-qubit gate,
+measure or barrier on its qubit, and at the end in qubit order.  The second
+builds all the matrices with one call per gate name, multiplies step k of
+every run still open as one stacked product, and takes one vector identity
+test and one vector ZYZ decomposition (Nielsen & Chuang, Thm 4.1) of the
+products.  The output bits are those of a gate-by-gate product: the stack
+starts from the identity, a run that has ended is not multiplied again,
+and magnitudes and angles are computed as the scalar `zyz_angles` computes
+them.
+
 The passes keep what they compute for one call only: `route` its shortest
 paths and SWAP networks, keyed by qubits, and `fuse_single_qubit_runs` its
 gate matrices, keyed by gate object identity, since equal gates can differ
-in the signs of their zeros.
+in the signs of their zeros (`u1(0)` and `u1(-0)` print differently).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, CircuitError, Instruction, _index
-from .gates import BASIS_GATES, GATES, GateDef, matrix_of
+from .gates import BASIS_GATES, GATES, GateDef
 from .noise import CouplingGraph, DeviceModel
 from .states import ALGEBRAIC_TOL
 
@@ -185,22 +198,31 @@ def estimate_fidelity(transpiled, device: DeviceModel) -> tuple[float, float]:
     return fidelity, 1.0 - fidelity
 
 
+def _zyz_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`zyz_angles` of every matrix in an (n, 2, 2) stack, as three arrays.
+
+    Magnitudes are `np.hypot` of the parts and angles `np.angle`, which give
+    the bits of the scalar `abs` and `np.angle`; `np.abs` of a complex array
+    does not.
+    """
+    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    r00, r10 = np.hypot(m00.real, m00.imag), np.hypot(m10.real, m10.imag)
+    theta = 2.0 * np.arctan2(r10, r00)
+    diagonal = r10 < ALGEBRAIC_TOL  # only phi+lam is defined
+    antidiagonal = ~diagonal & (r00 < ALGEBRAIC_TOL)  # only phi-lam is defined
+    a00, a10, a11, a01 = np.angle(m00), np.angle(m10), np.angle(m11), np.angle(-m01)
+    phi = np.where(diagonal, 0.0, np.where(antidiagonal, a10 - a01, a10 - a00))
+    lam = np.where(diagonal, a11 - a00, np.where(antidiagonal, 0.0, a01 - a00))
+    return theta, phi, lam
+
+
 def zyz_angles(matrix: np.ndarray) -> tuple[float, float, float]:
     """(theta, phi, lam) with U3(theta, phi, lam) == matrix up to global phase."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"need a 2x2 matrix, got {m.shape}")
-    theta = 2.0 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[1, 0]) < ALGEBRAIC_TOL:  # diagonal: only phi+lam is defined
-        phi = 0.0
-        lam = float(np.angle(m[1, 1]) - np.angle(m[0, 0]))
-    elif abs(m[0, 0]) < ALGEBRAIC_TOL:  # antidiagonal: only phi-lam is defined
-        lam = 0.0
-        phi = float(np.angle(m[1, 0]) - np.angle(-m[0, 1]))
-    else:
-        phi = float(np.angle(m[1, 0]) - np.angle(m[0, 0]))
-        lam = float(np.angle(-m[0, 1]) - np.angle(m[0, 0]))
-    return float(theta), phi, lam
+    theta, phi, lam = _zyz_stack(m[np.newaxis])
+    return float(theta[0]), float(phi[0]), float(lam[0])
 
 
 def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
@@ -209,41 +231,90 @@ def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
     Off the default path; useful to shorten long U1/U2/U3 chains before
     fidelity estimation.
     """
-    out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    pending: dict[int, np.ndarray] = {}
-    # each gate object's matrix, for this call; keyed by identity, since
-    # equal gates can differ in the signs of their zeros (u1(0), u1(-0))
-    matrices: dict[int, np.ndarray] = {}
+    # phase 1, one walk: each distinct gate object gets a row of the matrix
+    # stack, each run is the rows of its gates, and `items` is the output in
+    # order, with None where a run's U3 goes
+    rows: dict[int, int] = {}  # id(gate) -> row
+    gates: list[GateDef] = []
+    open_runs: dict[int, list[int]] = {}  # qubit -> its run so far
+    runs: list[tuple[int, int, list[int]]] = []  # (place in items, qubit, rows)
+    items: list[Instruction | None] = []
 
-    def flush(q: int):
-        m = pending.pop(q, None)
-        if m is None:
-            return
-        if abs(m - _IDENTITY).max() < ALGEBRAIC_TOL:
-            return  # run collapsed to identity
-        out._append_trusted(Instruction("gate", (q,), GateDef("U3", zyz_angles(m))))
+    def close(q: int):
+        run = open_runs.pop(q, None)
+        if run is not None:
+            runs.append((len(items), q, run))
+            items.append(None)
 
     for inst in circuit.instructions:
         if inst.kind == "gate" and len(inst.qubits) == 1:
             gate = inst.gate
-            if gate.name not in BASIS_GATES:
-                raise CircuitError(f"fuse pass expects basis gates, found {gate.name}")
-            m = matrices.get(id(gate))
-            if m is None:
-                m = matrices[id(gate)] = matrix_of(gate)
-            q = inst.qubits[0]
-            # keep the product with the identity: it fixes the signs of zeros
-            pending[q] = m @ pending.get(q, _IDENTITY)
+            row = rows.get(id(gate))
+            if row is None:
+                if gate.name not in BASIS_GATES:
+                    raise CircuitError(f"fuse pass expects basis gates, found {gate.name}")
+                row = rows[id(gate)] = len(gates)
+                gates.append(gate)
+            run = open_runs.get(inst.qubits[0])
+            if run is None:
+                open_runs[inst.qubits[0]] = [row]
+            else:
+                run.append(row)
         else:
             for q in inst.qubits:
-                flush(q)
-            if inst.kind == "gate":
-                out._append_trusted(inst)
-            else:
-                out.append(inst)
-    for q in sorted(pending):
-        flush(q)
+                close(q)
+            items.append(inst)
+    for q in sorted(open_runs):
+        close(q)
+
+    if runs:
+        _place_fused_runs(items, runs, gates)
+    out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
+    for inst in items:
+        if inst is None:
+            continue
+        if inst.kind == "gate":
+            out._append_trusted(inst)
+        else:
+            out.append(inst)
     return out
+
+
+def _place_fused_runs(
+    items: list[Instruction | None],
+    runs: list[tuple[int, int, list[int]]],
+    gates: list[GateDef],
+):
+    """Phase 2 of `fuse_single_qubit_runs`: put each run's U3 at its place
+    in `items`, or leave None there if the run collapses to the identity."""
+    # every gate's matrix, one call per gate name
+    matrices = np.empty((len(gates), 2, 2), dtype=complex)
+    by_name: dict[str, list[int]] = {}
+    for row, gate in enumerate(gates):
+        by_name.setdefault(gate.name, []).append(row)
+    for name, named in by_name.items():
+        columns = np.array([gates[row].params for row in named]).T
+        matrices[named] = GATES[name].matrix(*columns)
+    # longest runs first, so the runs still open at step k are a prefix; a
+    # run that has ended is not multiplied again, since an identity step can
+    # change the signs of a product's zeros.  The runs' rows lie end to end
+    # in `flat`, so step k of the open runs is `flat[starts[:active] + k]`
+    runs = sorted(runs, key=lambda run: -len(run[2]))
+    lengths = [len(run[2]) for run in runs]
+    flat = np.fromiter(itertools.chain.from_iterable(run[2] for run in runs),
+                       dtype=np.intp, count=sum(lengths))
+    starts = np.cumsum([0] + lengths[:-1])
+    products = np.repeat(_IDENTITY[np.newaxis], len(runs), axis=0)
+    active = len(runs)
+    for k in range(lengths[0]):
+        while lengths[active - 1] <= k:
+            active -= 1
+        products[:active] = matrices[flat[starts[:active] + k]] @ products[:active]
+    collapsed = (np.abs(products - _IDENTITY).max(axis=(1, 2)) < ALGEBRAIC_TOL).tolist()
+    angles = zip(*(a.tolist() for a in _zyz_stack(products)))
+    for (place, q, _), identity, params in zip(runs, collapsed, angles):
+        if not identity:
+            items[place] = Instruction("gate", (q,), GateDef("U3", params))
 
 
 def transpile(

@@ -477,6 +477,23 @@ class TestSweep:
         assert header == list(CSV_COLUMNS) and len(rows) == 1
 
 
+@pytest.mark.parametrize("command, config", [
+    ("run", None), ("run", {"exact": True}), ("sweep", None),
+    ("sweep", {"theta_start": 0.5, "theta_stop": 0.5, "theta_step": 0.1}),
+], ids=["run", "run-config", "sweep", "sweep-config"])
+def test_a_missing_experiment_is_refused_in_one_wording(capsys, tmp_path, command, config):
+    argv = [command]
+    if command == "sweep" and config is None:
+        argv += ["--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: an experiment is required (--experiment or config file)\n"
+
+
 class TestSweepErrors:
     def test_missing_grid_flags(self, capsys):
         code, _, err = run_cli(

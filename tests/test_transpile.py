@@ -1,19 +1,21 @@
 """Decomposition, layout, routing, and fidelity bookkeeping."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mzsim.circuit import Circuit, CircuitError, Instruction, unitary_of
-from mzsim.gates import BASIS_GATES, GATES, GateDef, matrix_of, u3
+from mzsim.gates import BASIS_GATES, GATES, GateDef, _u3_matrix, matrix_of, u3
 from mzsim.noise import device_preset, ideal_device
 from mzsim.qasm import emit, parse
-from mzsim.states import equal_up_to_global_phase, index_of
+from mzsim.states import ALGEBRAIC_TOL, equal_up_to_global_phase, index_of
 from mzsim.transpile import (
     CouplingGraph,
     LayoutError,
     TranspiledCircuit,
+    _zyz_stack,
     decompose_to_basis,
     default_layout,
     estimate_fidelity,
@@ -455,3 +457,266 @@ def test_route_matches_the_reference(graph):
             else:
                 unroutable += 1
     assert routed > 100 and unroutable > 0
+
+
+# ---- fusion against the previous implementation -----------------------------
+
+_IDENTITY = np.eye(2, dtype=complex)
+
+
+# `_u3_matrix`, `zyz_angles` and `fuse_single_qubit_runs` as they were before
+# fusion ran on stacks, copied verbatim; the current ones must give the same
+# bits.
+def _reference_u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array(
+        [
+            [c, -np.exp(1j * lam) * s],
+            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+        ],
+        dtype=complex,
+    )
+
+
+def _reference_zyz_angles(matrix: np.ndarray) -> tuple[float, float, float]:
+    """(theta, phi, lam) with U3(theta, phi, lam) == matrix up to global phase."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"need a 2x2 matrix, got {m.shape}")
+    theta = 2.0 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
+    if abs(m[1, 0]) < ALGEBRAIC_TOL:  # diagonal: only phi+lam is defined
+        phi = 0.0
+        lam = float(np.angle(m[1, 1]) - np.angle(m[0, 0]))
+    elif abs(m[0, 0]) < ALGEBRAIC_TOL:  # antidiagonal: only phi-lam is defined
+        lam = 0.0
+        phi = float(np.angle(m[1, 0]) - np.angle(-m[0, 1]))
+    else:
+        phi = float(np.angle(m[1, 0]) - np.angle(m[0, 0]))
+        lam = float(np.angle(-m[0, 1]) - np.angle(m[0, 0]))
+    return float(theta), phi, lam
+
+
+def _reference_fuse(circuit: Circuit) -> Circuit:
+    """Optional pass: merge adjacent single-qubit basis gates into one U3.
+
+    Off the default path; useful to shorten long U1/U2/U3 chains before
+    fidelity estimation.
+    """
+    out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
+    pending: dict[int, np.ndarray] = {}
+    # each gate object's matrix, for this call; keyed by identity, since
+    # equal gates can differ in the signs of their zeros (u1(0), u1(-0))
+    matrices: dict[int, np.ndarray] = {}
+
+    def flush(q: int):
+        m = pending.pop(q, None)
+        if m is None:
+            return
+        if abs(m - _IDENTITY).max() < ALGEBRAIC_TOL:
+            return  # run collapsed to identity
+        out._append_trusted(Instruction("gate", (q,), GateDef("U3", _reference_zyz_angles(m))))
+
+    for inst in circuit.instructions:
+        if inst.kind == "gate" and len(inst.qubits) == 1:
+            gate = inst.gate
+            if gate.name not in BASIS_GATES:
+                raise CircuitError(f"fuse pass expects basis gates, found {gate.name}")
+            m = matrices.get(id(gate))
+            if m is None:
+                m = matrices[id(gate)] = matrix_of(gate)
+            q = inst.qubits[0]
+            # keep the product with the identity: it fixes the signs of zeros
+            pending[q] = m @ pending.get(q, _IDENTITY)
+        else:
+            for q in inst.qubits:
+                flush(q)
+            if inst.kind == "gate":
+                out._append_trusted(inst)
+            else:
+                out.append(inst)
+    for q in sorted(pending):
+        flush(q)
+    return out
+
+
+#: angles whose signs of zeros and axes the fused bits depend on
+SPECIAL_ANGLES = (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2)
+
+
+def _angle(rng) -> float:
+    if rng.random() < 0.4:
+        return float(SPECIAL_ANGLES[int(rng.integers(len(SPECIAL_ANGLES)))])
+    return float(rng.uniform(-np.pi, np.pi))
+
+
+def random_fuse_circuit(rng, num_qubits: int, steps: int) -> Circuit:
+    """U1/U2/U3 gates at special and random angles, and runs built to
+    collapse to the identity (a gate, then its inverse), to be diagonal (U1
+    only) or antidiagonal (U3 with theta = pi), some ended at once by a
+    barrier; CNOTs, barriers and early measures; gate objects used more than
+    once; and, rarely, a gate outside the basis."""
+    c = Circuit(num_qubits, num_qubits)
+    pool = [GateDef("U1", (-0.0,)), GateDef("U1", (0.0,)), GateDef("U2", (0.0, np.pi))]
+    for _ in range(steps):
+        live = [q for q in range(num_qubits) if q not in c.measured_qubits]
+        if not live:
+            break
+        q = int(rng.choice(live))
+        roll = rng.random()
+        if roll < 0.12:
+            if rng.random() < 0.5:
+                a = _angle(rng)
+                c.u1(a, q).u1(-a, q)
+            else:
+                t, p, lam = (_angle(rng) for _ in range(3))
+                c.u3(t, p, lam, q).u3(-t, -lam, -p, q)
+            if rng.random() < 0.5:
+                c.barrier(q)
+        elif roll < 0.22:
+            c.u1(_angle(rng), q)
+        elif roll < 0.3:
+            c.u3(np.pi, _angle(rng), _angle(rng), q)
+        elif roll < 0.38:
+            c.gate(pool[int(rng.integers(len(pool)))], q)
+        elif roll < 0.62:
+            k = int(rng.integers(1, 4))  # U1, U2 or U3
+            (c.u1, c.u2, c.u3)[k - 1](*(_angle(rng) for _ in range(k)), q)
+        elif roll < 0.8 and len(live) >= 2:
+            a, b = map(int, rng.choice(live, 2, replace=False))
+            c.cx(a, b)
+        elif roll < 0.9:
+            width = int(rng.integers(1, len(live) + 1))
+            c.barrier(*sorted(map(int, rng.choice(live, width, replace=False))))
+        elif roll < 0.95:
+            c.measure(q, q)
+        elif roll < 0.953:
+            c.gate((GateDef("H"), GateDef("X"), GateDef("RY", (0.5,)))[int(rng.integers(3))], q)
+    return c
+
+
+def _run_count(circuit: Circuit) -> int:
+    runs, open_qubits = 0, set()
+    for inst in circuit.instructions:
+        if inst.kind == "gate" and len(inst.qubits) == 1:
+            runs += inst.qubits[0] not in open_qubits
+            open_qubits.add(inst.qubits[0])
+        else:
+            open_qubits.difference_update(inst.qubits)
+    return runs
+
+
+def fuse_outcome(fuse_fn, circuit):
+    try:
+        out = fuse_fn(circuit)
+    except CircuitError as exc:
+        return type(exc), str(exc)
+    return emit(out), sorted(out.measured_qubits)
+
+
+def test_fuse_matches_the_reference_byte_for_byte():
+    rng = np.random.default_rng(2025)
+    refused = collapsed = diagonal = antidiagonal = 0
+    for _ in range(2400):
+        c = random_fuse_circuit(rng, int(rng.integers(1, 7)), int(rng.integers(1, 40)))
+        expected = fuse_outcome(_reference_fuse, c)
+        assert fuse_outcome(fuse_single_qubit_runs, c) == expected
+        if isinstance(expected[0], type):
+            refused += 1
+            continue
+        text = expected[0]
+        collapsed += _run_count(c) - text.count("\nu3(")
+        diagonal += text.count("\nu3(0,0,")
+        antidiagonal += text.count(",0) q[") - text.count("\nu3(0,0,0) q[")
+    assert refused > 20 and collapsed > 200 and diagonal > 200 and antidiagonal > 200
+
+
+def test_one_long_run_beside_many_short_runs_matches_the_reference():
+    """A skewed mix of run lengths; the pass's memory must grow with the
+    gate count, not with the longest run times the number of runs."""
+    rng = np.random.default_rng(11)
+    c = Circuit(3)
+    for _ in range(3000):
+        c.u3(*(_angle(rng) for _ in range(3)), 0)
+    for i in range(1500):
+        c.u1(_angle(rng), 1 + i % 2).barrier(1 + i % 2)
+    c.u1(-0.0, 2)
+    assert fuse_outcome(fuse_single_qubit_runs, c) == fuse_outcome(_reference_fuse, c)
+    tracemalloc.start()
+    try:
+        fuse_single_qubit_runs(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # about 2 MB; a dense steps-by-runs table takes over 70 MB
+
+
+def test_fuse_refuses_a_non_basis_gate_as_the_reference_does():
+    c = Circuit(2).u1(0.3, 0).cx(0, 1).ry(0.5, 1).h(0)
+    with pytest.raises(CircuitError) as new:
+        fuse_single_qubit_runs(c)
+    with pytest.raises(CircuitError) as old:
+        _reference_fuse(c)
+    assert str(new.value) == str(old.value) == "fuse pass expects basis gates, found RY"
+
+
+# ---- the vector pieces, bit for bit ------------------------------------------
+
+def _bits(a) -> np.ndarray:
+    """An array's raw 64-bit words, so the sign of zero counts."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_stacked_products_equal_pairwise_products():
+    rng = np.random.default_rng(7)
+    a = _u3_matrix(*rng.uniform(-np.pi, np.pi, (3, 20000)))
+    b = _u3_matrix(*rng.uniform(-np.pi, np.pi, (3, 20000)))
+    pairwise = np.array([x @ y for x, y in zip(a, b)])
+    assert np.array_equal(_bits(a @ b), _bits(pairwise))
+
+
+def test_vector_zyz_equals_the_scalar_formula():
+    rng = np.random.default_rng(8)
+
+    def angles(n):
+        special = np.array(SPECIAL_ANGLES)[rng.integers(len(SPECIAL_ANGLES), size=n)]
+        return np.where(rng.random(n) < 0.4, special, rng.uniform(-np.pi, np.pi, n))
+
+    n = 8500
+    generic = _u3_matrix(angles(n), angles(n), angles(n)) @ _u3_matrix(angles(n), angles(n), angles(n))
+    diagonal = _u3_matrix(0.0, 0.0, angles(n)) @ _u3_matrix(0.0, 0.0, angles(n))
+    antidiagonal = _u3_matrix(np.pi, angles(n), angles(n)) @ _u3_matrix(0.0, 0.0, angles(n))
+    identity = _u3_matrix(0.0, 0.0, angles(n)) @ np.eye(2, dtype=complex)
+    runs = np.concatenate([generic, diagonal, antidiagonal, identity])
+    expected = np.array([_reference_zyz_angles(m) for m in runs])
+    assert np.array_equal(_bits(np.stack(_zyz_stack(runs), axis=1)), _bits(expected))
+    assert np.array_equal(_bits(np.array([zyz_angles(m) for m in runs[::17]])),
+                          _bits(expected[::17]))
+    small = lambda z: np.hypot(z.real, z.imag) < ALGEBRAIC_TOL  # noqa: E731
+    on_diagonal = small(runs[:, 1, 0])
+    on_antidiagonal = ~on_diagonal & small(runs[:, 0, 0])
+    assert len(runs) == 34000
+    assert on_diagonal.sum() > 10000 and on_antidiagonal.sum() > 5000
+    assert (~on_diagonal & ~on_antidiagonal).sum() > 5000
+
+
+#: each basis gate's angles as U3 angles, as `gates.GATES` spells them
+_AS_U3 = {
+    "U1": lambda lam: (0.0, 0.0, lam),
+    "U2": lambda phi, lam: (np.pi / 2, phi, lam),
+    "U3": lambda theta, phi, lam: (theta, phi, lam),
+}
+
+
+@pytest.mark.parametrize("name", ["U1", "U2", "U3"])
+def test_broadcast_matrices_equal_scalar_calls(name):
+    rng = np.random.default_rng(9)
+    k = GATES[name].num_params
+    rows = list(itertools.product((0.0, -0.0, np.pi, -np.pi), repeat=k))
+    rows += [tuple(row) for row in rng.uniform(-2 * np.pi, 2 * np.pi, (500, k)).tolist()]
+    stacked = GATES[name].matrix(*np.array(rows).T)
+    scalar = np.array([GATES[name].matrix(*row) for row in rows])
+    reference = np.array([_reference_u3_matrix(*_AS_U3[name](*row)) for row in rows])
+    assert stacked.shape == (len(rows), 2, 2)
+    assert np.array_equal(_bits(stacked), _bits(reference))
+    assert np.array_equal(_bits(scalar), _bits(reference))
+    assert _u3_matrix(np.zeros((3, 1)), 0.0, np.zeros(4)).shape == (3, 4, 2, 2)
