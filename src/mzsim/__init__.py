@@ -54,6 +54,7 @@ from .noise import (
     ideal_device,
     load_device,
     simulate_noisy,
+    simulate_noisy_points,
     simulate_noisy_repeats,
 )
 from .qasm import QasmError, QasmParseError, QasmSemanticError, emit, parse

@@ -9,7 +9,10 @@ configuration and seed produce byte-identical files.
 Noisy runs sample the logical circuit under the arity-keyed noise model;
 transpilation (basis decomposition + routing) feeds the reported fidelity
 estimate.  Mitigated results unmix the sampled counts with the device's
-exact confusion matrix.
+exact confusion matrix.  A sweep takes each point's exact value in grid
+order, then samples every point in one `simulate_noisy_points` call and
+builds one confusion matrix per measured set; a point whose exact value is
+undefined ends the sweep there, and no point from it on is sampled.
 
 Each command is one function (`_cmd_run`, `_cmd_sweep`, `_cmd_transpile`)
 that reads, checks and executes its settings in a fixed order, so a command
@@ -44,7 +47,7 @@ from .circuit import CircuitError, simulate_ideal
 from .experiments import RUN_SETTINGS, ExperimentSpec, sweep_points
 from .mitigation import exact_confusion_matrix, mitigate
 from .noise import (
-    DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy, simulate_noisy_repeats,
+    DeviceModel, device_preset, ideal_counts, load_device, simulate_noisy, simulate_noisy_points,
 )
 from .qasm import QasmError, emit, parse
 from .transpile import LayoutError, estimate_fidelity, transpile
@@ -387,30 +390,47 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"{what} needs {spec.num_qubits} qubits but device "
                               f"{device.name!r} has {device.num_qubits}")
 
-    rows: list[dict] = []
+    # Points are valued in order and the first undefined value is raised, as if
+    # each point were sampled in turn; sampling stops short of that point, and
+    # the points before it are sampled in one call.
+    valued, undefined = [], None
     for index, (_, spec, point) in enumerate(points):
         circuit = spec.build()
+        try:
+            exact = spec.value(simulate_ideal(circuit).probability_dict())
+        except ValueError as exc:
+            undefined = exc  # raised after the sampled values of the points before it
+            break
+        valued.append((spec, point, circuit, exact,
+                       [_derived_seed(seed, index, r) for r in range(repeats)]))
+    sampled = (simulate_noisy_points([(circuit, seeds) for _, _, circuit, _, seeds in valued],
+                                     device, shots)
+               if device is not None else [[] for _ in valued])
+    confusions = {}  # measured qubits -> their exact confusion matrix
+    rows: list[dict] = []
+    for (spec, point, circuit, exact, seeds), histograms in zip(valued, sampled):
         cells = {**point, "experiment": spec.kind, "N": spec.num_qubits,
                  "observable": spec.observable(), "theory": spec.theory()}
-        exact = spec.value(simulate_ideal(circuit).probability_dict())
         rows.append({**cells, "shots": "", "seed": "", "value": exact, "std_dev": "",
                      "device": "ideal", "mitigated": "false"})
         if device is None:
             continue
-        confusion = (exact_confusion_matrix(device, circuit.measured_qubits)
-                     if mitigate_flag else None)
-        sampled, mitigated = [], []
-        seeds = [_derived_seed(seed, index, r) for r in range(repeats)]
-        for seed_r, counts in zip(seeds, simulate_noisy_repeats(circuit, device, shots, seeds)):
+        if mitigate_flag and circuit.measured_qubits not in confusions:
+            confusions[circuit.measured_qubits] = exact_confusion_matrix(
+                device, circuit.measured_qubits)
+        raw, mitigated = [], []
+        for seed_r, counts in zip(seeds, histograms):
             repeat = {**cells, "shots": shots, "seed": seed_r, "device": device.name}
-            sampled.append({**repeat, "value": spec.value(counts), "mitigated": "false"})
+            raw.append({**repeat, "value": spec.value(counts), "mitigated": "false"})
             if mitigate_flag:
-                value = spec.value(mitigate(counts, confusion))
+                value = spec.value(mitigate(counts, confusions[circuit.measured_qubits]))
                 mitigated.append({**repeat, "value": value, "mitigated": "true"})
-        for group in (sampled, mitigated):
+        for group in (raw, mitigated):
             if group:
                 std = run_statistics([entry["value"] for entry in group], 1.0).std_dev
                 rows.extend({**entry, "std_dev": std} for entry in group)
+    if undefined is not None:
+        raise undefined
     _write_text(_rows_to_csv(rows) if fmt == "csv" else _dump_json({"rows": rows}), output)
     return 0
 

@@ -23,7 +23,7 @@ Sampling takes one path, ideal sampling included: `ideal_counts` runs the
 sampler on `ideal_device`, whose zero rates draw no noise.  Every shot's
 outcome is a basis index drawn from the ideal state: its uniform selects
 the first index whose cumulative probability exceeds it, the cumulative
-distribution being taken once per call.  A shot whose trajectory draws a
+distribution being taken once per point.  A shot whose trajectory draws a
 gate fault re-evolves the circuit from |0...0> through `states.evolve`, on
 the same (matrix, targets) list, with the fault's Paulis applied right
 after the failing gate, and redraws its index from that state with the
@@ -54,30 +54,39 @@ probability for its current bit is above zero.  Events with probability
 no trajectory at all, which is ideal sampling, and trajectories can be
 evaluated in parallel without changing results.
 
-How the sampler meets it: `simulate_noisy_repeats` samples one circuit
-under many seeds, and `simulate_noisy` is its one-seed case.  It evolves the
-ideal state once, then walks the rows (repeat r, shot i), repeat after
-repeat, in blocks of at most `_BLOCK_SHOTS` rows: a block may span repeats
-and a repeat may span blocks, so memory is bounded by the block at any shot
-count.  A block draws its rows' measurement uniforms from repeat r's own
-`default_rng(seed_r)`; successive `random(k)` calls continue one stream at
+How the sampler meets it: `simulate_noisy_points` samples many circuits,
+the points, each under its own seeds, in one pass; `simulate_noisy_repeats`
+is its one-point case and `simulate_noisy` the one-seed case of that.  An
+entry is one (point, seed).  Entries are grouped by noise signature: the
+circuit's width and measured qubits, its fallible gates' positions and
+rates and their arities, and the seed's number of 32-bit words; the points
+of a Hardy grid share one signature, chains of different lengths do not.
+Seeds of different word counts seed their streams from entropy of different
+lengths, so they are never walked in one `Streams`.  A group walks its rows
+(entry e, shot i), entry after entry and point after point, in blocks of at
+most `_BLOCK_SHOTS` rows: a block may span entries and points and an entry
+may span blocks, so memory is bounded by the block at any shot count.  A
+block draws its rows' measurement uniforms from entry e's own
+`default_rng(seed_e)`; successive `random(k)` calls continue one stream at
 one word per double, so the blocks read what one `random(shots)` would.
-Its noise comes from one `_streams.Streams`, which holds each row's
-(seed_r, i) PCG64 state, bit for bit, as arrays, and advances only the rows
-that draw; seeds whose entropy has a different number of 32-bit words are
-walked apart, never in one `Streams`.  Every row takes one word per fallible
-gate (a `random()`); the rows it hits then take one `integers(3)` per
-touched qubit, a 32-bit half: the low half of a fresh word, or the high half
-numpy buffered from the last one, even across uniforms in between; a gate
-that hits no row draws nothing more.  The one 32-bit value that
-`integers(3)` rejects (zero, see `_streams.below_three`) is redrawn in place
-for its row alone, as numpy redraws it, so no shot builds a Generator of its
-own.  The readout uniforms follow, drawn by the
-rows whose flip probability is above zero.  The fault patterns of all the
-block's repeats are evolved together, and the block's keys are tallied, as
-ints, into running per-repeat counts; the keys become bit strings once, at
-the end of the call.  Every histogram, ideal or noisy, lists its keys in
-the order of their first occurrence among the shots.
+Each point's rows are one contiguous run of the block: the point's ideal
+state is evolved when the group first meets it, and its run selects
+indices from that state's distribution alone.  The block's noise comes from
+one `_streams.Streams`, which holds each row's (seed_e, i) PCG64 state, bit
+for bit, as arrays, and advances only the rows that draw.  Every row takes
+one word per fallible gate (a `random()`); the rows it hits then take one
+`integers(3)` per touched qubit, a 32-bit half: the low half of a fresh
+word, or the high half numpy buffered from the last one, even across
+uniforms in between; a gate that hits no row draws nothing more.  The one
+32-bit value that `integers(3)` rejects (zero, see `_streams.below_three`)
+is redrawn in place for its row alone, as numpy redraws it, so no shot
+builds a Generator of its own.  A point's faulty rows are evolved on that
+point's gates, their fault patterns together.  The readout uniforms
+follow, drawn by the rows whose flip probability is above zero: by every
+row, with no index, where a qubit's p01 and p10 both are.  The block's keys
+are tallied, as ints, into running per-entry counts; the keys become bit
+strings once, at the end of the call.  Every histogram, ideal or noisy,
+lists its keys in the order of their first occurrence among the shots.
 """
 
 from __future__ import annotations
@@ -368,17 +377,17 @@ def _inverse_cdf(cum: np.ndarray, us, columns=None):
     return np.minimum(index, len(cum) - 1)
 
 
-def _count(tallies: list[defaultdict[int, int]], repeat, outcomes, qubits: tuple[int, ...],
+def _count(tallies: list[defaultdict[int, int]], entry, outcomes, qubits: tuple[int, ...],
            num_qubits: int):
-    """Add basis-index outcomes to running tallies: outcome j to `tallies[repeat[j]]`.
+    """Add basis-index outcomes to running tallies: outcome j to `tallies[entry[j]]`.
 
     An outcome is tallied under its key, the bits of `qubits` packed into an
-    int in that order.  `repeat` never decreases, so each tally lists its
+    int in that order.  `entry` never decreases, so each tally lists its
     keys in the order in which they first occur, block after block.  Sorting
-    the block's (repeat, key) values, stably or not, puts each value in one
+    the block's (entry, key) values, stably or not, puts each value in one
     run, and the value first occurs at the least position of its run.
     """
-    values, size = repeat, 0
+    values, size = entry, 0
     for q, after in zip(qubits, (*qubits[1:], None)):
         size += 1
         if after != q + 1:  # q ends a stretch of consecutive qubits: one field of the index
@@ -412,65 +421,97 @@ def simulate_noisy_repeats(
 ) -> list[CountsHistogram]:
     """`simulate_noisy(circuit, device, shots, seed)` for each seed in `seeds`.
 
-    The seeds' shots are sampled together, on the shared path described in
+    The one-point case of `simulate_noisy_points`.
+    """
+    return simulate_noisy_points([(circuit, seeds)], device, shots)[0]
+
+
+def simulate_noisy_points(
+    points: Sequence[tuple[Circuit, Sequence[int]]], device: DeviceModel, shots: int
+) -> list[list[CountsHistogram]]:
+    """`simulate_noisy_repeats(circuit, device, shots, seeds)` for each point (circuit, seeds).
+
+    The points' shots are sampled together, on the shared path described in
     the module docstring; each histogram is bit for bit what its seed alone
-    gives.
+    gives on its circuit.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most 2**32, the streams one seed gives, got {shots}")
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-    if circuit.num_qubits > device.num_qubits:
-        raise ValueError(
-            f"circuit needs {circuit.num_qubits} qubits but device "
-            f"{device.name!r} has {device.num_qubits}"
-        )
-    n = circuit.num_qubits
-    ops = gate_ops(circuit)
-    measured = circuit.measured_qubits or tuple(range(n))
-    rates = [device.gate_error(len(targets)) for _, targets in ops]
-    fallible = [(pos, rate) for pos, rate in enumerate(rates) if rate > 0.0]
-    # (index bit, p01, p10) of every measured qubit, in qubit order
-    readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
-    noisy = bool(fallible) or any(p01 or p10 for _, p01, p10 in readout)
-    rates = [rate for _, rate in fallible]
-    arities = [len(ops[pos][1]) for pos, _ in fallible]
-    cum = _cdf(np.abs(evolve(init_state(n).amplitudes, ops, n)) ** 2)
+    for circuit, seeds in points:
+        for seed in seeds:
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
+        if circuit.num_qubits > device.num_qubits:
+            raise ValueError(
+                f"circuit needs {circuit.num_qubits} qubits but device "
+                f"{device.name!r} has {device.num_qubits}"
+            )
+    point_ops, formats = [], []  # each point's (matrix, targets) list, and a key as its bit string
+    groups: dict[tuple, list[tuple[int, int]]] = {}  # noise signature -> (point, seed position)
+    for p, (circuit, seeds) in enumerate(points):
+        n = circuit.num_qubits
+        ops = gate_ops(circuit)
+        measured = circuit.measured_qubits or tuple(range(n))
+        rates = [device.gate_error(len(targets)) for _, targets in ops]
+        fallible = tuple((pos, rate) for pos, rate in enumerate(rates) if rate > 0.0)
+        arities = tuple(len(ops[pos][1]) for pos, _ in fallible)
+        point_ops.append(ops)
+        formats.append(f"0{len(measured)}b")
+        for r, seed in enumerate(seeds):
+            signature = (n, measured, fallible, arities, len(seed_words([seed])))
+            groups.setdefault(signature, []).append((p, r))
 
-    tallies = [defaultdict(int) for _ in seeds]  # each seed's key, as an int -> shots
-    groups: dict[int, list[int]] = {}  # seed word count -> positions of its seeds
-    for r, seed in enumerate(seeds):
-        groups.setdefault(len(seed_words([seed])), []).append(r)
-    for group in groups.values():
-        words = seed_words([seeds[r] for r in group])
-        rows = len(group) * shots
+    tallies = [[defaultdict(int) for _ in seeds] for _, seeds in points]  # key, as an int -> shots
+    for (n, measured, fallible, arities, _), entries in groups.items():
+        # (index bit, p01, p10) of every measured qubit, in qubit order
+        readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
+        noisy = bool(fallible) or any(p01 or p10 for _, p01, p10 in readout)
+        rates = [rate for _, rate in fallible]
+        seeds = [points[p][1][r] for p, r in entries]
+        words = seed_words(seeds)
+        group_tallies = [tallies[p][r] for p, r in entries]
+        cum_point = None  # the point whose ideal distribution `cum` holds
+        rows = len(entries) * shots
         for first in range(0, rows, _BLOCK_SHOTS):
             last = min(first + _BLOCK_SHOTS, rows)
-            # row (r, i) is shot i of the group's r-th seed
-            met = range(first // shots, (last - 1) // shots + 1)  # the block's repeats
-            us = []
-            for r in met:
-                if r * shots >= first:  # repeat r starts here: its measurement stream
-                    rng = np.random.default_rng(seeds[group[r]])
-                us.append(rng.random(min(last, (r + 1) * shots) - max(first, r * shots)))
-            repeat = np.repeat(met, [len(u) for u in us])
+            # row (e, i) is shot i of the group's e-th entry
+            met = range(first // shots, (last - 1) // shots + 1)  # the block's entries
+            us, runs, size = [], [], 0  # runs: each met point and its first row in the block
+            for e in met:
+                if e * shots >= first:  # entry e starts here: its measurement stream
+                    rng = np.random.default_rng(seeds[e])
+                if not runs or runs[-1][0] != entries[e][0]:
+                    runs.append((entries[e][0], size))
+                us.append(rng.random(min(last, (e + 1) * shots) - max(first, e * shots)))
+                size += len(us[-1])
+            entry = np.repeat(met, [len(u) for u in us])
             us = np.concatenate(us)
-            outcomes = _inverse_cdf(cum, us)
+            bounds = [start for _, start in runs] + [size]
+            outcomes = []
+            for (p, start), stop in zip(runs, bounds[1:]):
+                if p != cum_point:  # a point's rows are contiguous: it is evolved once a group
+                    cum_point = p
+                    cum = _cdf(np.abs(evolve(init_state(n).amplitudes, point_ops[p], n)) ** 2)
+                outcomes.append(_inverse_cdf(cum, us[start:stop]))
+            outcomes = np.concatenate(outcomes)
             if noisy:
-                streams = Streams(words[:, repeat], np.arange(first, last) - repeat * shots)
-                paulis, faulty = _fault_paulis(streams, last - first, rates, arities)
+                streams = Streams(words[:, entry], np.arange(first, last) - entry * shots)
+                paulis, faulty = _fault_paulis(streams, size, rates, arities)
                 if faulty.size:
-                    outcomes[faulty] = _faulty_outcomes(
-                        paulis[faulty], us[faulty], ops, fallible, arities, n)
+                    cuts = np.searchsorted(faulty, bounds).tolist()  # each run's faulty rows
+                    for (p, _), a, b in zip(runs, cuts, cuts[1:]):
+                        if a < b:
+                            mine = faulty[a:b]
+                            outcomes[mine] = _faulty_outcomes(
+                                paulis[mine], us[mine], point_ops[p], fallible, arities, n)
                 outcomes = _read_out(outcomes, streams, readout)
-            _count([tallies[r] for r in group], repeat, outcomes, measured, n)
-    fmt = f"0{len(measured)}b"  # a key as its bit string
-    return [CountsHistogram(shots=shots, counts={format(key, fmt): count
-                                                 for key, count in tally.items()})
-            for tally in tallies]
+            _count(group_tallies, entry, outcomes, measured, n)
+    return [[CountsHistogram(shots=shots, counts={format(key, fmt): count
+                                                  for key, count in tally.items()})
+             for tally in point_tallies]
+            for point_tallies, fmt in zip(tallies, formats)]
 
 
 def _fault_paulis(streams: Streams, size: int, rates, arities):
@@ -566,10 +607,14 @@ def _read_out(outcomes: np.ndarray, streams: Streams, readout) -> np.ndarray:
     """Readout flips of basis-index outcomes, each shot drawing from its row of `streams`.
 
     A shot draws a uniform for a measured qubit only when the flip
-    probability of the qubit's current bit is above zero.
+    probability of the qubit's current bit is above zero; when both of the
+    qubit's are, every row draws, with no index of the rows.
     """
     for bit, p01, p10 in readout:
         p = np.where(outcomes & bit, p10, p01)
+        if p01 > 0.0 and p10 > 0.0:
+            outcomes[doubles(streams.next()) < p] ^= bit
+            continue
         rows = np.flatnonzero(p > 0.0)
         flip = doubles(streams.next(rows)) < p[rows]
         outcomes[rows[flip]] ^= bit

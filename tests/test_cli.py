@@ -325,7 +325,7 @@ class TestRunErrors:
             raise MemoryError("Unable to allocate 7.45 GiB for an array")
 
         monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)  # run
-        monkeypatch.setattr("mzsim.cli.simulate_noisy_repeats", sample)  # sweep
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)  # sweep
         code, out, err = run_cli(capsys, *command, "--device", "vigo", "--shots", "4294967296")
         assert code == 3
         assert out == ""
@@ -544,6 +544,25 @@ class TestSweepErrors:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
+    def test_undefined_point_exits_3_after_sampling_the_points_before_it(
+            self, capsys, monkeypatch, device):
+        """At theta = pi post-selection rejects every shot (ROADMAP known defect 4);
+        the sweep stops there, having sampled only the points before it."""
+        sampled = []
+
+        def sample(points, *args, **kwargs):
+            sampled.extend(points)
+            return noise.simulate_noisy_points(points, *args, **kwargs)
+
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)
+        code, out, err = run_cli(capsys, "sweep", "--experiment", "hardy", "--theta-start", "0.8",
+                                 "--theta-stop", "1.0", "--theta-step", "0.1", "--shots", "256",
+                                 *device)
+        assert (code, out) == (3, "")
+        assert err == "error: post-selection rejected every shot (witness always read 1)\n"
+        assert len(sampled) == (2 if device else 0)
+
     def test_grid_cap_is_exact(self):
         assert len(cli._grid(0.0, 1.0, 1e-4)) == cli._MAX_GRID_POINTS == 10_001
         assert len(cli._grid(0.0, 0.9999, 1e-4)) == 10_000
@@ -621,7 +640,7 @@ class TestSweepErrors:
         def sample(*args, **kwargs):
             raise AssertionError("a point was sampled before the sweep was checked")
 
-        monkeypatch.setattr("mzsim.cli.simulate_noisy_repeats", sample)
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)
         # later flags win, so each case overrides one of these defaults
         code, out, err = run_cli(
             capsys, "sweep", "--theta-start", "0.5", "--theta-stop", "0.6",
@@ -1003,7 +1022,7 @@ def test_unknown_format_exits_2_before_sampling(capsys, monkeypatch, tmp_path, a
     def sample(*args, **kwargs):
         raise AssertionError("sampled before the format was read")
 
-    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_repeats", "simulate_ideal"):
+    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_points", "simulate_ideal"):
         monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
     if where == "flag":
         argv += ("--format", "xml")
@@ -1063,7 +1082,7 @@ def test_circuit_wider_than_device_or_simulator_exits_2_before_sampling(
     def sample(*args, **kwargs):
         raise AssertionError("shots were sampled before the circuit was fitted")
 
-    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_repeats"):
+    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_points"):
         monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
     qasm = tmp_path / "chain.qasm"
     qasm.write_text(emit(build_general_bomb(equal_angles(6))))

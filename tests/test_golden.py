@@ -22,6 +22,7 @@ from mzsim.cli import main
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
 )
+from mzsim.mitigation import exact_confusion_matrix
 from mzsim.noise import DeviceModel, device_preset, simulate_noisy
 
 SHOTS = 2000
@@ -209,6 +210,23 @@ def test_cli_output_bytes_are_pinned(label, capsys):
     assert main(list(CLI_COMMANDS[label])) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[label]
+
+
+@pytest.mark.parametrize("label, built", [("sweep-hardy-diagonal", 1), ("sweep-general-bomb", 4)])
+def test_a_sweep_builds_each_confusion_matrix_once(label, built, capsys, monkeypatch):
+    """One exact confusion matrix per measured set: the Hardy points share one,
+    each chain width has its own."""
+    calls = []
+
+    def counted(device, qubits):
+        calls.append(qubits)
+        return exact_confusion_matrix(device, qubits)
+
+    monkeypatch.setattr("mzsim.cli.exact_confusion_matrix", counted)
+    assert main(list(CLI_COMMANDS[label])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[label]
+    assert len(calls) == len(set(calls)) == built
 
 
 HARDY_575 = ("--experiment", "hardy", "--theta0", "0.575", "--theta1", "0.575")

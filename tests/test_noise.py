@@ -739,6 +739,70 @@ def test_repeats_of_one_seed_and_of_none():
         noise.simulate_noisy_repeats(circ, dev, 100, [3, -1])
 
 
+#: points of several noise signatures in one call, interleaved: Hardy at three
+#: angles, chains of N = 2-5 and an eraser, under seeds of one and two uint32
+#: words, and one point with no seeds
+MIXED_POINTS = [
+    (build_hardy(0.25 * np.pi, 0.3 * np.pi), (2**32, 0)),
+    (build_general_bomb(equal_angles(2)), (3,)),
+    (build_hardy(0.575 * np.pi, 0.575 * np.pi), (2**40 + 1, 7, 2**32 - 1)),
+    (build_eraser(True), (5, 2**33)),
+    (build_general_bomb(equal_angles(3)), ()),
+    (build_hardy(0.85 * np.pi, 0.7 * np.pi), (0,)),
+    (build_general_bomb(equal_angles(4)), (2**32 + 5, 11)),
+    (build_general_bomb(equal_angles(5)), (12,)),
+]
+POINT_DEVICES = {
+    "london": device_preset("london"),
+    "one-way-readout": ORACLE_DEVICES["one-way-readout"],
+    # most rows fault, so the rows either side of every boundary between points do
+    "heavy": _custom_device("heavy", 0.3, 0.1, ((0.05, 0.1),) * 5),
+    "ideal": ideal_device(5),
+}
+
+
+@pytest.mark.parametrize("device", POINT_DEVICES)
+def test_points_match_per_point_repeats(device, monkeypatch):
+    """Every histogram of one call over points of mixed signatures is, bit for
+    bit and in key order, what its point's own `simulate_noisy_repeats` gives,
+    and what the per-shot reference gives for its seed alone.  Blocks of 7
+    rows split points; blocks of shots - 1 and shots + 1 rows straddle every
+    boundary between entries, and so between points."""
+    dev, shots = POINT_DEVICES[device], 40
+    expected = [[list(hist.counts.items())
+                 for hist in noise.simulate_noisy_repeats(circ, dev, shots, seeds)]
+                for circ, seeds in MIXED_POINTS]
+    assert expected == [[list(_reference_simulate_noisy(circ, dev, shots, seed).counts.items())
+                         for seed in seeds] for circ, seeds in MIXED_POINTS]
+    for size in (noise._BLOCK_SHOTS, 7, shots - 1, shots + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "_BLOCK_SHOTS", size)
+            got = noise.simulate_noisy_points(MIXED_POINTS, dev, shots)
+        assert [[hist.shots for hist in point] for point in got] == [
+            [shots] * len(seeds) for _, seeds in MIXED_POINTS]
+        assert [[list(hist.counts.items()) for hist in point] for point in got] == expected
+
+
+def test_points_of_no_seeds_and_of_none():
+    dev = device_preset("london")
+    assert noise.simulate_noisy_points([], dev, 100) == []
+    assert noise.simulate_noisy_points([(build_bomb(True), ()), (build_eraser(True), [])],
+                                       dev, 100) == [[], []]
+
+
+def test_points_are_checked_before_any_is_sampled(monkeypatch):
+    def evolve(*args, **kwargs):
+        raise AssertionError("a point was evolved before every point was checked")
+
+    monkeypatch.setattr(noise, "evolve", evolve)
+    vigo, hardy = device_preset("vigo"), build_hardy(0.5 * np.pi, 0.5 * np.pi)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        noise.simulate_noisy_points([(hardy, [1]), (hardy, [2, -1])], vigo, 100)
+    wide = build_general_bomb(equal_angles(6))
+    with pytest.raises(ValueError, match="circuit needs 6 qubits but device 'vigo-0820' has 5"):
+        noise.simulate_noisy_points([(hardy, [1]), (wide, [2])], vigo, 100)
+
+
 def test_seeds_of_different_word_counts_never_share_streams():
     assert Streams(np.array([[5, 6]], dtype=np.uint32), [0, 1]).next().tolist() == [
         int(np.random.default_rng((s, i)).bit_generator.random_raw()) for s, i in ((5, 0), (6, 1))]
