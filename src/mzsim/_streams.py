@@ -4,7 +4,8 @@
 `np.random.default_rng((seed, i))` for every shot index i in `shots`; the
 seed is one int for every row, or each row's own seed given by its words
 (`seed_words`), so rows of several seeds share one `Streams`.
-`next(rows)` advances only the streams in `rows` by one raw 64-bit word,
+`next(rows)` advances only the streams in `rows` (every row, an index of
+rows, or a slice of them, stepped through views) by one raw 64-bit word,
 bit for bit, and returns those words.  `doubles` gives the doubles that
 `random()` makes of them, the top 53 bits times 2**-53.  `integers(3)`
 instead takes a 32-bit half: the low half of a fresh word, whose high half
@@ -142,8 +143,12 @@ class Streams:
                                    self._inc_hi, self._inc_lo)
 
     def next(self, rows=None) -> np.ndarray:
-        """Advance the streams in `rows` (all if None) by one step; their raw 64-bit words."""
-        if rows is None:
+        """Advance the streams in `rows` by one step; their raw 64-bit words.
+
+        `rows` is None or `...` for every row, else an index of the rows or
+        a slice of them, whose states are stepped through views.
+        """
+        if rows is None or rows is Ellipsis:
             hi, lo = self._hi, self._lo = _step(self._hi, self._lo, self._inc_hi, self._inc_lo)
         else:
             hi, lo = _step(self._hi[rows], self._lo[rows], self._inc_hi[rows], self._inc_lo[rows])

@@ -90,7 +90,11 @@ def build_general_bomb(angles) -> Circuit:
     q0 carries the photon through RY(theta_1) ... RY(theta_N); after the
     i-th rotation a CNOT marks qubit i.  Angles must sum to pi.
     """
-    thetas = validate_chain_angles(angles)
+    return _chain(validate_chain_angles(angles))
+
+
+def _chain(thetas: tuple[float, ...]) -> Circuit:
+    """`build_general_bomb` of angles that `validate_chain_angles` returned."""
     n = len(thetas)
     c = Circuit(n, n, name="chain")
     c.ry(thetas[0], 0)
@@ -129,7 +133,11 @@ def eta_equal_bs(n: int) -> float:
 
 def eta_general(angles) -> float:
     """Detection efficiency for an arbitrary angle chain summing to pi."""
-    thetas = validate_chain_angles(angles)
+    return _chain_eta(validate_chain_angles(angles))
+
+
+def _chain_eta(thetas: tuple[float, ...]) -> float:
+    """`eta_general` of angles that `validate_chain_angles` returned."""
     prod_all = float(np.prod([np.cos(t / 2) ** 2 for t in thetas]))
     prod_head = float(np.prod([np.cos(t / 2) ** 2 for t in thetas[:-1]]))
     denom = 1.0 - np.sin(thetas[-1] / 2) ** 2 * prod_head
@@ -242,9 +250,9 @@ class ExperimentSpec:
             parameters = {"present": self.present}
         elif self.kind == "general-bomb":
             object.__setattr__(self, "angles", validate_chain_angles(self.angles))
-            circuit = build_general_bomb(self.angles)
+            circuit = _chain(self.angles)
             observable = "eta"
-            theory = eta_general(self.angles)
+            theory = _chain_eta(self.angles)
             parameters = {"angles_over_pi": [t / np.pi for t in self.angles]}
         elif self.kind == "hardy":
             circuit = build_hardy(self.theta0, self.theta1)

@@ -19,12 +19,20 @@ M^T (M x - p) no lower off it, is the optimum; one positive but with a lower
 gradient off the support adds the index of lowest gradient; otherwise x moves
 toward the solution until a support entry reaches 0 and leaves.  The result
 is clipped and renormalised as the direct solve's is.
+
+The solves and products run in BLAS/LAPACK, whose last bits may depend on
+the number of BLAS threads.  With OpenBLAS 0.3.31 on a 2-core host, the
+direct solve and the gradient of the sparse 7- to 10-qubit inputs in
+`tests/test_mitigation.py` change bits between the default thread count and
+OPENBLAS_NUM_THREADS=1; at 10 qubits so do the support's Gram matrix and
+the output bytes.  Those tests pin the bytes of the default thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,11 +75,16 @@ class ConfusionMatrix:
             raise ValueError(f"expected {self.num_qubits} factors, got {len(self.factors)}")
 
     def condition_number(self) -> float:
-        """2-norm condition number.  The singular values of a Kronecker
-        product are the products of its factors' singular values, so with
-        factors this needs no SVD of the full matrix."""
+        """2-norm condition number, computed once per matrix.  The singular
+        values of a Kronecker product are the products of its factors'
+        singular values, so with factors this needs no SVD of the full
+        matrix, only one stacked `cond` of the 2x2 factors."""
+        return self._condition
+
+    @cached_property
+    def _condition(self) -> float:
         if self.factors:
-            return math.prod(float(np.linalg.cond(f)) for f in self.factors)
+            return math.prod(np.linalg.cond(np.stack(self.factors)).tolist())
         return float(np.linalg.cond(self.matrix))
 
 

@@ -57,36 +57,47 @@ evaluated in parallel without changing results.
 How the sampler meets it: `simulate_noisy_points` samples many circuits,
 the points, each under its own seeds, in one pass; `simulate_noisy_repeats`
 is its one-point case and `simulate_noisy` the one-seed case of that.  An
-entry is one (point, seed).  Entries are grouped by noise signature: the
-circuit's width and measured qubits, its fallible gates' positions and
-rates and their arities, and the seed's number of 32-bit words; the points
-of a Hardy grid share one signature, chains of different lengths do not.
-Seeds of different word counts seed their streams from entropy of different
-lengths, so they are never walked in one `Streams`.  A group walks its rows
-(entry e, shot i), entry after entry and point after point, in blocks of at
-most `_BLOCK_SHOTS` rows: a block may span entries and points and an entry
-may span blocks, so memory is bounded by the block at any shot count.  A
-block draws its rows' measurement uniforms from entry e's own
+entry is one (point, seed).  Entries are grouped by the seed's number of
+32-bit words alone: seeds of different word counts seed their streams from
+entropy of different lengths, so they are never walked in one `Streams`.
+A group's entries are sorted by falling count of fallible gates (rate above
+zero); the sort is stable, so a point's entries stay together and in seed
+order.  A group walks its rows (entry e, shot i), entry after entry, in
+blocks of at most `_BLOCK_SHOTS` rows: a block may span entries and points
+and an entry may span blocks, so memory is bounded by the block at any shot
+count.  A block draws its rows' measurement uniforms from entry e's own
 `default_rng(seed_e)`; successive `random(k)` calls continue one stream at
 one word per double, so the blocks read what one `random(shots)` would.
 Each point's rows are one contiguous run of the block: the point's ideal
 state is evolved when the group first meets it, and its run selects
 indices from that state's distribution alone.  The block's noise comes from
 one `_streams.Streams`, which holds each row's (seed_e, i) PCG64 state, bit
-for bit, as arrays, and advances only the rows that draw.  Every row takes
-one word per fallible gate (a `random()`); the rows it hits then take one
-`integers(3)` per touched qubit, a 32-bit half: the low half of a fresh
-word, or the high half numpy buffered from the last one, even across
-uniforms in between; a gate that hits no row draws nothing more.  The one
-32-bit value that `integers(3)` rejects (zero, see `_streams.below_three`)
-is redrawn in place for its row alone, as numpy redraws it, so no shot
-builds a Generator of its own.  A point's faulty rows are evolved on that
-point's gates, their fault patterns together.  The readout uniforms
-follow, drawn by the rows whose flip probability is above zero: by every
-row, with no index, where a qubit's p01 and p10 both are.  The block's keys
-are tallied, as ints, into running per-entry counts; the keys become bit
-strings once, at the end of the call.  Every histogram, ideal or noisy,
-lists its keys in the order of their first occurrence among the shots.
+for bit, as arrays, and advances only the rows that draw.  The runs step
+through their fallible gates together: at gate step k the rows of the
+points with more than k fallible gates draw, and by the sort they are a
+prefix of the block, stepped through views with no index.  Each takes one
+word (a `random()`) and compares it with its own point's rate at step k;
+the rows it hits then take one `integers(3)` per qubit of their own gate, a
+32-bit half: the low half of a fresh word, or the high half numpy buffered
+from the last one, even across uniforms in between; a step that hits no row
+draws nothing more.  The one 32-bit value that `integers(3)` rejects (zero,
+see `_streams.below_three`) is redrawn in place for its row alone, as numpy
+redraws it, so no shot builds a Generator of its own.  Step k has as many
+Pauli slots as its widest gate has qubits, and each point's faulty rows are
+handed their own slot columns, so they are evolved on that point's gates,
+their fault patterns together.  The readout uniforms follow, walked by
+measured-qubit position j: the rows of the points that measure more than j
+qubits, a prefix of the block where the points' measured counts fall with
+their gate counts, as a chain's do, and an index of the rows otherwise,
+each row with its own index bit and (p01, p10).  A row draws where the
+flip probability of its current bit is above zero: every row, with no
+index, where every row's is.  Where a block's points share a noise
+signature (width, measured qubits, fallible gates' rates and arities), as a
+Hardy grid's do, every step takes every row.  The block's keys are tallied,
+as ints, into running per-entry counts, once per stretch of runs whose
+points share a width and measured qubits; the keys become bit strings once,
+at the end of the call.  Every histogram, ideal or noisy, lists its keys in
+the order of their first occurrence among the shots.
 """
 
 from __future__ import annotations
@@ -96,6 +107,7 @@ import os
 from collections import defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -448,8 +460,8 @@ def simulate_noisy_points(
                 f"circuit needs {circuit.num_qubits} qubits but device "
                 f"{device.name!r} has {device.num_qubits}"
             )
-    point_ops, formats = [], []  # each point's (matrix, targets) list, and a key as its bit string
-    groups: dict[tuple, list[tuple[int, int]]] = {}  # noise signature -> (point, seed position)
+    point_ops, formats, shapes, point_noise = [], [], [], []
+    groups: dict[int, list[tuple[int, int]]] = {}  # seed word count -> (point, seed position)
     for p, (circuit, seeds) in enumerate(points):
         n = circuit.num_qubits
         ops = gate_ops(circuit)
@@ -457,18 +469,22 @@ def simulate_noisy_points(
         rates = [device.gate_error(len(targets)) for _, targets in ops]
         fallible = tuple((pos, rate) for pos, rate in enumerate(rates) if rate > 0.0)
         arities = tuple(len(ops[pos][1]) for pos, _ in fallible)
-        point_ops.append(ops)
+        # (rate, arity) of each fallible gate, and (index bit, p01, p10) of each measured qubit
+        point_noise.append(([(rate, arity) for (_, rate), arity in zip(fallible, arities)],
+                            [(1 << (n - 1 - q), *device.readout[q]) for q in measured]))
+        point_ops.append((ops, fallible, arities))
+        shapes.append((n, measured))
         formats.append(f"0{len(measured)}b")
         for r, seed in enumerate(seeds):
-            signature = (n, measured, fallible, arities, len(seed_words([seed])))
-            groups.setdefault(signature, []).append((p, r))
+            groups.setdefault(len(seed_words([seed])), []).append((p, r))
 
     tallies = [[defaultdict(int) for _ in seeds] for _, seeds in points]  # key, as an int -> shots
-    for (n, measured, fallible, arities, _), entries in groups.items():
-        # (index bit, p01, p10) of every measured qubit, in qubit order
-        readout = [(1 << (n - 1 - q), *device.readout[q]) for q in measured]
-        noisy = bool(fallible) or any(p01 or p10 for _, p01, p10 in readout)
-        rates = [rate for _, rate in fallible]
+    for entries in groups.values():
+        # falling count of fallible gates; the sort is stable, so a point's entries stay
+        # together and in seed order, and the rows that draw at each gate are a prefix
+        entries.sort(key=lambda entry: -len(point_noise[entry[0]][0]))
+        noisy = any(gates or any(p01 or p10 for _, p01, p10 in readout)
+                    for gates, readout in (point_noise[p] for p, _ in entries))
         seeds = [points[p][1][r] for p, r in entries]
         words = seed_words(seeds)
         group_tallies = [tallies[p][r] for p, r in entries]
@@ -493,48 +509,101 @@ def simulate_noisy_points(
             for (p, start), stop in zip(runs, bounds[1:]):
                 if p != cum_point:  # a point's rows are contiguous: it is evolved once a group
                     cum_point = p
-                    cum = _cdf(np.abs(evolve(init_state(n).amplitudes, point_ops[p], n)) ** 2)
+                    n = shapes[p][0]
+                    cum = _cdf(np.abs(evolve(init_state(n).amplitudes, point_ops[p][0], n)) ** 2)
                 outcomes.append(_inverse_cdf(cum, us[start:stop]))
             outcomes = np.concatenate(outcomes)
             if noisy:
                 streams = Streams(words[:, entry], np.arange(first, last) - entry * shots)
-                paulis, faulty = _fault_paulis(streams, size, rates, arities)
+                lengths = [stop - start for start, stop in zip(bounds, bounds[1:])]
+                steps = list(_lockstep([point_noise[p][0] for p, _ in runs], lengths))
+                paulis, faulty = _fault_paulis(streams, size, steps)
                 if faulty.size:
+                    firsts = [0, *accumulate(_widths(steps))]  # each step's first slot
                     cuts = np.searchsorted(faulty, bounds).tolist()  # each run's faulty rows
                     for (p, _), a, b in zip(runs, cuts, cuts[1:]):
                         if a < b:
+                            ops, fallible, arities = point_ops[p]
                             mine = faulty[a:b]
+                            slots = paulis[mine]
+                            if sum(arities) < paulis.shape[1]:  # the point's own slot columns
+                                slots = slots[:, [firsts[k] + t for k, arity in enumerate(arities)
+                                                  for t in range(arity)]]
                             outcomes[mine] = _faulty_outcomes(
-                                paulis[mine], us[mine], point_ops[p], fallible, arities, n)
-                outcomes = _read_out(outcomes, streams, readout)
-            _count(group_tallies, entry, outcomes, measured, n)
+                                slots, us[mine], ops, fallible, arities, shapes[p][0])
+                outcomes = _read_out(outcomes, streams,
+                                     _lockstep([point_noise[p][1] for p, _ in runs], lengths))
+            start = 0  # tally each stretch of runs whose points share a width and measured qubits
+            for (p, _), (after, stop) in zip(runs, [*runs[1:], (None, size)]):
+                if after is None or shapes[after] != shapes[p]:
+                    n, measured = shapes[p]
+                    _count(group_tallies, entry[start:stop], outcomes[start:stop], measured, n)
+                    start = stop
     return [[CountsHistogram(shots=shots, counts={format(key, fmt): count
                                                   for key, count in tally.items()})
              for tally in point_tallies]
             for point_tallies, fmt in zip(tallies, formats)]
 
 
-def _fault_paulis(streams: Streams, size: int, rates, arities):
+def _lockstep(runs, lengths):
+    """The steps that a block's runs of rows take together: run r takes step k with `runs[r][k]`.
+
+    Yields, for each step k, the rows of the runs that take it and then each
+    of the step's values: one value where those runs agree on it, else an
+    array of each row's own.  The rows are `...` when every run takes the
+    step, a prefix slice(0, stop) of the block when those runs lead it, and
+    an index of the rows otherwise.
+    """
+    if runs.count(runs[0]) == len(runs):  # one signature: every row takes every step alike
+        yield from ((..., *step) for step in runs[0])
+        return
+    ends = list(accumulate(lengths))
+    for k in range(max(map(len, runs))):
+        reach = [r for r, steps in enumerate(runs) if len(steps) > k]
+        if len(reach) == len(runs):
+            rows = ...
+        elif reach[-1] == len(reach) - 1:
+            rows = slice(0, ends[reach[-1]])
+        else:
+            rows = np.concatenate([np.arange(ends[r] - lengths[r], ends[r]) for r in reach])
+        step = runs[reach[0]][k]
+        if any(runs[r][k] != step for r in reach):
+            step = [value[0] if value.count(value[0]) == len(value)
+                    else np.repeat(value, [lengths[r] for r in reach])
+                    for value in zip(*(runs[r][k] for r in reach))]
+        yield rows, *step
+
+
+def _fault_paulis(streams: Streams, size: int, steps):
     """Pauli slots of the `size` shots of `streams`, and the rows that draw a fault.
 
-    Each gate of error rate `rates[g]` takes one `random()` from every
-    stream; each row it hits then takes one `integers(3)` for each of its
-    `arities[g]` qubits.  A slot holds 0-2 for X, Y, Z and -1 where its
-    gate did not fail.
+    Each gate step (rows, rate, arity) takes one `random()` from the streams
+    of its rows, a prefix of the shots; each row it hits then takes one
+    `integers(3)` for each of its arity qubits.  The rate and the arity are
+    one value or an array of each row's own; a step has as many slots as
+    its widest gate.  A slot holds 0-2 for X, Y, Z and -1 where its gate
+    did not fail.
     """
-    paulis = np.full((size, sum(arities)), -1, dtype=np.int8)
+    widths = _widths(steps)
+    paulis = np.full((size, sum(widths)), -1, dtype=np.int8)
     half = np.zeros(size, dtype=np.uint64)  # each row's buffered high half, if `buffered`
     buffered = np.zeros(size, dtype=bool)
     faulty = np.zeros(size, dtype=bool)
     slot = 0
-    for rate, arity in zip(rates, arities):
-        hit = np.flatnonzero(doubles(streams.next()) < rate)
+    for (rows, rate, arity), width in zip(steps, widths):
+        hit = np.flatnonzero(doubles(streams.next(rows)) < rate)
         if hit.size:  # a gate that hits no row draws nothing more
             faulty[hit] = True
-            for t in range(slot, slot + arity):
-                paulis[hit, t] = _integers3(streams, hit, half, buffered)
-        slot += arity
+            for t in range(width):
+                draw = hit[arity[hit] > t] if isinstance(arity, np.ndarray) else hit
+                paulis[draw, slot + t] = _integers3(streams, draw, half, buffered)
+        slot += width
     return paulis, np.flatnonzero(faulty)
+
+
+def _widths(steps) -> list[int]:
+    """The slots of each gate step (rows, rate, arity): as many as its widest gate's qubits."""
+    return [int(arity.max()) if isinstance(arity, np.ndarray) else arity for *_, arity in steps]
 
 
 def _integers3(streams: Streams, rows: np.ndarray, half: np.ndarray, buffered: np.ndarray):
@@ -603,21 +672,25 @@ def _patterns(paulis):
     return patterns, column.reshape(-1)
 
 
-def _read_out(outcomes: np.ndarray, streams: Streams, readout) -> np.ndarray:
+def _read_out(outcomes: np.ndarray, streams: Streams, steps) -> np.ndarray:
     """Readout flips of basis-index outcomes, each shot drawing from its row of `streams`.
 
-    A shot draws a uniform for a measured qubit only when the flip
-    probability of the qubit's current bit is above zero; when both of the
-    qubit's are, every row draws, with no index of the rows.
+    Each step (rows, bit, p01, p10) reads one measured qubit of `rows`: its
+    index bit and flip probabilities, one value or an array of each row's
+    own.  A shot draws a uniform only when the flip probability of the
+    qubit's current bit is above zero; where every row's is, every row
+    draws, with no index.
     """
-    for bit, p01, p10 in readout:
-        p = np.where(outcomes & bit, p10, p01)
-        if p01 > 0.0 and p10 > 0.0:
-            outcomes[doubles(streams.next()) < p] ^= bit
-            continue
-        rows = np.flatnonzero(p > 0.0)
-        flip = doubles(streams.next(rows)) < p[rows]
-        outcomes[rows[flip]] ^= bit
+    for rows, bit, p01, p10 in steps:
+        mine = outcomes[rows]
+        p = np.where(mine & bit, p10, p01)
+        if p.all():
+            flip = doubles(streams.next(rows)) < p
+        else:
+            draw = np.flatnonzero(p > 0.0)
+            flip = np.zeros(len(p), dtype=bool)
+            flip[draw] = doubles(streams.next(np.arange(len(outcomes))[rows][draw])) < p[draw]
+        outcomes[rows] = mine ^ flip * bit
     return outcomes
 
 

@@ -245,6 +245,26 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="degenerate chain"):
             ExperimentSpec("general-bomb", angles=angles)
 
+    def test_chain_angles_are_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(angles):
+            calls.append(angles)
+            return validate_chain_angles(angles)
+
+        monkeypatch.setattr("mzsim.experiments.validate_chain_angles", counted)
+        spec = ExperimentSpec("general-bomb", angles=[np.pi / 4] * 4)
+        assert len(calls) == 1
+        assert spec.build() == build_general_bomb(equal_angles(4))
+        assert spec.theory() == eta_general(equal_angles(4))
+
+    def test_public_chain_functions_check_their_angles(self):
+        for public in (build_general_bomb, eta_general):
+            with pytest.raises(ValueError, match="sum to pi"):
+                public((0.3, 0.3))
+            with pytest.raises(ValueError, match="at least 2"):
+                public((np.pi,))
+
     def test_angle_range_checked(self):
         with pytest.raises(ValueError, match="lie in"):
             ExperimentSpec("hardy", theta0=4.0, theta1=0.5)

@@ -229,6 +229,23 @@ def test_a_sweep_builds_each_confusion_matrix_once(label, built, capsys, monkeyp
     assert len(calls) == len(set(calls)) == built
 
 
+def test_a_mitigated_sweep_computes_the_condition_number_once(capsys, monkeypatch):
+    """The Hardy points share one confusion matrix, whose condition number is
+    one stacked `cond` of its factors, computed at the first `mitigate`."""
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(x, *args):
+        calls.append(np.shape(x))
+        return cond(x, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    assert main(list(CLI_COMMANDS["sweep-hardy-diagonal"])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256["sweep-hardy-diagonal"]
+    assert calls == [(3, 2, 2)]
+
+
 HARDY_575 = ("--experiment", "hardy", "--theta0", "0.575", "--theta1", "0.575")
 
 #: output modes the pins above leave out: CSV runs, --exact, ideal sampling,

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from mzsim import noise
 from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
 from mzsim.circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
+from mzsim.cli import main
 from mzsim.experiments import (
     build_bomb, build_eraser, build_general_bomb, build_hardy, equal_angles,
 )
@@ -19,7 +21,9 @@ from mzsim.noise import (
     T_COUPLING,
     DeviceModel,
     _fault_paulis,
+    _lockstep,
     _patterns,
+    _widths,
     device_preset,
     ideal_counts,
     ideal_device,
@@ -431,12 +435,20 @@ class _CraftedStreams:
         self.read = [0] * len(rows)
 
     def next(self, rows=None):
-        rows = range(len(self.rows)) if rows is None else rows.tolist()
+        if rows is None or isinstance(rows, slice):
+            rows = range(len(self.rows))[rows or slice(None)]
+        else:
+            rows = rows.tolist()
         out = []
         for r in rows:
             out.append(self.rows[r][self.read[r]])
             self.read[r] += 1
         return np.array(out, dtype=np.uint64)
+
+
+def _steps(size, rates, arities):
+    """Gate steps of one rate and arity each, taken by all `size` rows."""
+    return [(slice(0, size), rate, arity) for rate, arity in zip(rates, arities)]
 
 
 class TestFaultDraws:
@@ -464,12 +476,50 @@ class TestFaultDraws:
         shots = np.array([0, 5, 17, 256, 8191, 123456, 2**32 - 2])
         n_readout = 3
         streams = Streams(seed, shots)
-        paulis, faulty = _fault_paulis(streams, len(shots), rates, arities)
+        paulis, faulty = _fault_paulis(streams, len(shots), _steps(len(shots), rates, arities))
         assert paulis.dtype == np.int8
         flips = np.stack([doubles(streams.next()) for _ in range(n_readout)], axis=1)
         for row, i in enumerate(shots.tolist()):
             expected, expected_flips = self._generator_draws(seed, i, rates, arities, n_readout)
             assert paulis[row].tolist() == expected
+            assert (row in faulty) == any(p >= 0 for p in expected)
+            assert np.array_equal(flips[row], expected_flips)
+
+    #: each run's (rate, arity) per fallible gate, falling in length: a chain of
+    #: 4 stages, a Hardy test whose CCX (3 qubits) meets the chain's RY at step 2,
+    #: a chain of 2 stages and one 2-qubit gate; high rates so that most steps hit
+    MIXED_RUNS = [
+        [(0.5, 1), (0.9, 2), (0.5, 1), (0.9, 2), (0.5, 1), (0.9, 2), (0.5, 1)],
+        [(0.4, 1), (0.4, 1), (0.8, 3), (0.4, 1), (0.4, 1)],
+        [(0.6, 1), (0.7, 2), (0.6, 1)],
+        [(1.0, 2)],
+    ]
+
+    @pytest.mark.parametrize("seed", [3, 2**32 + 9, 2**70 + 1])
+    def test_steps_that_mix_rates_and_arities_match_generator(self, seed):
+        """Runs of rows step together: each row compares against its own
+        run's rate, draws one `integers(3)` per qubit of its own gate, and
+        fills its own run's slot columns; then its readout uniforms follow."""
+        lengths = [5, 7, 6, 3]
+        shots = np.array([0, 5, 17, 256, 8191, 123456, 2**32 - 2, 3, 4, 9, 10, 11, 12,
+                          999, 1000, 1001, 77, 78, 79, 2**20, 2**20 + 1])
+        steps = list(_lockstep(self.MIXED_RUNS, lengths))
+        assert isinstance(steps[2][2], np.ndarray)  # step 2 mixes arities 3, 1 and 1
+        assert steps[0][0] is Ellipsis and steps[3][0] == slice(0, 12)
+        streams = Streams(seed, shots)
+        paulis, faulty = _fault_paulis(streams, len(shots), steps)
+        firsts = [0, *accumulate(_widths(steps))]
+        assert paulis.shape == (len(shots), firsts[-1])
+        n_readout = 3
+        flips = np.stack([doubles(streams.next()) for _ in range(n_readout)], axis=1)
+        run = np.repeat(np.arange(len(lengths)), lengths)
+        for row, i in enumerate(shots.tolist()):
+            gates = self.MIXED_RUNS[run[row]]
+            rates, arities = [rate for rate, _ in gates], [arity for _, arity in gates]
+            expected, expected_flips = self._generator_draws(seed, i, rates, arities, n_readout)
+            columns = [firsts[k] + t for k, arity in enumerate(arities) for t in range(arity)]
+            assert paulis[row, columns].tolist() == expected
+            assert (np.delete(paulis[row], columns) == -1).all()
             assert (row in faulty) == any(p >= 0 for p in expected)
             assert np.array_equal(flips[row], expected_flips)
 
@@ -503,7 +553,7 @@ class TestFaultDraws:
             [miss, hit, word(2**31, 0), 104],
         ]
         streams = _CraftedStreams(rows)
-        paulis, faulty = _fault_paulis(streams, 4, [0.5, 0.5], [1, 1])
+        paulis, faulty = _fault_paulis(streams, 4, _steps(4, [0.5, 0.5], [1, 1]))
         assert paulis.tolist() == [[1, 1], [0, 2], [2, 1], [-1, 1]]
         assert faulty.tolist() == [0, 1, 2, 3]
         # every row has read all but its last word, which comes next
@@ -528,7 +578,7 @@ class TestFaultDraws:
 
         monkeypatch.setattr(noise, "_integers3", counting)
         streams = _CraftedStreams(rows)
-        paulis, faulty = _fault_paulis(streams, 2, [0.5, 0.5, 0.5, 0.5], [2, 1, 2, 3])
+        paulis, faulty = _fault_paulis(streams, 2, _steps(2, [0.5, 0.5, 0.5, 0.5], [2, 1, 2, 3]))
         assert paulis.tolist() == [[-1, -1, 1, 1, 2, -1, -1, -1],
                                    [-1, -1, -1, 0, 1, -1, -1, -1]]
         assert faulty.tolist() == [0, 1]
@@ -781,6 +831,58 @@ def test_points_match_per_point_repeats(device, monkeypatch):
         assert [[hist.shots for hist in point] for point in got] == [
             [shots] * len(seeds) for _, seeds in MIXED_POINTS]
         assert [[list(hist.counts.items()) for hist in point] for point in got] == expected
+
+
+#: points whose widths do not fall with their gate counts: the rows that read
+#: the third and fourth measured qubits are not a prefix of the block
+SHAPED_POINTS = [
+    (Circuit(4, 4).measure_all(), (2**32 + 1, 4)),
+    (build_bomb(True), (5,)),
+    (_partial_measurement_circuit(), (6, 2**33)),
+    (build_general_bomb(equal_angles(3)), (7,)),
+]
+
+
+@pytest.mark.parametrize("device", POINT_DEVICES)
+def test_points_of_any_shape_match_per_point_repeats(device, monkeypatch):
+    """Readout walks each row's own measured qubits, by an index of the rows
+    where they are not a prefix of the block; every histogram is what its
+    point gives alone."""
+    dev, shots = POINT_DEVICES[device], 40
+    expected = [[list(_reference_simulate_noisy(circ, dev, shots, seed).counts.items())
+                 for seed in seeds] for circ, seeds in SHAPED_POINTS]
+    rows = []
+    read_out = noise._read_out
+
+    def spy(outcomes, streams, steps):
+        steps = list(steps)
+        rows.extend(type(step[0]) for step in steps)
+        return read_out(outcomes, streams, steps)
+
+    monkeypatch.setattr(noise, "_read_out", spy)
+    for size in (noise._BLOCK_SHOTS, 7, shots - 1, shots + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "_BLOCK_SHOTS", size)
+            got = noise.simulate_noisy_points(SHAPED_POINTS, dev, shots)
+        assert [[list(hist.counts.items()) for hist in point] for point in got] == expected
+    if device != "ideal":
+        assert np.ndarray in rows and slice in rows
+
+
+def test_a_chain_sweep_walks_one_streams(monkeypatch, capsys):
+    """Chains of N = 2-5, 2 repeats of 1024 shots: one group, one block, one `Streams`."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Streams(*args)
+
+    monkeypatch.setattr(noise, "Streams", counting)
+    assert main(["sweep", "--experiment", "general-bomb", "--n-values", "2,3,4,5",
+                 "--theta-start", "0.4", "--theta-stop", "0.4", "--theta-step", "0.1",
+                 "--device", "london", "--shots", "1024", "--repeats", "2", "--mitigate"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_points_of_no_seeds_and_of_none():
