@@ -476,7 +476,7 @@ def simulate_noisy_points(
         shapes.append((n, measured))
         formats.append(f"0{len(measured)}b")
         for r, seed in enumerate(seeds):
-            groups.setdefault(len(seed_words([seed])), []).append((p, r))
+            groups.setdefault(max(1, -(-int(seed).bit_length() // 32)), []).append((p, r))
 
     tallies = [[defaultdict(int) for _ in seeds] for _, seeds in points]  # key, as an int -> shots
     for entries in groups.values():

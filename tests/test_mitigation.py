@@ -75,6 +75,17 @@ class TestExactConfusion:
         assert len(conf.factors) == n
         assert conf.condition_number() == pytest.approx(np.linalg.cond(conf.matrix), rel=1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matrix_is_the_kron_chain_bit_for_bit(self, n):
+        rng = np.random.default_rng(900 + n)
+        readout = tuple((rng.uniform(0.0, 0.45), rng.uniform(0.0, 0.45)) for _ in range(n))
+        dev = DeviceModel("skew", n, 50.0, 50.0, 0.0, readout,
+                          tuple((q, q + 1) for q in range(n - 1)))
+        chain = np.array([[1.0]])
+        for p01, p10 in readout:
+            chain = np.kron(chain, np.array([[1 - p01, p10], [p01, 1 - p10]]))
+        assert exact_confusion_matrix(dev, n).matrix.tobytes() == chain.tobytes()
+
     def test_over_limit_message_is_unchanged(self):
         # the last qubit's flip matrix has determinant 1e-9
         readout = ((0.02, 0.05), (0.03, 0.01), (0.5 - 1e-9, 0.5))
@@ -484,6 +495,18 @@ class TestFallbackDigest:
             p, _ = mitigation._as_probability_vector(data, conf.num_qubits)
             assert np.linalg.solve(conf.matrix, p).min() < -1e-10
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_no_direct_solve_runs(self, family, monkeypatch):
+        # the factors decide and start every fallback here; only support solves remain
+        inputs = self.FAMILIES[family]()
+        solved = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+        for conf, data in inputs:
+            mitigate(data, conf)
+            assert solved and not any(a is conf.matrix for a in solved)
+            solved.clear()
+
     @pytest.mark.parametrize("family, expected", [
         ("sparse", "a3c140ae3355b73a56e758017ce92d6b4e97752b4d535ce96cdb6cfd3c3e1831"),
         ("chain", "663ee574fd0ef28d3d72adb3323eea257ad4bc049924286fa7e6827cf9c24182"),
@@ -491,6 +514,86 @@ class TestFallbackDigest:
     ])
     def test_output_bytes_are_pinned(self, family, expected):
         assert mitigated_digest(self.FAMILIES[family]()) == expected
+
+
+def dense_mitigate(data, conf):
+    """`mitigate`'s vector, decided by the dense LU alone: the direct solve, or the
+    active-set fallback from it with the dense gradient M^T (M z - p)."""
+    p, _ = mitigation._as_probability_vector(data, conf.num_qubits)
+    m = conf.matrix
+    x = np.linalg.solve(m, p)
+    if x.min() < -1e-10:
+        x = mitigation._project_to_simplex(x)
+        support = x > 0.0
+        for _ in range(mitigation._MAX_STEPS):
+            z, multiplier = mitigation._support_solve(m, p, support)
+            if z[support].min() > 0.0:
+                gradient = m.T @ (m @ z - p)
+                if gradient.min() >= -multiplier - mitigation._KKT_TOL:
+                    x = z
+                    break
+                support[np.argmin(np.where(support, np.inf, gradient))] = True
+                x = z
+            else:
+                shrinking = np.flatnonzero(support & (z <= 0.0))
+                ratios = x[shrinking] / (x[shrinking] - z[shrinking])
+                first = np.argmin(ratios)
+                x = x + ratios[first] * (z - x)
+                x[shrinking[first]] = 0.0
+                support[shrinking[first]] = False
+        else:
+            raise AssertionError("the reference fallback did not converge")
+    x = np.clip(x, 0.0, None)
+    return x / x.sum()
+
+
+def readout_conf(rng, n, top):
+    readout = tuple((rng.uniform(0.0, top), rng.uniform(0.0, top)) for _ in range(n))
+    return exact_confusion_matrix(DeviceModel("r", n, 50.0, 50.0, 0.0, readout,
+                                              tuple((q, q + 1) for q in range(n - 1))), n)
+
+
+class TestFactorDecision:
+    """With factors, `mitigate` decides the fallback from the factor solve y and
+    starts it there; the dense LU runs only where it decides or is the output.
+    Its bytes must equal those of the dense-decided reference above."""
+
+    def test_sampled_inputs_match_the_dense_reference(self):
+        rng = np.random.default_rng(28)
+        sides = {True: 0, False: 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 10)) if rng.random() < 0.3 else int(rng.integers(1, 7))
+            conf = readout_conf(rng, n, rng.choice([0.03, 0.1, 0.25, 0.45]))
+            if conf.condition_number() > CONDITION_LIMIT:
+                continue
+            truth = rng.dirichlet(np.full(2**n, rng.choice([0.1, 1.0, 10.0])))
+            counts = rng.multinomial(int(rng.choice([64, 1024, 8192])), conf.matrix @ truth)
+            p, _ = mitigation._as_probability_vector(counts, n)
+            sides[bool(np.linalg.solve(conf.matrix, p).min() < -1e-10)] += 1
+            out = np.array(list(mitigate(p, conf).values()))
+            assert out.tobytes() == dense_mitigate(p, conf).tobytes()
+        assert min(sides.values()) >= 50
+
+    def test_inputs_at_the_threshold_match_the_dense_reference(self):
+        # x has one entry within about 1e-17 of -1e-10, so the factor solve and the
+        # LU can fall on either side of the threshold; where the factors alone would
+        # take the fallback but the LU does not, only the margin keeps the bytes
+        rng = np.random.default_rng(29)
+        band = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 7))
+            conf = readout_conf(rng, n, 0.1)
+            x = rng.dirichlet(np.full(2**n, 5.0))
+            j = rng.integers(2**n)
+            x[(j + 1) % 2**n] += x[j] + 1e-10
+            x[j] = -1e-10 + rng.uniform(-1e-17, 1e-17)
+            data = conf.matrix @ x
+            p, _ = mitigation._as_probability_vector(data, n)  # the vector `mitigate` solves for
+            y = mitigation._kron_apply(conf._inverses, p)
+            band += bool(y.min() < -1e-10 <= np.linalg.solve(conf.matrix, p).min())
+            out = np.array(list(mitigate(data, conf).values()))
+            assert out.tobytes() == dense_mitigate(data, conf).tobytes()
+        assert band > 0
 
 
 def test_mitigated_run_never_imports_scipy():
