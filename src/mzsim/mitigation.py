@@ -22,30 +22,36 @@ is clipped and renormalised as the direct solve's is.
 
 An exact confusion matrix keeps its 2x2 factors F_k, and M is their
 Kronecker product.  Then y = M^-1 p is one sweep of the inverses F_k^-1, a
-2x2 product per qubit, O(n 2^n), and the gradient M^T (M z - p) is two
-sweeps, of the F_k and then of their transposes.  `mitigate` takes the
-fallback, starting from y, when min(y) < -1e-10 - margin; otherwise the
-dense LU solve decides as it always did, and is the output when it is not
-negative.  The margin, 16 * 2^n * kappa^2 * eps (kappa the 2-norm condition
-number), bounds |y - LU solve|: ||M|| >= 1 for a column-stochastic M, so
-||M^-1 p|| <= kappa; the LU's forward error is about 2^n * kappa * eps times
-that, the sweep's about n * kappa * eps, and 16 covers the constants.  On
-about 80,000 random inputs of 1-9 qubits the largest |y - LU| was 1/17 of
-the margin.  So the fallback runs exactly where the LU would send it, and
-its output bits do not move: they are those of the final support solve on
-the optimal support, which is unique; the start and the gradient only steer
-which supports the loop visits.  A matrix without factors (sampled or
-loaded) keeps the dense solve and gradient.
+2x2 product per qubit, O(n 2^n).  `mitigate` takes the fallback, starting
+from y, when min(y) < -1e-10 - margin; otherwise the dense LU solve decides
+as it always did, and is the output when it is not negative.  The margin is
+16 * 2^n * kappa^2 * eps, kappa the 2-norm condition number.  It is meant to
+cover |y - LU solve|, but it is an estimate checked on samples, not a proven
+bound: ||M|| >= 1 for a column-stochastic M, so ||M^-1 p|| <= kappa; the
+LU's forward error is about 2^n * kappa * eps times that, the sweep's about
+n * kappa * eps, and the 16 was chosen from random inputs.  On about 80,000
+of them (1-9 qubits) the largest |y - LU| was 1/17 of the margin.  Where the
+margin holds, the fallback runs where the LU would send it.  Its output is
+the final support solve, and the start only steers which supports the loop
+visits, so the output bits stay those of the LU-started loop as long as
+both end on the same support.  That held on about 18,000 random inputs and
+every pinned input in the tests; it is not guaranteed.  An optimum near
+degenerate, whose KKT test passes within _KKT_TOL on two supports, could end
+on the other one from the other start, and the output would then move at
+about the 1e-10 level.  The gradient M^T (M z - p) is the dense product for
+every matrix.  A matrix without factors (sampled or loaded) keeps the dense
+solve.
 
 The solves and products run in BLAS/LAPACK, whose last bits may depend on
 the number of BLAS threads.  With OpenBLAS 0.3.31 on a 2-core host, the
 sparse 7- to 10-qubit inputs in `tests/test_mitigation.py` run no direct
-solve.  Under OPENBLAS_NUM_THREADS=1 every intermediate of the 7- to 9-qubit
-ones keeps its bits, and so does the 10-qubit one's factor solve.  What still
-changes there is the output's own arithmetic, its one support solve: the
-Gram matrix of its 126 support columns of 1024 rows, and, given the same
-Gram matrix, the 127x127 KKT solve; with them the output bytes change.
-Those tests pin the bytes of the default thread count.
+solve, whose bits follow the thread count.  Under OPENBLAS_NUM_THREADS=1 every
+intermediate of the 7- to 9-qubit ones keeps its bits, the dense gradient
+included, and so does the 10-qubit one's factor solve.  What still changes
+there is the output's own arithmetic, its one support solve: the Gram
+matrix of its 126 support columns of 1024 rows, and, given the same Gram
+matrix, the 127x127 KKT solve; with them the output bytes change.  Those
+tests pin the bytes of the default thread count.
 """
 
 from __future__ import annotations
@@ -219,17 +225,15 @@ def _support_solve(m: np.ndarray, p: np.ndarray, support: np.ndarray) -> tuple[n
     return z, solution[k]
 
 
-def _simplex_least_squares(m: np.ndarray, p: np.ndarray, start: np.ndarray,
-                           residual_gradient) -> np.ndarray:
+def _simplex_least_squares(m: np.ndarray, p: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Minimise ||M x - p|| over the probability simplex, starting from `start`,
-    M^-1 p from the LU or the factors; `residual_gradient(z)` is M^T (M z - p).
-    See the module docstring."""
+    M^-1 p from the LU or the factors.  See the module docstring."""
     x = _project_to_simplex(start)
     support = x > 0.0
     for _ in range(_MAX_STEPS):
         z, multiplier = _support_solve(m, p, support)
         if z[support].min() > 0.0:
-            gradient = residual_gradient(z)
+            gradient = m.T @ (m @ z - p)
             if gradient.min() >= -multiplier - _KKT_TOL:
                 return z
             support[np.argmin(np.where(support, np.inf, gradient))] = True
@@ -253,16 +257,6 @@ def _kron_apply(factors, v: np.ndarray) -> np.ndarray:
     return v.reshape(-1)
 
 
-def _residual_gradient(confusion: ConfusionMatrix, p: np.ndarray):
-    """z -> M^T (M z - p), from two sweeps of the factors when M has them."""
-    m = confusion.matrix
-    if not confusion.factors:
-        return lambda z: m.T @ (m @ z - p)
-    factors = confusion.factors
-    transposes = [factor.T for factor in factors]
-    return lambda z: _kron_apply(transposes, _kron_apply(factors, z) - p)
-
-
 def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:
     """Recover the pre-readout distribution from measured counts.
 
@@ -280,14 +274,14 @@ def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:
     m = confusion.matrix
 
     x = _kron_apply(confusion._inverses, p) if confusion.factors else None
-    # the factors decide only beyond the margin on |y - LU solve| (module docstring);
-    # elsewhere the direct solve does, and may be the output
+    # the factors decide only beyond the margin, a sampled estimate of |y - LU solve|
+    # (module docstring); elsewhere the direct solve does, and may be the output
     margin = 16 * 2**n * cond**2 * np.finfo(float).eps
     if x is None or x.min() >= -1e-10 - margin:
         x = np.linalg.solve(m, p)
     if x.min() < -1e-10:
         # boundary case: project onto the probability simplex properly
-        x = _simplex_least_squares(m, p, x, _residual_gradient(confusion, p))
+        x = _simplex_least_squares(m, p, x)
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
     return {bitstring_of(i, n): float(v) for i, v in enumerate(x)}

@@ -111,7 +111,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
+from ._streams import MAX_SHOTS, Streams, _words, below_three, doubles, seed_words
 from .circuit import Circuit, CountsHistogram, _index, gate_ops
 from .states import _apply_paulis, evolve, init_state
 
@@ -476,7 +476,7 @@ def simulate_noisy_points(
         shapes.append((n, measured))
         formats.append(f"0{len(measured)}b")
         for r, seed in enumerate(seeds):
-            groups.setdefault(max(1, -(-int(seed).bit_length() // 32)), []).append((p, r))
+            groups.setdefault(len(_words(int(seed))), []).append((p, r))
 
     tallies = [[defaultdict(int) for _ in seeds] for _, seeds in points]  # key, as an int -> shots
     for entries in groups.values():
