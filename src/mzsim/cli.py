@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from ._streams import MAX_SHOTS
+from ._streams import _MASK32, MAX_SHOTS, _seed_state, seed_words
 from .analysis import run_statistics
 from .circuit import CircuitError, simulate_ideal
 from .experiments import RUN_SETTINGS, ExperimentSpec, sweep_points
@@ -251,9 +251,15 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return points
 
 
-def _derived_seed(base: int, *context: int) -> int:
-    """Deterministic per-row seed; printed in the CSV so rows self-reproduce."""
-    return int(np.random.SeedSequence((base, *context)).generate_state(1)[0])
+def _derived_seeds(base: int, points: int, repeats: int) -> list[list[int]]:
+    """Deterministic per-row seeds, printed in the CSV so rows self-reproduce.
+
+    Point `index`'s repeat r takes the first 32-bit word of
+    SeedSequence((base, index, r)), one `_seed_state` row for each.
+    """
+    index, r = np.divmod(np.arange(points * repeats, dtype=np.uint32), repeats)
+    words = np.vstack([np.repeat(seed_words([base]), len(index), axis=1), index, r])
+    return (_seed_state(words)[0] & _MASK32).reshape(points, repeats).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +400,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # each point were sampled in turn; sampling stops short of that point, and
     # the points before it are sampled in one call.
     valued, undefined = [], None
-    for index, (_, spec, point) in enumerate(points):
+    for _, spec, point in points:
         circuit = spec.build()
         try:
             exact = spec.value(simulate_ideal(circuit).probability_dict())
         except ValueError as exc:
             undefined = exc  # raised after the sampled values of the points before it
             break
-        valued.append((spec, point, circuit, exact,
-                       [_derived_seed(seed, index, r) for r in range(repeats)]))
-    sampled = (simulate_noisy_points([(circuit, seeds) for _, _, circuit, _, seeds in valued],
-                                     device, shots)
-               if device is not None else [[] for _ in valued])
+        valued.append((spec, point, circuit, exact))
+    if device is not None:
+        seeds = _derived_seeds(seed, len(valued), repeats)
+        sampled = simulate_noisy_points([(circuit, point_seeds) for (_, _, circuit, _), point_seeds
+                                         in zip(valued, seeds)], device, shots)
+    else:
+        seeds = sampled = [[] for _ in valued]
     confusions = {}  # measured qubits -> their exact confusion matrix
     rows: list[dict] = []
-    for (spec, point, circuit, exact, seeds), histograms in zip(valued, sampled):
+    for (spec, point, circuit, exact), point_seeds, histograms in zip(valued, seeds, sampled):
         cells = {**point, "experiment": spec.kind, "N": spec.num_qubits,
                  "observable": spec.observable(), "theory": spec.theory()}
         rows.append({**cells, "shots": "", "seed": "", "value": exact, "std_dev": "",
@@ -419,7 +427,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             confusions[circuit.measured_qubits] = exact_confusion_matrix(
                 device, circuit.measured_qubits)
         raw, mitigated = [], []
-        for seed_r, counts in zip(seeds, histograms):
+        for seed_r, counts in zip(point_seeds, histograms):
             repeat = {**cells, "shots": shots, "seed": seed_r, "device": device.name}
             raw.append({**repeat, "value": spec.value(counts), "mitigated": "false"})
             if mitigate_flag:

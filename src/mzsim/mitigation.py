@@ -158,6 +158,8 @@ def build_confusion_matrix(
 
     Column j: prepare basis state j of `qubits` (as in `exact_confusion_matrix`)
     exactly, read it out `shots` times under their readout flips, tally the results.
+    The flips come from `np.random.default_rng(seed)`: no CLI command calls
+    this library function, so numpy.random is imported only when it runs.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -284,7 +286,8 @@ def mitigate(counts, confusion: ConfusionMatrix) -> dict[str, float]:
         x = _simplex_least_squares(m, p, x)
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
-    return {bitstring_of(i, n): float(v) for i, v in enumerate(x)}
+    fmt = f"0{n}b"
+    return dict(zip([format(i, fmt) for i in range(2**n)], x.tolist()))
 
 
 def total_variation_distance(p, q) -> float:

@@ -44,15 +44,20 @@ shot's key, and one tally counts the keys.
 
 Reproducibility contract (bit-exact for a fixed numpy generation):
 the measurement outcome of shot i consumes the i-th value of a PCG64
-stream seeded with `seed`; the noise draws of trajectory i come from an
-independent PCG64 stream seeded with (seed, i), in this order: one
+stream seeded with `seed`; the noise draws of trajectory i come from the
+PCG64 stream seeded with (seed, i), in this order: one
 uniform per gate whose rate is above zero, in circuit order; on a hit,
 one integer in {0, 1, 2} (X, Y, Z) per touched qubit in target order;
 then one uniform per measured qubit, in ascending qubit order, whose flip
 probability for its current bit is above zero.  Events with probability
 0 consume no randomness.  Consequently a device with all rates zero draws
 no trajectory at all, which is ideal sampling, and trajectories can be
-evaluated in parallel without changing results.
+evaluated in parallel without changing results.  For a seed below 2**96
+(at most three 32-bit words) the entropy [seed] and [seed, 0] fill
+SeedSequence's 4-word pool alike, so the measurement stream is trajectory
+0's noise stream: shot 0's measurement uniform is also its first noise
+uniform.  From 2**96 on they differ.  Parting them would move every seeded
+histogram.
 
 How the sampler meets it: `simulate_noisy_points` samples many circuits,
 the points, each under its own seeds, in one pass; `simulate_noisy_repeats`
@@ -65,9 +70,11 @@ zero); the sort is stable, so a point's entries stay together and in seed
 order.  A group walks its rows (entry e, shot i), entry after entry, in
 blocks of at most `_BLOCK_SHOTS` rows: a block may span entries and points
 and an entry may span blocks, so memory is bounded by the block at any shot
-count.  A block draws its rows' measurement uniforms from entry e's own
-`default_rng(seed_e)`; successive `random(k)` calls continue one stream at
-one word per double, so the blocks read what one `random(shots)` would.
+count.  The group seeds each entry's measurement stream, `default_rng(seed_e)`,
+once, as one `_streams.Streams` row, and a block continues those of its
+entries by jump-ahead: one `Streams.ahead` call per stretch of entries that
+take as many rows, one word per uniform, as `random(shots)` reads them.  No
+shot builds a numpy Generator, and the sampler never imports numpy.random.
 Each point's rows are one contiguous run of the block: the point's ideal
 state is evolved when the group first meets it, and its run selects
 indices from that state's distribution alone.  The block's noise comes from
@@ -82,10 +89,9 @@ the rows it hits then take one `integers(3)` per qubit of their own gate, a
 from the last one, even across uniforms in between; a step that hits no row
 draws nothing more.  The one 32-bit value that `integers(3)` rejects (zero,
 see `_streams.below_three`) is redrawn in place for its row alone, as numpy
-redraws it, so no shot builds a Generator of its own.  Step k has as many
-Pauli slots as its widest gate has qubits, and each point's faulty rows are
-handed their own slot columns, so they are evolved on that point's gates,
-their fault patterns together.  The readout uniforms follow, walked by
+redraws it.  Step k has as many Pauli slots as its widest gate has qubits,
+and each point's faulty rows are handed their own slot columns, so they are
+evolved on that point's gates, their fault patterns together.  The readout uniforms follow, walked by
 measured-qubit position j: the rows of the points that measure more than j
 qubits, a prefix of the block where the points' measured counts fall with
 their gate counts, as a chain's do, and an index of the rows otherwise,
@@ -485,8 +491,8 @@ def simulate_noisy_points(
         entries.sort(key=lambda entry: -len(point_noise[entry[0]][0]))
         noisy = any(gates or any(p01 or p10 for _, p01, p10 in readout)
                     for gates, readout in (point_noise[p] for p, _ in entries))
-        seeds = [points[p][1][r] for p, r in entries]
-        words = seed_words(seeds)
+        words = seed_words([points[p][1][r] for p, r in entries])
+        measure = Streams(words)  # each entry's default_rng(seed) stream
         group_tallies = [tallies[p][r] for p, r in entries]
         cum_point = None  # the point whose ideal distribution `cum` holds
         rows = len(entries) * shots
@@ -494,16 +500,17 @@ def simulate_noisy_points(
             last = min(first + _BLOCK_SHOTS, rows)
             # row (e, i) is shot i of the group's e-th entry
             met = range(first // shots, (last - 1) // shots + 1)  # the block's entries
-            us, runs, size = [], [], 0  # runs: each met point and its first row in the block
-            for e in met:
-                if e * shots >= first:  # entry e starts here: its measurement stream
-                    rng = np.random.default_rng(seeds[e])
+            takes = [min(last, (e + 1) * shots) - max(first, e * shots) for e in met]
+            runs, size = [], 0  # runs: each met point and its first row in the block
+            for e, take in zip(met, takes):
                 if not runs or runs[-1][0] != entries[e][0]:
                     runs.append((entries[e][0], size))
-                us.append(rng.random(min(last, (e + 1) * shots) - max(first, e * shots)))
-                size += len(us[-1])
-            entry = np.repeat(met, [len(u) for u in us])
-            us = np.concatenate(us)
+                size += take
+            entry = np.repeat(met, takes)
+            # the entries continue their measurement streams, a stretch of equal takes at a time
+            cuts = [0, *(j for j in range(1, len(met)) if takes[j] != takes[j - 1]), len(met)]
+            us = doubles(np.concatenate([measure.ahead(slice(met[a], met[b - 1] + 1), takes[a])
+                                         for a, b in zip(cuts, cuts[1:])], axis=None))
             bounds = [start for _, start in runs] + [size]
             outcomes = []
             for (p, start), stop in zip(runs, bounds[1:]):

@@ -9,6 +9,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -446,6 +449,14 @@ class TestSweep:
         _, rows = parse_csv(out)
         assert [r["mitigated"] for r in rows] == [
             "false", "false", "false", "true", "true"]
+
+    @pytest.mark.parametrize("base", [0, 7, 2**32 + 3, 2**64 + 5])
+    def test_derived_seeds_match_seed_sequence(self, base):
+        """Bases of 1, 2 and 3 words, and a sweep with no point to sample."""
+        assert cli._derived_seeds(base, 3, 4) == [
+            [int(np.random.SeedSequence((base, index, r)).generate_state(1)[0]) for r in range(4)]
+            for index in range(3)]
+        assert cli._derived_seeds(base, 0, 2) == []
 
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -1231,3 +1242,32 @@ def test_run_and_sweep_settings_keep_exit_code_contract(drawn, tmp_path_factory)
         assert out.getvalue().startswith(",".join(CSV_COLUMNS) + "\n")
     else:
         json.loads(out.getvalue())
+
+
+def test_sampled_commands_never_import_numpy_random():
+    """A mitigated run and a noisy sweep draw every random word from `_streams`.
+
+    Older numpy imports numpy.random with numpy itself; there is nothing to check."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "print('numpy.random' in sys.modules)\n"
+        "from mzsim.cli import main\n"
+        "assert main(['run', '--experiment', 'hardy', '--theta0', '0.575', '--theta1', '0.575',\n"
+        "             '--device', 'vigo', '--shots', '256', '--mitigate', '--output', sys.argv[1]]) == 0\n"
+        "assert main(['sweep', '--experiment', 'general-bomb', '--n-values', '2,3',\n"
+        "             '--theta-start', '0.4', '--theta-stop', '0.5', '--theta-step', '0.1',\n"
+        "             '--device', 'london', '--shots', '256', '--repeats', '2', '--mitigate',\n"
+        "             '--output', sys.argv[1]]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    eager, loaded = proc.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert loaded == "False"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mzsim import noise
-from mzsim._streams import MAX_SHOTS, Streams, below_three, doubles, seed_words
+from mzsim._streams import MAX_SHOTS, Streams, _seed_state, below_three, doubles, seed_words
 from mzsim.circuit import Circuit, CountsHistogram, gate_ops, simulate_ideal
 from mzsim.cli import main
 from mzsim.experiments import (
@@ -741,7 +741,7 @@ def test_matches_per_shot_reference_over_many_pattern_blocks(monkeypatch):
 
 def test_generators_are_built_only_for_rejected_draws(monkeypatch):
     """Every shot draws its noise from `Streams`, rejected `integers(3)` halves
-    included; the measurement stream is the only Generator built."""
+    included, and its measurement uniform too: no Generator is built."""
     circ, dev = ORACLE_CIRCUITS["chain4"], ORACLE_DEVICES["gate-only"]
     expected = _reference_simulate_noisy(circ, dev, 500, 4)
     built = []
@@ -754,7 +754,7 @@ def test_generators_are_built_only_for_rejected_draws(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     got = simulate_noisy(circ, dev, 500, 4)
     assert list(got.counts.items()) == list(expected.counts.items())
-    assert built == [4]  # the measurement stream alone
+    assert built == []
 
 
 #: seeds of two uint32 words (2**32, 2**40 + 1) and of one (0, 2**32 - 1), interleaved
@@ -870,11 +870,12 @@ def test_points_of_any_shape_match_per_point_repeats(device, monkeypatch):
 
 
 def test_a_chain_sweep_walks_one_streams(monkeypatch, capsys):
-    """Chains of N = 2-5, 2 repeats of 1024 shots: one group, one block, one `Streams`."""
+    """Chains of N = 2-5, 2 repeats of 1024 shots: one group and one block, so
+    one `Streams` of measurement streams, one a seed, and one of noise streams."""
     built = []
 
     def counting(*args):
-        built.append(args)
+        built.append(len(args))  # the noise streams' shot indices are the second argument
         return Streams(*args)
 
     monkeypatch.setattr(noise, "Streams", counting)
@@ -882,7 +883,7 @@ def test_a_chain_sweep_walks_one_streams(monkeypatch, capsys):
                  "--theta-start", "0.4", "--theta-stop", "0.4", "--theta-step", "0.1",
                  "--device", "london", "--shots", "1024", "--repeats", "2", "--mitigate"]) == 0
     capsys.readouterr()
-    assert len(built) == 1
+    assert built == [1, 2]
 
 
 def test_points_of_no_seeds_and_of_none():
@@ -914,12 +915,121 @@ def test_seeds_of_different_word_counts_never_share_streams():
 
 def test_block_draws_continue_one_stream():
     """Successive `random(k)` calls of one Generator read what one
-    `random(shots)` reads, so uniforms may be drawn block by block."""
-    for seed in (0, 7, 2**40 + 1):
+    `random(shots)` reads, and so do successive `Streams.ahead` calls on the
+    stream of `default_rng(seed)`, so uniforms may be drawn block by block.
+    Seeds of 1, 2, 3, 4 and 5 words; the last two fill more than the pool."""
+    seeds = (0, 7, 2**40 + 1, 2**64 + 3, 2**96 + 5, 2**130 + 3)
+    for seed in seeds:
         whole = np.random.default_rng(seed).random(1000)
         rng = np.random.default_rng(seed)
         blocks = [rng.random(k) for k in (1, 3, 256, 13, 727)]
         assert np.array_equal(np.concatenate(blocks), whole)
+        streams = Streams(seed_words([seed]))
+        blocks = [doubles(streams.ahead(slice(0, 1), k)[0]) for k in (1, 3, 256, 13, 727)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+    # streams of several seeds of one width, stepped together and one by one
+    streams = Streams(seed_words([5, 6, 2**32 - 1]))
+    expected = [np.random.default_rng(seed).bit_generator.random_raw(50) for seed in (5, 6, 2**32 - 1)]
+    assert np.array_equal(streams.ahead(slice(0, 3), 20), [raw[:20] for raw in expected])
+    assert np.array_equal(streams.ahead(slice(1, 2), 30), [expected[1][20:]])
+    assert np.array_equal(streams.ahead(slice(0, 3, 2), 30), [expected[0][20:], expected[2][20:]])
+
+
+def test_measurement_stream_is_trajectory_zeros_below_2_96():
+    """Entropy [s] and [s, 0] fill SeedSequence's 4-word pool alike while s
+    has at most three words, so the measurement stream `default_rng(s)` is
+    trajectory 0's noise stream `default_rng((s, 0))`; from 2**96 on they
+    differ (the `noise` module docstring)."""
+    for seed, same in ((0, True), (5, True), (2**32, True), (2**70, True), (2**96 - 1, True),
+                       (2**96, False), (2**96 + 5, False), (2**130, False)):
+        measured = np.random.default_rng(seed).random(3)
+        assert np.array_equal(measured, np.random.default_rng((seed, 0)).random(3)) == same
+        mine = Streams(seed_words([seed])).ahead(slice(0, 1), 3)[0]
+        assert np.array_equal(doubles(mine), measured)
+        assert np.array_equal(mine, words(seed, [0], 3)[0]) == same
+
+
+def _looped_seed_state(words, shots):
+    """`_streams._seed_state` as numpy's SeedSequence loop runs it: one hashmix
+    or mix of one pool word of every row per step."""
+    mask = 0xFFFFFFFF
+
+    class Hash:
+        def __init__(self, const, mult):
+            self.const, self.mult = const, mult
+
+        def __call__(self, value):
+            value = value ^ np.uint32(self.const)
+            self.const = self.const * self.mult & mask
+            value = value * np.uint32(self.const)
+            return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return result ^ (result >> np.uint32(16))
+
+    rows = words.shape[1] if shots is None else len(shots)
+    entropy = [np.broadcast_to(w, (rows,)) for w in words]
+    if shots is not None:
+        entropy.append(np.asarray(shots).astype(np.uint32))
+    hashmix = Hash(0x43B0D7E5, 0x931E8875)
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = Hash(0x8B51F9DD, 0x58F38DED)
+    halves = [hashmix(pool[j % 4]).astype(np.uint64) for j in range(8)]
+    return np.array([halves[2 * j] | halves[2 * j + 1] << np.uint64(32) for j in range(4)])
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_seeding_matches_seed_sequence(count):
+    """The stacked pools give SeedSequence's state for seeds of `count` words,
+    with a shot index's word and without, up to more words than the pool."""
+    rng = np.random.default_rng(count)
+    words = rng.integers(0, 2**32, size=(count, 40), dtype=np.uint32)
+    words[-1] |= 1  # a nonzero top word: each seed has exactly `count` words
+    seeds = [sum(int(w) << 32 * j for j, w in enumerate(column)) for column in words.T]
+    assert np.array_equal(seed_words(seeds), words)
+    expected = np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds])
+    assert np.array_equal(_seed_state(words).T, expected)
+    shots = rng.integers(0, 2**32, size=40)
+    expected = np.array([np.random.SeedSequence((seed, int(i))).generate_state(4, np.uint64)
+                         for seed, i in zip(seeds, shots)])
+    assert np.array_equal(_seed_state(words, shots).T, expected)
+    for shared in (None, shots):  # and a copy of the word-by-word loop, on many more rows
+        many = rng.integers(0, 2**32, size=(count, 3000), dtype=np.uint32)
+        shots = None if shared is None else rng.integers(0, 2**32, size=3000)
+        assert np.array_equal(_seed_state(many, shots), _looped_seed_state(many, shots))
+        if shots is not None:  # one column of words for every row
+            assert np.array_equal(_seed_state(many[:, :1], shots),
+                                  _looped_seed_state(many[:, :1], shots))
+
+
+#: seeds of 1, 2, 3, 4 and 5 uint32 words, each its own group
+WIDE_SEEDS = (9, 2**32 + 1, 2**64 + 3, 2**96 + 5, 2**130 + 7)
+
+
+@pytest.mark.parametrize("device", ["ideal", "london"])
+def test_measurement_uniforms_of_every_seed_width(device, monkeypatch):
+    """Each shot's measurement uniform is the one `default_rng(seed)` gives,
+    for seeds of every width, with entries spanning blocks and blocks spanning
+    entries."""
+    circ, shots = build_hardy(0.575 * np.pi, 0.575 * np.pi), 40
+    dev = ideal_device(5) if device == "ideal" else device_preset(device)
+    reference = _ideal_reference if device == "ideal" else (
+        lambda circ, shots, seed: _reference_simulate_noisy(circ, dev, shots, seed))
+    expected = [list(reference(circ, shots, seed).counts.items()) for seed in WIDE_SEEDS]
+    for size in (noise._BLOCK_SHOTS, 3, shots - 1, shots + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "_BLOCK_SHOTS", size)
+            got = noise.simulate_noisy_repeats(circ, dev, shots, WIDE_SEEDS + WIDE_SEEDS[:2])
+        assert [list(hist.counts.items()) for hist in got] == expected + expected[:2]
 
 
 def test_peak_memory_is_bounded_by_the_block(monkeypatch):
