@@ -22,7 +22,8 @@ checks shots, seed and --mitigate, and `_output_from` reads --format (each
 command's first format is its default) and --output.
 `experiments` owns each experiment kind; this module converts a setting by
 its flag's name.  A bad parameter, or a circuit wider than the simulator or
-the device, exits 2 in every command before any sampling.
+the device, exits 2 in every command before any sampling; so does a sweep
+on a device of more than `_MAX_SAMPLED_ROWS` points x repeats.
 
 argparse only splits the command line; what it cannot split is a
 ConfigError.  A flag is spelt in full, as its config key is, and both go
@@ -65,6 +66,9 @@ class ConfigError(ValueError):
 
 #: the most points a sweep may hold, all axes together (a step of 1e-4 over [0, 1])
 _MAX_GRID_POINTS = 10_001
+#: the most sampled rows (points x repeats) a sweep on a device may hold: seeding,
+#: sampling and output take about 1 KB a row, so this bounds them near 100 MB
+_MAX_SAMPLED_ROWS = 100_000
 #: the one refusal of a command that names no experiment, for run and sweep
 _NO_EXPERIMENT = "an experiment is required (--experiment or config file)"
 
@@ -85,6 +89,8 @@ def _load_config_file(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    if "config" in doc:
+        raise ConfigError("a config file cannot name another config file (key 'config')")
     unknown = sorted(doc.keys() - (vars(args).keys() - {"command", "handler"}))
     if unknown:
         raise ConfigError(f"config key(s) that name no {args.command} flag: {', '.join(unknown)}")
@@ -388,6 +394,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         count = next(made)
         if count > _MAX_GRID_POINTS:
             raise ConfigError(f"the sweep grid has {count} points, more than {_MAX_GRID_POINTS}")
+        if device is not None and count * repeats > _MAX_SAMPLED_ROWS:
+            raise ConfigError(f"the sweep would sample {count} point(s) x {repeats} repeats = "
+                              f"{count * repeats} rows, more than {_MAX_SAMPLED_ROWS}")
         points = list(made)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -561,9 +561,6 @@ def _lockstep(runs, lengths):
     step, a prefix slice(0, stop) of the block when those runs lead it, and
     an index of the rows otherwise.
     """
-    if runs.count(runs[0]) == len(runs):  # one signature: every row takes every step alike
-        yield from ((..., *step) for step in runs[0])
-        return
     ends = list(accumulate(lengths))
     for k in range(max(map(len, runs))):
         reach = [r for r, steps in enumerate(runs) if len(steps) > k]

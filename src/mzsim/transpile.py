@@ -9,6 +9,8 @@ pair touches.  The initial layout defaults to the identity with the
 busiest logical qubit (highest 2-qubit-gate degree) placed on the
 best-connected physical qubit.  A circuit wider than the graph, or a
 layout that is not one-to-one onto physical qubits, raises `LayoutError`.
+A SWAP path that crosses an already-measured physical qubit raises
+`CircuitError`, naming the CNOT being routed, before that SWAP is appended.
 
 Fusion runs in two phases.  The first walks the instructions once: it
 gives each distinct gate object a row of a matrix stack and records each
@@ -140,6 +142,7 @@ def route(
     paths: dict[tuple[int, ...], list[int]] = {}
     swaps: dict[tuple[int, int], list[Instruction]] = {}
     swap_count = 0
+    measured = out._measured  # the physical qubits measured so far
 
     for inst in circuit.instructions:
         qubits = tuple(map(l2p.__getitem__, inst.qubits))
@@ -152,6 +155,11 @@ def route(
             if path is None:
                 path = paths[qubits] = graph.shortest_path(*qubits)
             for edge in zip(path[:-2], path[1:-1]):
+                if measured and not measured.isdisjoint(edge):
+                    raise CircuitError(
+                        f"cannot route the CNOT on logical qubits {inst.qubits}: its SWAPs cross "
+                        f"physical qubit {min(measured.intersection(edge))}, which is already "
+                        f"measured")
                 network = swaps.get(edge)
                 if network is None:
                     network = swaps[edge] = [Instruction("gate", targets, gate)

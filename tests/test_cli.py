@@ -2,7 +2,9 @@
 
 Everything goes through ``main(argv)`` so the tests exercise argument
 parsing, config merging, and the exit-code contract exactly as a shell
-user would hit them.
+user would hit them.  Each console case whose argv, exit code and stderr
+line (or output check) say it all is a row of one table, `CASES`; a few
+rows also run as ``python -m mzsim.cli`` processes.
 """
 
 import contextlib
@@ -12,6 +14,9 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -203,121 +208,7 @@ class TestRunSampled:
         assert all(r["device"] == "vigo-0820" for r in rows)
 
 
-class TestConfigFile:
-    def test_config_supplies_everything(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "experiment": "bomb", "bomb": False, "exact": True,
-        }))
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["parameters"] == {"present": False}
-        assert doc["exact"] is True
-
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "experiment": "bomb", "bomb": False, "exact": True,
-        }))
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--bomb")
-        assert code == 0
-        assert json.loads(out)["parameters"] == {"present": True}
-
-    def test_config_seed_and_shots(self, capsys, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "experiment": "eraser", "shots": 512, "seed": 11,
-        }))
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["shots"] == 512 and doc["seed"] == 11
-
-    def test_missing_config_file(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "run", "--config", str(tmp_path / "nope.json"))
-        assert code == 2
-        assert "config file not found" in err
-
-    def test_config_not_json(self, capsys, tmp_path):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 2
-        assert "not valid JSON" in err
-
-    def test_config_not_an_object(self, capsys, tmp_path):
-        cfg = tmp_path / "list.json"
-        cfg.write_text("[1, 2, 3]")
-        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 2
-        assert "JSON object" in err
-
-
 class TestRunErrors:
-    def test_experiment_required(self, capsys):
-        code, _, err = run_cli(capsys, "run")
-        assert code == 2
-        assert "experiment is required" in err
-
-    def test_mitigate_needs_device(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--experiment", "eraser", "--mitigate")
-        assert code == 2
-        assert "needs a noisy device" in err
-
-    def test_general_bomb_needs_angles(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--experiment", "general-bomb")
-        assert code == 2
-        assert "--angles" in err
-
-    def test_hardy_needs_thetas(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--experiment", "hardy")
-        assert code == 2
-        assert "--theta0" in err
-
-    def test_bad_angle_list(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--experiment", "general-bomb",
-            "--angles", "0.3,oops")
-        assert code == 2
-        assert err == "error: bad angles '0.3,oops': could not convert string to float: 'oops'\n"
-
-    def test_angles_violating_sum_rule(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--experiment", "general-bomb",
-            "--angles", "0.5,0.9", "--exact")
-        assert code == 2
-        assert "sum" in err
-
-    def test_unknown_device(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--experiment", "eraser", "--device", "andromeda")
-        assert code == 2
-        assert "neither" in err
-
-    def test_invalid_experiment_choice_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "run", "--experiment", "nope")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("shots", [2**32 + 1, 10**12])
-    @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
-    def test_shots_beyond_the_streams_exit_2_before_sampling(self, capsys, monkeypatch,
-                                                              shots, device):
-        def sample(*args, **kwargs):
-            raise AssertionError("sampled past the shot cap")
-
-        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)
-        monkeypatch.setattr("mzsim.cli.ideal_counts", sample)
-        code, out, err = run_cli(capsys, "run", "--experiment", "bomb", "--shots", str(shots),
-                                 *device)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: shots must be at most 2**32, the streams one seed gives, " \
-                      f"got {shots}\n"
-
     @pytest.mark.parametrize("command", [
         ("run", "--experiment", "bomb"),
         ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
@@ -334,22 +225,6 @@ class TestRunErrors:
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
 
-    def test_output_into_missing_directory(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "run", "--experiment", "eraser", "--exact",
-            "--output", str(tmp_path / "no" / "such" / "dir" / "out.json"))
-        assert code == 3
-        assert err.startswith("error:")
-
-    def test_output_file_written(self, capsys, tmp_path):
-        target = tmp_path / "doc.json"
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "eraser", "--exact",
-            "--output", str(target))
-        assert code == 0
-        assert out == ""
-        doc = json.loads(target.read_text())
-        assert doc["probabilities"]["00"] == pytest.approx(0.5)
 
 
 class TestSweep:
@@ -458,16 +333,6 @@ class TestSweep:
             for index in range(3)]
         assert cli._derived_seeds(base, 0, 2) == []
 
-    def test_sweep_json_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.5", "--theta-stop", "0.5",
-            "--theta-step", "0.1", "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        assert len(doc["rows"]) == 1
-        assert doc["rows"][0]["observable"] == "gamma"
-
     def test_sweep_determinism(self, capsys):
         argv = ("sweep", "--experiment", "hardy", "--theta-start", "0.55",
                 "--theta-stop", "0.6", "--theta-step", "0.05",
@@ -477,84 +342,9 @@ class TestSweep:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
-    def test_sweep_output_file(self, capsys, tmp_path):
-        target = tmp_path / "sweep.csv"
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.5", "--theta-stop", "0.5",
-            "--theta-step", "0.1", "--output", str(target))
-        assert code == 0 and out == ""
-        header, rows = parse_csv(target.read_text())
-        assert header == list(CSV_COLUMNS) and len(rows) == 1
-
-
-@pytest.mark.parametrize("command, config", [
-    ("run", None), ("run", {"exact": True}), ("sweep", None),
-    ("sweep", {"theta_start": 0.5, "theta_stop": 0.5, "theta_step": 0.1}),
-], ids=["run", "run-config", "sweep", "sweep-config"])
-def test_a_missing_experiment_is_refused_in_one_wording(capsys, tmp_path, command, config):
-    argv = [command]
-    if command == "sweep" and config is None:
-        argv += ["--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"]
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "error: an experiment is required (--experiment or config file)\n"
 
 
 class TestSweepErrors:
-    def test_missing_grid_flags(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.5")
-        assert code == 2
-        assert "--theta-stop" in err
-
-    def test_general_bomb_needs_n_values(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--experiment", "general-bomb",
-            "--theta-start", "0.3", "--theta-stop", "0.5",
-            "--theta-step", "0.1")
-        assert code == 2
-        assert "--n-values" in err
-
-    def test_unsupported_sweep_via_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "experiment": "eraser", "theta_start": 0.3,
-            "theta_stop": 0.5, "theta_step": 0.1,
-        }))
-        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == 2
-        assert "sweep supports" in err
-
-    def test_grid_point_on_boundary(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--experiment", "general-bomb",
-            "--n-values", "2", "--theta-start", "0.5",
-            "--theta-stop", "1.0", "--theta-step", "0.5")
-        assert code == 2
-        assert "strictly inside" in err
-
-    def test_negative_step(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.5", "--theta-stop", "0.6",
-            "--theta-step", "-0.1")
-        assert code == 2
-        assert "positive" in err
-
-    def test_empty_range(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.6", "--theta-stop", "0.5",
-            "--theta-step", "0.1")
-        assert code == 2
-        assert "empty" in err
-
     @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
     def test_undefined_point_exits_3_after_sampling_the_points_before_it(
             self, capsys, monkeypatch, device):
@@ -597,68 +387,18 @@ class TestSweepErrors:
         assert code == 0 and err == ""
         assert len(parse_csv(out)[1]) == 5
 
-    def test_bad_repeats(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.5", "--theta-stop", "0.5",
-            "--theta-step", "0.1", "--repeats", "0")
-        assert code == 2
-        assert "repeats" in err
-
-    @pytest.mark.parametrize("flags, message", [
-        pytest.param(("--experiment", "general-bomb", "--n-values", "2,1"),
-                     "need n >= 2, got 1", id="chain-of-one"),
-        pytest.param(("--experiment", "general-bomb", "--n-values", "3,0"),
-                     "need n >= 2, got 0", id="chain-of-none"),
-        pytest.param(("--experiment", "hardy", "--theta-start", "-0.1"),
-                     "theta range [-0.1, 0.6] must lie in [0, 1]", id="start-below-0"),
-        pytest.param(("--experiment", "hardy", "--theta-stop", "1.2"),
-                     "theta range [0.5, 1.2] must lie in [0, 1]", id="stop-above-1"),
-        pytest.param(("--experiment", "general-bomb", "--n-values", "2",
-                      "--theta-stop", "1.5"),
-                     "theta range [0.5, 1.5] must lie in [0, 1]", id="chain-stop-above-1"),
-        pytest.param(("--experiment", "hardy", "--theta-start", "nan"),
-                     "theta range [nan, 0.6] must lie in [0, 1]", id="start-nan"),
-        pytest.param(("--experiment", "hardy", "--theta-step", "inf"),
-                     "theta range [0.5, 0.6] must lie in [0, 1] and step inf must be finite",
-                     id="step-inf"),
-        pytest.param(("--experiment", "hardy", "--theta-stop", "inf"),
-                     "theta range [0.5, inf] must lie in [0, 1]", id="stop-inf"),
-        pytest.param(("--experiment", "general-bomb", "--n-values", "2",
-                      "--theta-start=-inf"),
-                     "theta range [-inf, 0.6] must lie in [0, 1]", id="start-minus-inf"),
-        pytest.param(("--experiment", "general-bomb", "--n-values", "2,6"),
-                     "a chain of N = 6 needs 6 qubits but device 'vigo-0820' has 5",
-                     id="chain-wider-than-device"),
-        pytest.param(("--experiment", "general-bomb", "--n-values", "2,30",
-                      "--device", "ideal"),
-                     "a chain of N = 30 needs 30 qubits, more than the simulator's 24",
-                     id="chain-wider-than-simulator"),
-        pytest.param(("--experiment", "general-bomb", "--n-values", "2," + "9" * 12),
-                     "a chain of N = 999999999999 needs", id="chain-of-10^12"),
-        pytest.param(("--experiment", "hardy", "--theta-step", "1e-9"),
-                     "theta range [0.5, 0.6] in steps of 1e-09 has more than 10001 points",
-                     id="step-1e-9"),
-        pytest.param(("--experiment", "hardy", "--theta-start", "0", "--theta-stop", "1",
-                      "--theta-step", "5e-324"),
-                     "theta range [0.0, 1.0] in steps of 5e-324 has more than 10001 points",
-                     id="step-denormal"),
-        pytest.param(("--experiment", "hardy", "--shots", str(2**32 + 1)),
-                     "shots must be at most 2**32", id="shots-above-2^32"),
-    ])
-    def test_bad_sweep_settings_exit_2_before_sampling(self, capsys, monkeypatch, flags,
-                                                       message):
-        def sample(*args, **kwargs):
-            raise AssertionError("a point was sampled before the sweep was checked")
-
-        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)
-        # later flags win, so each case overrides one of these defaults
-        code, out, err = run_cli(
-            capsys, "sweep", "--theta-start", "0.5", "--theta-stop", "0.6",
-            "--theta-step", "0.1", "--device", "vigo", "--shots", "64", *flags)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: " + message) and err.count("\n") == 1
+    def test_sampled_rows_cap_is_exact(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_SAMPLED_ROWS", 6)
+        grid = ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
+                "--theta-step", "0.05", "--shots", "64")
+        code, out, err = run_cli(capsys, *grid, "--device", "vigo", "--repeats", "2")
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)[1]) == 3 * 3
+        code, out, err = run_cli(capsys, *grid, "--device", "vigo", "--repeats", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: the sweep would sample 3 point(s) x 3 repeats = 9 rows, more than 6\n"
+        code, _, err = run_cli(capsys, *grid, "--repeats", "3")  # no device samples no row
+        assert code == 0 and err == ""
 
 
 class TestTranspileCommand:
@@ -695,70 +435,6 @@ class TestTranspileCommand:
         parsed = parse(target.read_text())
         assert parsed.num_qubits == 5
 
-    def test_explicit_layout(self, capsys, eraser_qasm):
-        code, out, _ = run_cli(
-            capsys, "transpile", eraser_qasm, "--device", "vigo",
-            "--layout", "2,1")
-        assert code == 0
-        assert "initial layout: [2, 1" in out
-
-    def test_fuse_flag(self, capsys, eraser_qasm):
-        code, out, _ = run_cli(
-            capsys, "transpile", eraser_qasm, "--device", "vigo", "--fuse")
-        assert code == 0
-        payload = out.split("\n\n", 1)[1]
-        fused = parse(payload)
-        assert fused.count_gates().get("U3", 0) >= 1
-
-    def test_missing_input(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "transpile", str(tmp_path / "ghost.qasm"),
-            "--device", "vigo")
-        assert code == 2
-        assert "input file not found" in err
-
-    def test_parse_error_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.qasm"
-        bad.write_text("OPENQASM 2.0;\nqreg q[1];\nrz(0.1) q[0];\n")
-        code, _, err = run_cli(
-            capsys, "transpile", str(bad), "--device", "vigo")
-        assert code == 2
-        assert "line 3" in err
-
-    @pytest.mark.parametrize("body, position", [
-        ("qreg q[30];\nh q[0];\n", "line 2, column 8"),
-        ("qreg q[100000];\ncreg c[100000];\nh q;\nmeasure q -> c;\n", "line 2, column 8"),
-        ("qreg q[2];\ncreg c[100000];\nmeasure q -> c;\n", "line 4, column 1"),
-        ("qreg q[" + "9" * 5000 + "];\n", "line 2, column 8"),
-    ], ids=["qreg-30", "qreg-creg-100000", "creg-100000", "qreg-5000-digits"])
-    def test_oversized_register_exits_2(self, capsys, tmp_path, body, position):
-        bad = tmp_path / "big.qasm"
-        bad.write_text("OPENQASM 2.0;\n" + body)
-        code, out, err = run_cli(capsys, "transpile", str(bad), "--device", "vigo")
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {position}:")
-
-    def test_non_ascii_digits_exit_2(self, capsys, tmp_path):
-        bad = tmp_path / "digits.qasm"
-        bad.write_text("OPENQASM 2.0;\nqreg q[\u0663];\nh q[\u0661];\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "transpile", str(bad), "--device", "vigo")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: line 2, column 8: unexpected character")
-
-    @pytest.mark.parametrize("operands", ["q[0],q[0]", "q,q[1]"])
-    def test_repeated_barrier_operand_exits_2(self, capsys, tmp_path, operands):
-        bad = tmp_path / "barrier.qasm"
-        bad.write_text(f"OPENQASM 2.0;\nqreg q[2];\nbarrier {operands};\n")
-        code, out, err = run_cli(capsys, "transpile", str(bad), "--device", "vigo")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: line 3, column 1: repeated qubit")
-
-    def test_ideal_device_rejected(self, capsys, eraser_qasm):
-        code, _, err = run_cli(
-            capsys, "transpile", eraser_qasm, "--device", "ideal")
-        assert code == 2
-        assert "requires a real device" in err
-
     def test_signed_zeros_keep_their_lines(self, capsys, tmp_path):
         source = tmp_path / "zeros.qasm"
         source.write_text('OPENQASM 2.0;\nqreg q[2];\nu1(-0) q[0];\nu1(0) q[0];\n'
@@ -769,227 +445,6 @@ class TestTranspileCommand:
         payload = out.split("\n\n", 1)[1]
         assert payload.split("\n")[3:] == ["u1(-0) q[1];", "u1(0) q[1];", "u1(0) q[0];",
                                            "u1(-0) q[0];", "cx q[1],q[0];", ""]
-
-    def test_bad_layout_exits_2(self, capsys, eraser_qasm):
-        code, out, err = run_cli(
-            capsys, "transpile", eraser_qasm, "--device", "vigo",
-            "--layout", "1,1")
-        assert code == 2
-        assert out == ""
-        # the layout as given, not padded to the device's five qubits
-        assert err.startswith("error: layout [1, 1] must permute physical qubits 0-4")
-        assert "[1, 1, 0" not in err
-
-    def test_negative_layout_after_a_space_is_one_error_line(self, capsys, eraser_qasm):
-        # argparse reads "-1,0,1" as an option, so --layout has no value
-        code, out, err = run_cli(capsys, "transpile", eraser_qasm, "--device", "vigo",
-                                 "--layout", "-1,0,1")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_device_flag_required(self, capsys, eraser_qasm):
-        code, out, err = run_cli(capsys, "transpile", eraser_qasm)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
-
-
-def calibration(**changes) -> str:
-    """A valid 5-qubit T-coupled calibration document with `changes` applied."""
-    doc = {"name": "toy", "num_qubits": 5, "t1_us": 50.0, "t2_us": 50.0,
-           "cnot_error": 0.01, "readout_error": 0.02,
-           "coupling": [[0, 1], [1, 2], [1, 3], [3, 4]]}
-    doc.update(changes)
-    return json.dumps(doc)
-
-
-QASM = object()  # stands for the path of an eraser QASM file
-DISCONNECTED = calibration(coupling=[[0, 1], [1, 2], [0, 2], [3, 4]])
-HARDY_SWEEP = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
-               "--theta-stop", "0.5", "--theta-step", "0.1", "--shots", "64")
-BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "a"), id="layout-a"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "0,1,x"),
-                 id="layout-0,1,x"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "2.5"), id="layout-2.5"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=1,1"), id="layout-1,1"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,0,1"), id="layout-0,0,1"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,1,7"), id="layout-0,1,7"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=-1,0,1"), id="layout--1,0,1"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "-1,0,1"),
-                 id="layout-space--1,0,1"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout=0,1,2,3,4,5"),
-                 id="layout-0,1,2,3,4,5"),
-    pytest.param(("sweep", "--experiment", "general-bomb", "--n-values", "2,x",
-                  "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
-                 id="n-values-2,x"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "shots": [1]}),
-                 id="config-shots-list"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "shots": "abc"}),
-                 id="config-shots-text"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "device": "vigo",
-                                      "shots": 64, "mitigate": "false"}),
-                 id="config-boolean-as-text"),
-    pytest.param(BOMB_RUN + ("--device", calibration(readout_error=[0.1, 0.2, 0.1, 0.1, 0.1])),
-                 id="readout-list-of-scalars"),
-    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=None)), id="num-qubits-null"),
-    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=4.9)), id="num-qubits-float"),
-    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits=True)), id="num-qubits-bool"),
-    pytest.param(BOMB_RUN + ("--device", calibration(num_qubits="5")), id="num-qubits-text"),
-    pytest.param(BOMB_RUN + ("--device", DISCONNECTED), id="disconnected-run"),
-    pytest.param(("transpile", QASM, "--device", DISCONNECTED), id="disconnected-transpile"),
-    pytest.param(HARDY_SWEEP + ("--device", DISCONNECTED), id="disconnected-sweep"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "shots": 2.7}), id="config-shots-float"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "shots": True}), id="config-shots-bool"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "seed": 1.5}), id="config-seed-float"),
-    pytest.param(HARDY_SWEEP + ("--config", {"repeats": 2.5}), id="config-repeats-float"),
-    pytest.param(HARDY_SWEEP + ("--config", {"hardy_grid": "xyz"}), id="config-hardy-grid"),
-    pytest.param(HARDY_SWEEP + ("--seed", "-1"), id="sweep-seed-negative"),
-    pytest.param(BOMB_RUN + ("--seed", "-1"), id="run-seed-negative"),
-    pytest.param(BOMB_RUN + ("--exact", "--device", "london"), id="exact-with-device"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "exact": True, "device": "london"}),
-                 id="config-exact-with-device"),
-    pytest.param(("run", "--config", {"experiment": "general-bomb", "angles": [True, 0]}),
-                 id="config-angles-bool"),
-    pytest.param(("run", "--config", {"experiment": "hardy", "theta0": True, "theta1": True}),
-                 id="config-hardy-thetas-bool"),
-    pytest.param(("run", "--config", {"experiment": "hardy", "theta0": 0.5, "theta1": True}),
-                 id="config-hardy-theta1-bool"),
-    pytest.param(("sweep", "--config", {"experiment": "hardy", "theta_start": True,
-                                        "theta_stop": 1, "theta_step": 0.5}),
-                 id="config-theta-start-bool"),
-    pytest.param(("sweep", "--config", {"experiment": "hardy", "theta_start": 0.5,
-                                        "theta_stop": True, "theta_step": 0.5}),
-                 id="config-theta-stop-bool"),
-    pytest.param(("sweep", "--config", {"experiment": "hardy", "theta_start": 0.5,
-                                        "theta_stop": 0.5, "theta_step": True}),
-                 id="config-theta-step-bool"),
-    pytest.param(BOMB_RUN + ("--shots", "0"), id="run-shots-0"),
-    pytest.param(("run", "--config", {"experiment": "nope"}), id="config-experiment-unknown"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "format": "xml"}),
-                 id="config-format-xml"),
-    pytest.param(("sweep", "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
-                 id="sweep-no-experiment"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "shots": 100, "sead": 5}),
-                 id="config-key-misspelt"),
-    pytest.param(("run", "--config", {"experiment": "bomb", "shots": 100, "repeats": 2}),
-                 id="config-key-of-another-command"),
-    pytest.param(BOMB_RUN + ("--device", calibration(coupling=[[0, 1.9], [1, 2], [1, 3], [3, 4]])),
-                 id="coupling-float"),
-    pytest.param(BOMB_RUN + ("--device", calibration(coupling=[["0", True], [1, 2], [1, 3],
-                                                               [3, 4]])),
-                 id="coupling-text-and-bool"),
-    pytest.param(("run", "--experiment", "general-bomb", "--angles", "0,1"),
-                 id="degenerate-chain-0,1"),
-    pytest.param(("run", "--experiment", "general-bomb", "--angles", "0,0,1"),
-                 id="degenerate-chain-0,0,1"),
-    pytest.param(BOMB_RUN + ("--shot", "8"), id="abbreviated-shots"),
-    pytest.param(("run", "--experiment", "bomb", "--no-b"), id="abbreviated-no-bomb"),
-    pytest.param(HARDY_SWEEP + ("--rep", "2"), id="abbreviated-repeats"),
-])
-def test_malformed_input_exits_2(capsys, tmp_path, argv):
-    qasm = tmp_path / "eraser.qasm"
-    qasm.write_text(emit(build_eraser(erase=True)))
-    resolved = []
-    for arg in argv:
-        if arg is QASM:
-            arg = str(qasm)
-        elif isinstance(arg, dict):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(arg))
-            arg = str(cfg)
-        resolved.append(arg)
-    code, _, err = run_cli(capsys, *resolved)
-    assert code == 2
-    assert err.startswith("error:")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param((), id="no-command"),
-    pytest.param(BOMB_RUN + ("--sead", "5"), id="unknown-flag"),
-    pytest.param(("run", "--experiment"), id="missing-value"),
-    pytest.param(("transpile", QASM), id="missing-device"),
-    pytest.param(("transpile", QASM, "--device", "vigo", "--layout", "-1,0,1"),
-                 id="layout-space--1,0,1"),
-    pytest.param(("run", "--experiment", "bomb", "--shots", "x"), id="shots-x"),
-    pytest.param(("run", "--experiment", "nope"), id="experiment-nope"),
-    pytest.param(BOMB_RUN + ("--format", "xml"), id="format-xml"),
-])
-def test_command_line_refusals_are_one_error_line(capsys, tmp_path, argv):
-    qasm = tmp_path / "eraser.qasm"
-    qasm.write_text(emit(build_eraser(erase=True)))
-    code, out, err = run_cli(capsys, *(str(qasm) if arg is QASM else arg for arg in argv))
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv, unrecognized", [
-    pytest.param(BOMB_RUN + ("--shot", "8"), "--shot 8", id="shots"),
-    pytest.param(("run", "--experiment", "bomb", "--no-b"), "--no-b", id="no-bomb"),
-    pytest.param(HARDY_SWEEP + ("--rep", "2"), "--rep 2", id="repeats"),
-])
-def test_flags_are_spelt_in_full(capsys, argv, unrecognized):
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: unrecognized arguments: {unrecognized}\n"
-
-
-HARDY_SWEEP_WIDE = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
-                    "--theta-stop", "0.6", "--theta-step", "0.1")
-
-
-@pytest.mark.parametrize("argv, config, error", [
-    pytest.param(("run", "--experiment", "bomb", "--shots", "0", "--seed", "-1"), None,
-                 "shots must be >= 1, got 0", id="run-shots-before-seed"),
-    pytest.param(("run", "--experiment", "bomb", "--seed", "-1", "--mitigate"), None,
-                 "seed must be >= 0, got -1", id="run-seed-before-mitigate"),
-    pytest.param(("run", "--experiment", "bomb", "--shots", "0"), {"exact": "yes"},
-                 "bad exact 'yes': expected a JSON boolean (true or false)",
-                 id="run-exact-read-before-shots-checked"),
-    pytest.param(("run", "--experiment", "bomb", "--shots", "x", "--device", "nope"), None,
-                 "device 'nope' is neither 'ideal', a preset, nor a calibration file",
-                 id="run-device-before-shots-read"),
-    pytest.param(("run", "--experiment", "bomb", "--exact", "--device", "vigo", "--shots", "0"),
-                 None, "shots must be >= 1, got 0", id="run-shots-before-exact-with-device"),
-    pytest.param(HARDY_SWEEP_WIDE + ("--repeats", "0", "--shots", "0"), None,
-                 "repeats must be >= 1, got 0", id="sweep-repeats-before-shots"),
-    pytest.param(HARDY_SWEEP_WIDE + ("--repeats", "x", "--shots", "0"), None,
-                 "bad repeats 'x': invalid literal for int() with base 10: 'x'",
-                 id="sweep-repeats-read-before-shots-checked"),
-    pytest.param(HARDY_SWEEP_WIDE + ("--shots", "0", "--hardy-grid", "xyz"), None,
-                 "shots must be >= 1, got 0", id="sweep-shots-before-hardy-grid"),
-    pytest.param(("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
-                  "--theta-step", "-1", "--shots", "x"), None,
-                 "theta-step must be positive, got -1.0", id="sweep-grid-before-shots-read"),
-])
-def test_settings_are_refused_in_a_fixed_order(capsys, tmp_path, argv, config, error):
-    # a command with two bad settings names the one it reads and checks first
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv += ("--config", str(cfg))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {error}\n"
-
-
-@pytest.mark.parametrize("argv, error", [
-    pytest.param(("--experiment", "hardy", "--theta0", "0.5"),
-                 "hardy requires --theta1 (units of pi)", id="hardy-theta0-only"),
-    pytest.param(("--experiment", "hardy", "--theta1", "0.5"),
-                 "hardy requires --theta0 (units of pi)", id="hardy-theta1-only"),
-    pytest.param(("--experiment", "hardy"),
-                 "hardy requires --theta0 and --theta1 (units of pi)", id="hardy-neither"),
-    pytest.param(("--experiment", "general-bomb"),
-                 "general-bomb requires --angles (units of pi)", id="general-bomb-no-angles"),
-])
-def test_missing_settings_are_named(capsys, argv, error):
-    code, out, err = run_cli(capsys, "run", *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {error}\n"
 
 
 def test_full_negated_flags_and_help_still_work(capsys):
@@ -1003,19 +458,6 @@ def test_full_negated_flags_and_help_still_work(capsys):
     assert "--shots" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("extra", [("--angles", "0,1"), ("--angles", "0,1", "--exact"),
-                                   ("--angles", "0,0,1"), ("--angles", "0,1", "--device", "vigo")])
-def test_degenerate_chain_exits_2_before_sampling(capsys, monkeypatch, extra):
-    def sample(*args, **kwargs):
-        raise AssertionError("a degenerate chain was sampled")
-
-    for sampler in ("ideal_counts", "simulate_noisy", "simulate_ideal"):
-        monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
-    code, out, err = run_cli(capsys, "run", "--experiment", "general-bomb", *extra)
-    assert (code, out) == (2, "")
-    assert err == "error: degenerate chain: photon never reaches the detectors\n"
-
-
 def test_every_run_setting_is_a_run_flag_and_a_spec_field():
     flags = set(vars(cli._build_parser().parse_args(["run"])))
     fields = {f.name for f in dataclasses.fields(ExperimentSpec) if f.init}
@@ -1024,43 +466,6 @@ def test_every_run_setting_is_a_run_flag_and_a_spec_field():
             assert setting in flags, (kind, setting)
             assert setting in cli._SETTING_CONVERTERS, (kind, setting)
             assert field in fields, (kind, field)
-
-
-@pytest.mark.parametrize("argv", [BOMB_RUN + ("--device", "vigo"), HARDY_SWEEP + ("--device", "vigo")],
-                         ids=["run", "sweep"])
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_unknown_format_exits_2_before_sampling(capsys, monkeypatch, tmp_path, argv, where):
-    def sample(*args, **kwargs):
-        raise AssertionError("sampled before the format was read")
-
-    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_points", "simulate_ideal"):
-        monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
-    if where == "flag":
-        argv += ("--format", "xml")
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "xml"}))
-        argv += ("--config", str(cfg))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: unknown format 'xml'")
-
-
-def test_flag_and_config_key_are_refused_alike(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "bomb", "shots": "x"}))
-    from_config = run_cli(capsys, "run", "--config", str(cfg))
-    from_flag = run_cli(capsys, "run", "--experiment", "bomb", "--shots", "x")
-    assert from_flag == from_config
-    assert from_flag[0] == 2 and from_flag[2].startswith("error: bad shots 'x'")
-
-
-def test_config_key_that_names_no_flag_is_named(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "bomb", "sead": 5, "repeats": 2}))
-    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 2
-    assert err == "error: config key(s) that name no run flag: repeats, sead\n"
 
 
 def test_config_key_of_another_experiment_is_ignored(capsys, tmp_path):
@@ -1072,37 +477,606 @@ def test_config_key_of_another_experiment_is_ignored(capsys, tmp_path):
     assert json.loads(out)["parameters"] == {"erase": True}
 
 
+# ---------------------------------------------------------------------------
+# the console cases: one table, run in process and, for a few rows, as a process
+# ---------------------------------------------------------------------------
+
+class File(NamedTuple):
+    """A file that a case writes into its directory; its path stands in its argv."""
+    name: str
+    text: str
+
+
+def config(**doc) -> File:
+    return File("cfg.json", json.dumps(doc))
+
+
+def qasm(body: str, name: str = "in.qasm") -> File:
+    return File(name, "OPENQASM 2.0;\n" + body)
+
+
+def calibration(**changes) -> str:
+    """A valid 5-qubit T-coupled calibration document with `changes` applied."""
+    doc = {"name": "toy", "num_qubits": 5, "t1_us": 50.0, "t2_us": 50.0,
+           "cnot_error": 0.01, "readout_error": 0.02,
+           "coupling": [[0, 1], [1, 2], [1, 3], [3, 4]]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def line_device(name: str, readout_error: list) -> File:
+    """A line-coupled calibration file with one [p01, p10] readout pair per qubit."""
+    n = len(readout_error)
+    return File(f"{name}.json", json.dumps({
+        "name": name, "num_qubits": n, "t1_us": 80, "t2_us": 60, "cnot_error": 0.01,
+        "readout_error": readout_error, "coupling": [[q, q + 1] for q in range(n - 1)]}))
+
+
+def mitigated_sum_is_1(text: str) -> bool:
+    return abs(sum(json.loads(text)["mitigated_probabilities"].values()) - 1) <= 1e-9
+
+
+def csv_lines(tmp: Path) -> int:
+    return (tmp / "out.csv").read_text().count("\n")
+
+
+ERASER = File("eraser.qasm", emit(build_eraser(erase=True)))
+VALID = qasm('include "qelib1.inc";\nqreg q[3];\ncreg c[3];\nh q[0];\nccx q[0],q[1],q[2];\n'
+             'measure q -> c;\n', "valid.qasm")
+DISCONNECTED = calibration(coupling=[[0, 1], [1, 2], [0, 2], [3, 4]])
 TWO_QUBIT_DEVICE = calibration(num_qubits=2, coupling=[[0, 1]])
-SIX_QUBIT_QASM = object()  # stands for the path of a 6-qubit chain's QASM file
+BOMB_RUN = ("run", "--experiment", "bomb", "--shots", "64")
+HARDY_SWEEP = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
+               "--theta-stop", "0.5", "--theta-step", "0.1", "--shots", "64")
+HARDY_SWEEP_WIDE = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
+                    "--theta-stop", "0.6", "--theta-step", "0.1")
+# later flags win, so each sweep-setting case overrides one of these
+SWEEP_ON_VIGO = ("sweep", "--theta-start", "0.5", "--theta-stop", "0.6",
+                 "--theta-step", "0.1", "--device", "vigo", "--shots", "64")
+TRANSPILE = ("transpile", ERASER, "--device", "vigo")
+NO_EXPERIMENT = "an experiment is required (--experiment or config file)"
+DEGENERATE_CHAIN = "degenerate chain: photon never reaches the detectors"
+NOT_MAPPED = "{}-qubit circuit cannot map onto {} physical qubits"
+RANGE = "theta range [{}] must lie in [0, 1] and step {} must be finite (units of pi)"
+LAYOUT = "layout [{}] must permute physical qubits 0-4, or place the {} logical qubit(s) " \
+         "on distinct ones"
+CALIBRATION = "invalid calibration document: "
+# test functions whose ids the rows keep, so that test ids stay comparable across changes
+MALFORMED = "test_malformed_input_exits_2"
+REFUSALS = "test_command_line_refusals_are_one_error_line"
+SPELT = "test_flags_are_spelt_in_full"
+ORDER = "test_settings_are_refused_in_a_fixed_order"
+MISSING = "test_missing_settings_are_named"
+NO_KIND = "test_a_missing_experiment_is_refused_in_one_wording"
+DEGENERATE = "test_degenerate_chain_exits_2_before_sampling"
+FORMAT = "test_unknown_format_exits_2_before_sampling"
+WIDER = "test_circuit_wider_than_device_or_simulator_exits_2_before_sampling"
+SWEEP_SETTING = "TestSweepErrors::test_bad_sweep_settings_exit_2_before_sampling"
+CASE = "test_console_case"
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(("run", "--experiment", "general-bomb",
-                  "--angles", "0.2,0.2,0.2,0.2,0.1,0.1", "--device", "vigo"),
-                 id="run-chain-wider-than-device"),
-    pytest.param(("run", "--experiment", "general-bomb", "--angles", ",".join(["0.04"] * 25)),
-                 id="run-chain-wider-than-simulator"),
-    pytest.param(("run", "--experiment", "hardy", "--theta0", "0.5", "--theta1", "0.5",
-                  "--device", TWO_QUBIT_DEVICE), id="run-hardy-wider-than-device"),
-    pytest.param(HARDY_SWEEP + ("--device", TWO_QUBIT_DEVICE), id="sweep-hardy-wider-than-device"),
-    pytest.param(("transpile", SIX_QUBIT_QASM, "--device", "vigo"),
-                 id="transpile-wider-than-device"),
-])
-def test_circuit_wider_than_device_or_simulator_exits_2_before_sampling(
-        capsys, monkeypatch, tmp_path, argv):
-    def sample(*args, **kwargs):
-        raise AssertionError("shots were sampled before the circuit was fitted")
+@dataclasses.dataclass(frozen=True)
+class Case:
+    """One console case: `argv` exits `code`, and stderr is "error: `err`" or empty.
 
-    for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_points"):
-        monkeypatch.setattr(f"mzsim.cli.{sampler}", sample)
-    qasm = tmp_path / "chain.qasm"
-    qasm.write_text(emit(build_general_bomb(equal_angles(6))))
-    code, out, err = run_cli(capsys, *(str(qasm) if arg is SIX_QUBIT_QASM else arg
-                                       for arg in argv))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    `ids` lists, split on spaces, the test ids the case runs under: a case
+    keeps the ids it had before the table, and a new one runs as
+    `test_console_case[...]`.  "{tmp}" in `argv` and `err` stands for the
+    case's directory.  `check(stdout, tmp)`
+    must hold for an exit-0 case.  A `process` case also runs as
+    `python -m mzsim.cli`.
+    """
+    ids: str
+    argv: tuple
+    code: int = 2
+    err: str = ""
+    check: Callable | None = None
+    process: bool = False
+
+
+CASES = [
+    # -- run: settings that are missing, unknown or of the wrong type
+    Case(f"TestRunErrors::test_experiment_required {NO_KIND}[run]", ("run",), err=NO_EXPERIMENT),
+    Case(f"{NO_KIND}[run-config]", ("run", "--config", config(exact=True)), err=NO_EXPERIMENT),
+    Case(f"TestRunErrors::test_hardy_needs_thetas {MISSING}[hardy-neither]",
+         ("run", "--experiment", "hardy"),
+         err="hardy requires --theta0 and --theta1 (units of pi)"),
+    Case(f"{MISSING}[hardy-theta0-only]", ("run", "--experiment", "hardy", "--theta0", "0.5"),
+         err="hardy requires --theta1 (units of pi)"),
+    Case(f"{MISSING}[hardy-theta1-only]", ("run", "--experiment", "hardy", "--theta1", "0.5"),
+         err="hardy requires --theta0 (units of pi)"),
+    Case(f"TestRunErrors::test_general_bomb_needs_angles {MISSING}[general-bomb-no-angles]",
+         ("run", "--experiment", "general-bomb"),
+         err="general-bomb requires --angles (units of pi)"),
+    *(Case(ids, argv, err="unknown experiment 'nope'; choose from ('eraser', 'bomb', "
+                          "'general-bomb', 'hardy')")
+      for ids, argv in [
+          (f"TestRunErrors::test_invalid_experiment_choice_exits_2 {REFUSALS}[experiment-nope]",
+           ("run", "--experiment", "nope")),
+          (f"{MALFORMED}[config-experiment-unknown]",
+           ("run", "--config", config(experiment="nope"))),
+      ]),
+    Case("TestRunErrors::test_mitigate_needs_device",
+         ("run", "--experiment", "eraser", "--mitigate"),
+         err="--mitigate needs a noisy device"),
+    Case("TestRunErrors::test_bad_angle_list",
+         ("run", "--experiment", "general-bomb", "--angles", "0.3,oops"),
+         err="bad angles '0.3,oops': could not convert string to float: 'oops'"),
+    Case("TestRunErrors::test_angles_violating_sum_rule",
+         ("run", "--experiment", "general-bomb", "--angles", "0.5,0.9", "--exact"),
+         err="angles must sum to pi within 1e-09, got 4.39822971502571"),
+    Case("TestRunErrors::test_unknown_device",
+         ("run", "--experiment", "eraser", "--device", "andromeda"),
+         err="device 'andromeda' is neither 'ideal', a preset, nor a calibration file"),
+    *(Case(f"TestRunErrors::test_shots_beyond_the_streams_exit_2_before_sampling[{name}-{shots}]",
+           ("run", "--experiment", "bomb", "--shots", str(shots), *device),
+           err=f"shots must be at most 2**32, the streams one seed gives, got {shots}")
+      for name, device in (("ideal", ()), ("vigo", ("--device", "vigo")))
+      for shots in (2**32 + 1, 10**12)),
+    Case("TestRunErrors::test_output_into_missing_directory",
+         ("run", "--experiment", "eraser", "--exact", "--output", "{tmp}/no/such/dir/out.json"),
+         code=3, err="[Errno 2] No such file or directory: '{tmp}/no/such/dir/out.json'"),
+    Case(f"{MALFORMED}[run-shots-0]", BOMB_RUN + ("--shots", "0"), err="shots must be >= 1, got 0"),
+    Case(f"{MALFORMED}[run-seed-negative]", BOMB_RUN + ("--seed", "-1"),
+         err="seed must be >= 0, got -1"),
+    Case(f"{MALFORMED}[exact-with-device]", BOMB_RUN + ("--exact", "--device", "london"),
+         err="--exact gives ideal probabilities and cannot take a noisy device"),
+    Case(f"{MALFORMED}[config-exact-with-device]",
+         ("run", "--config", config(experiment="bomb", exact=True, device="london")),
+         err="--exact gives ideal probabilities and cannot take a noisy device"),
+    *(Case(f"{FORMAT}[{where}-{name}]", argv + ("--device", "vigo") + extra,
+           err=f"unknown format 'xml' (expected {formats})")
+      for where, extra in (("flag", ("--format", "xml")),
+                           ("config", ("--config", config(format="xml"))))
+      for name, argv, formats in (("run", BOMB_RUN, "json or csv"),
+                                  ("sweep", HARDY_SWEEP, "csv or json"))),
+    Case(f"{REFUSALS}[format-xml]", BOMB_RUN + ("--format", "xml"),
+         err="unknown format 'xml' (expected json or csv)"),
+    Case(f"{MALFORMED}[config-format-xml]", ("run", "--config", config(experiment="bomb",
+                                                                        format="xml")),
+         err="unknown format 'xml' (expected json or csv)"),
+    # -- what argparse cannot split; a flag is spelt in full
+    Case(f"{REFUSALS}[no-command]", (), err="the following arguments are required: command"),
+    Case(f"{REFUSALS}[missing-value]", ("run", "--experiment"),
+         err="argument --experiment: expected one argument"),
+    Case(f"{REFUSALS}[unknown-flag]", BOMB_RUN + ("--sead", "5"),
+         err="unrecognized arguments: --sead 5"),
+    Case(f"{SPELT}[shots] {MALFORMED}[abbreviated-shots]", BOMB_RUN + ("--shot", "8"),
+         err="unrecognized arguments: --shot 8"),
+    Case(f"{SPELT}[no-bomb] {MALFORMED}[abbreviated-no-bomb]",
+         ("run", "--experiment", "bomb", "--no-b"), err="unrecognized arguments: --no-b"),
+    Case(f"{SPELT}[repeats] {MALFORMED}[abbreviated-repeats]", HARDY_SWEEP + ("--rep", "2"),
+         err="unrecognized arguments: --rep 2"),
+    # -- a flag and its config key are read alike
+    *(Case(ids, argv, err="bad shots 'x': invalid literal for int() with base 10: 'x'")
+      for ids, argv in [(f"{REFUSALS}[shots-x]", ("run", "--experiment", "bomb", "--shots", "x")),
+                        ("test_flag_and_config_key_are_refused_alike",
+                         ("run", "--config", config(experiment="bomb", shots="x")))]),
+    *(Case(f"{MALFORMED}[config-{name}]", ("run", "--config", config(experiment=kind, **doc)),
+           err=err)
+      for name, kind, doc, err in [
+          ("shots-list", "bomb", dict(shots=[1]), "bad shots [1]: expected an integer"),
+          ("shots-text", "bomb", dict(shots="abc"),
+           "bad shots 'abc': invalid literal for int() with base 10: 'abc'"),
+          ("shots-float", "bomb", dict(shots=2.7), "bad shots 2.7: expected an integer"),
+          ("shots-bool", "bomb", dict(shots=True), "bad shots True: expected an integer"),
+          ("seed-float", "bomb", dict(seed=1.5), "bad seed 1.5: expected an integer"),
+          ("boolean-as-text", "bomb", dict(device="vigo", shots=64, mitigate="false"),
+           "bad mitigate 'false': expected a JSON boolean (true or false)"),
+          ("angles-bool", "general-bomb", dict(angles=[True, 0]),
+           "bad angles [True, 0]: expected a number"),
+          ("hardy-thetas-bool", "hardy", dict(theta0=True, theta1=True),
+           "bad theta0 True: expected a number"),
+          ("hardy-theta1-bool", "hardy", dict(theta0=0.5, theta1=True),
+           "bad theta1 True: expected a number"),
+      ]),
+    # -- run: the first of two bad settings is the one refused
+    Case(f"{ORDER}[run-shots-before-seed]",
+         ("run", "--experiment", "bomb", "--shots", "0", "--seed", "-1"),
+         err="shots must be >= 1, got 0"),
+    Case(f"{ORDER}[run-seed-before-mitigate]",
+         ("run", "--experiment", "bomb", "--seed", "-1", "--mitigate"),
+         err="seed must be >= 0, got -1"),
+    Case(f"{ORDER}[run-exact-read-before-shots-checked]",
+         ("run", "--experiment", "bomb", "--shots", "0", "--config", config(exact="yes")),
+         err="bad exact 'yes': expected a JSON boolean (true or false)"),
+    Case(f"{ORDER}[run-device-before-shots-read]",
+         ("run", "--experiment", "bomb", "--shots", "x", "--device", "nope"),
+         err="device 'nope' is neither 'ideal', a preset, nor a calibration file"),
+    Case(f"{ORDER}[run-shots-before-exact-with-device]",
+         ("run", "--experiment", "bomb", "--exact", "--device", "vigo", "--shots", "0"),
+         err="shots must be >= 1, got 0"),
+    # -- run: degenerate chains, and circuits wider than the device or the simulator
+    *(Case(ids, ("run", "--experiment", "general-bomb", "--angles", *flags), err=DEGENERATE_CHAIN)
+      for ids, flags in [
+          (f"{DEGENERATE}[extra0] {MALFORMED}[degenerate-chain-0,1]", ("0,1",)),
+          (f"{DEGENERATE}[extra1]", ("0,1", "--exact")),
+          (f"{DEGENERATE}[extra2] {MALFORMED}[degenerate-chain-0,0,1]", ("0,0,1",)),
+          (f"{DEGENERATE}[extra3]", ("0,1", "--device", "vigo")),
+      ]),
+    Case(f"{WIDER}[run-chain-wider-than-device]",
+         ("run", "--experiment", "general-bomb", "--angles", "0.2,0.2,0.2,0.2,0.1,0.1",
+          "--device", "vigo"), err=NOT_MAPPED.format(6, 5)),
+    Case(f"{WIDER}[run-chain-wider-than-simulator]",
+         ("run", "--experiment", "general-bomb", "--angles", ",".join(["0.04"] * 25)),
+         err="num_qubits must be in [1, 24], got 25"),
+    Case(f"{WIDER}[run-hardy-wider-than-device]",
+         ("run", "--experiment", "hardy", "--theta0", "0.5", "--theta1", "0.5",
+          "--device", TWO_QUBIT_DEVICE), err=NOT_MAPPED.format(3, 2)),
+    Case(f"{WIDER}[sweep-hardy-wider-than-device]", HARDY_SWEEP + ("--device", TWO_QUBIT_DEVICE),
+         err="a Hardy test needs 3 qubits but device 'toy' has 2"),
+    Case(f"{WIDER}[transpile-wider-than-device]",
+         ("transpile", File("chain.qasm", emit(build_general_bomb(equal_angles(6)))),
+          "--device", "vigo"), err=NOT_MAPPED.format(6, 5)),
+    Case(f"{CASE}[transpile-six-qubits-on-vigo]",
+         ("transpile", qasm('include "qelib1.inc";\nqreg q[6];\nh q[0];\ncx q[0],q[5];\n'),
+          "--device", "vigo"), err=NOT_MAPPED.format(6, 5)),
+    # -- config files
+    Case("TestConfigFile::test_missing_config_file", ("run", "--config", "{tmp}/nope.json"),
+         err="config file not found: {tmp}/nope.json"),
+    Case("TestConfigFile::test_config_not_json", ("run", "--config", File("cfg.json", "{not json")),
+         err="config file is not valid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+    Case("TestConfigFile::test_config_not_an_object",
+         ("run", "--config", File("cfg.json", "[1, 2, 3]")),
+         err="config file must hold a JSON object"),
+    Case(f"{MALFORMED}[config-key-misspelt]",
+         ("run", "--config", config(experiment="bomb", shots=100, sead=5)),
+         err="config key(s) that name no run flag: sead"),
+    Case(f"{MALFORMED}[config-key-of-another-command]",
+         ("run", "--config", config(experiment="bomb", shots=100, repeats=2)),
+         err="config key(s) that name no run flag: repeats"),
+    Case("test_config_key_that_names_no_flag_is_named",
+         ("run", "--config", config(experiment="bomb", sead=5, repeats=2)),
+         err="config key(s) that name no run flag: repeats, sead"),
+    Case(f"{CASE}[config-names-a-config-file]",
+         ("run", "--config", config(experiment="bomb", exact=True, config="nowhere.json")),
+         err="a config file cannot name another config file (key 'config')"),
+    # -- calibration documents
+    *(Case(f"{MALFORMED}[{name}]", BOMB_RUN + ("--device", calibration(**changes)),
+           err=CALIBRATION + err)
+      for name, changes, err in [
+          ("readout-list-of-scalars", dict(readout_error=[0.1, 0.2, 0.1, 0.1, 0.1]),
+           "cannot unpack non-iterable float object"),
+          ("num-qubits-null", dict(num_qubits=None),
+           "num_qubits must be a JSON integer, got None"),
+          ("num-qubits-float", dict(num_qubits=4.9), "num_qubits must be a JSON integer, got 4.9"),
+          ("num-qubits-bool", dict(num_qubits=True),
+           "num_qubits must be a JSON integer, got True"),
+          ("num-qubits-text", dict(num_qubits="5"), "num_qubits must be a JSON integer, got '5'"),
+          ("coupling-float", dict(coupling=[[0, 1.9], [1, 2], [1, 3], [3, 4]]),
+           "expected an integer index, got 1.9"),
+          ("coupling-text-and-bool", dict(coupling=[["0", True], [1, 2], [1, 3], [3, 4]]),
+           "expected an integer index, got '0'"),
+      ]),
+    *(Case(f"{MALFORMED}[disconnected-{name}]", argv,
+           err=CALIBRATION + "coupling graph must be connected")
+      for name, argv in [("run", BOMB_RUN + ("--device", DISCONNECTED)),
+                         ("transpile", ("transpile", ERASER, "--device", DISCONNECTED)),
+                         ("sweep", HARDY_SWEEP + ("--device", DISCONNECTED))]),
+    Case(f"{CASE}[coupling-float-in-a-file]",
+         ("run", "--experiment", "bomb", "--device", File("toy.json", calibration(
+             num_qubits=3, t1_us=80, t2_us=60, coupling=[[0, 1.5], [1, 2]]))),
+         err=CALIBRATION + "expected an integer index, got 1.5"),
+    # -- sweep settings
+    Case(f"{NO_KIND}[sweep] {MALFORMED}[sweep-no-experiment]",
+         ("sweep", "--theta-start", "0.5", "--theta-stop", "0.5", "--theta-step", "0.1"),
+         err=NO_EXPERIMENT),
+    Case(f"{NO_KIND}[sweep-config]",
+         ("sweep", "--config", config(theta_start=0.5, theta_stop=0.5, theta_step=0.1)),
+         err=NO_EXPERIMENT),
+    Case("TestSweepErrors::test_missing_grid_flags",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.5"),
+         err="sweep needs --theta-start, --theta-stop, --theta-step (units of pi)"),
+    Case("TestSweepErrors::test_general_bomb_needs_n_values",
+         ("sweep", "--experiment", "general-bomb", "--theta-start", "0.3", "--theta-stop", "0.5",
+          "--theta-step", "0.1"), err="general-bomb sweep needs --n-values"),
+    Case("TestSweepErrors::test_unsupported_sweep_via_config",
+         ("sweep", "--config", config(experiment="eraser", theta_start=0.3, theta_stop=0.5,
+                                      theta_step=0.1)),
+         err="sweep supports general-bomb and hardy, not 'eraser'"),
+    Case("TestSweepErrors::test_grid_point_on_boundary",
+         ("sweep", "--experiment", "general-bomb", "--n-values", "2", "--theta-start", "0.5",
+          "--theta-stop", "1.0", "--theta-step", "0.5"),
+         err="theta/pi must lie strictly inside (0, 1), got 1.0"),
+    Case("TestSweepErrors::test_negative_step", HARDY_SWEEP_WIDE + ("--theta-step", "-0.1"),
+         err="theta-step must be positive, got -0.1"),
+    Case("TestSweepErrors::test_empty_range",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.6", "--theta-stop", "0.5",
+          "--theta-step", "0.1"), err="theta range is empty: [0.6, 0.5]"),
+    Case("TestSweepErrors::test_bad_repeats", HARDY_SWEEP + ("--repeats", "0"),
+         err="repeats must be >= 1, got 0"),
+    Case(f"{MALFORMED}[n-values-2,x]",
+         ("sweep", "--experiment", "general-bomb", "--n-values", "2,x", "--theta-start", "0.5",
+          "--theta-stop", "0.5", "--theta-step", "0.1"),
+         err="bad n_values '2,x': invalid literal for int() with base 10: 'x'"),
+    Case(f"{MALFORMED}[sweep-seed-negative]", HARDY_SWEEP + ("--seed", "-1"),
+         err="seed must be >= 0, got -1"),
+    *(Case(f"{MALFORMED}[config-{name}]", HARDY_SWEEP + ("--config", config(**doc)), err=err)
+      for name, doc, err in [
+          ("repeats-float", dict(repeats=2.5), "bad repeats 2.5: expected an integer"),
+          ("hardy-grid", dict(hardy_grid="xyz"),
+           "hardy_grid must be 'diagonal' or 'full', got 'xyz'"),
+      ]),
+    *(Case(f"{MALFORMED}[config-theta-{name}-bool]",
+           ("sweep", "--config", config(experiment="hardy", **doc)),
+           err=f"bad theta_{name} True: expected a number")
+      for name, doc in [
+          ("start", dict(theta_start=True, theta_stop=1, theta_step=0.5)),
+          ("stop", dict(theta_start=0.5, theta_stop=True, theta_step=0.5)),
+          ("step", dict(theta_start=0.5, theta_stop=0.5, theta_step=True)),
+      ]),
+    Case(f"{ORDER}[sweep-repeats-before-shots]",
+         HARDY_SWEEP_WIDE + ("--repeats", "0", "--shots", "0"), err="repeats must be >= 1, got 0"),
+    Case(f"{ORDER}[sweep-repeats-read-before-shots-checked]",
+         HARDY_SWEEP_WIDE + ("--repeats", "x", "--shots", "0"),
+         err="bad repeats 'x': invalid literal for int() with base 10: 'x'"),
+    Case(f"{ORDER}[sweep-shots-before-hardy-grid]",
+         HARDY_SWEEP_WIDE + ("--shots", "0", "--hardy-grid", "xyz"),
+         err="shots must be >= 1, got 0"),
+    Case(f"{ORDER}[sweep-grid-before-shots-read]",
+         HARDY_SWEEP_WIDE + ("--theta-step", "-1", "--shots", "x"),
+         err="theta-step must be positive, got -1.0"),
+    *(Case(f"{SWEEP_SETTING}[{name}]", SWEEP_ON_VIGO + flags, err=err)
+      for name, flags, err in [
+          ("chain-of-one", ("--experiment", "general-bomb", "--n-values", "2,1"),
+           "need n >= 2, got 1"),
+          ("chain-of-none", ("--experiment", "general-bomb", "--n-values", "3,0"),
+           "need n >= 2, got 0"),
+          ("start-below-0", ("--experiment", "hardy", "--theta-start", "-0.1"),
+           RANGE.format("-0.1, 0.6", 0.1)),
+          ("stop-above-1", ("--experiment", "hardy", "--theta-stop", "1.2"),
+           RANGE.format("0.5, 1.2", 0.1)),
+          ("chain-stop-above-1", ("--experiment", "general-bomb", "--n-values", "2",
+                                  "--theta-stop", "1.5"), RANGE.format("0.5, 1.5", 0.1)),
+          ("start-nan", ("--experiment", "hardy", "--theta-start", "nan"),
+           RANGE.format("nan, 0.6", 0.1)),
+          ("step-inf", ("--experiment", "hardy", "--theta-step", "inf"),
+           RANGE.format("0.5, 0.6", "inf")),
+          ("stop-inf", ("--experiment", "hardy", "--theta-stop", "inf"),
+           RANGE.format("0.5, inf", 0.1)),
+          ("start-minus-inf", ("--experiment", "general-bomb", "--n-values", "2",
+                               "--theta-start=-inf"), RANGE.format("-inf, 0.6", 0.1)),
+          ("chain-wider-than-device", ("--experiment", "general-bomb", "--n-values", "2,6"),
+           "a chain of N = 6 needs 6 qubits but device 'vigo-0820' has 5"),
+          ("chain-wider-than-simulator", ("--experiment", "general-bomb", "--n-values", "2,30",
+                                          "--device", "ideal"),
+           "a chain of N = 30 needs 30 qubits, more than the simulator's 24"),
+          ("chain-of-10^12", ("--experiment", "general-bomb", "--n-values", "2," + "9" * 12),
+           "a chain of N = 999999999999 needs 999999999999 qubits, more than the simulator's 24"),
+          ("step-1e-9", ("--experiment", "hardy", "--theta-step", "1e-9"),
+           "theta range [0.5, 0.6] in steps of 1e-09 has more than 10001 points"),
+          ("step-denormal", ("--experiment", "hardy", "--theta-start", "0", "--theta-stop", "1",
+                             "--theta-step", "5e-324"),
+           "theta range [0.0, 1.0] in steps of 5e-324 has more than 10001 points"),
+          ("shots-above-2^32", ("--experiment", "hardy", "--shots", str(2**32 + 1)),
+           "shots must be at most 2**32, the streams one seed gives, got 4294967297"),
+      ]),
+    Case(f"{CASE}[stop-inf-without-a-device]",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "inf",
+          "--theta-step", "0.1"), err=RANGE.format("0.5, inf", 0.1)),
+    Case(f"{CASE}[chain-wider-than-vigo]",
+         ("sweep", "--experiment", "general-bomb", "--n-values", "2,6", "--theta-start", "0.5",
+          "--theta-stop", "0.5", "--theta-step", "0.1", "--device", "vigo", "--shots", "64"),
+         err="a chain of N = 6 needs 6 qubits but device 'vigo-0820' has 5"),
+    Case(f"{CASE}[full-grid-of-10001-squared-points]",
+         ("sweep", "--experiment", "hardy", "--hardy-grid", "full", "--theta-start", "0",
+          "--theta-stop", "1", "--theta-step", "1e-4"),
+         err="the sweep grid has 100020001 points, more than 10001"),
+    Case(f"{CASE}[repeats-beyond-the-row-cap]",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.5",
+          "--theta-step", "0.1", "--device", "vigo", "--shots", "8", "--repeats", "1000000000"),
+         err="the sweep would sample 1 point(s) x 1000000000 repeats = 1000000000 rows, more "
+             "than 100000", process=True),
+    # -- transpile
+    Case(f"TestTranspileCommand::test_device_flag_required {REFUSALS}[missing-device]",
+         ("transpile", ERASER), err="the following arguments are required: --device"),
+    Case("TestTranspileCommand::test_ideal_device_rejected",
+         ("transpile", ERASER, "--device", "ideal"),
+         err="transpile requires a real device (--device PRESET|FILE)"),
+    Case("TestTranspileCommand::test_missing_input",
+         ("transpile", "{tmp}/ghost.qasm", "--device", "vigo"),
+         err="input file not found: {tmp}/ghost.qasm"),
+    Case("TestTranspileCommand::test_parse_error_exits_2",
+         ("transpile", qasm("qreg q[1];\nrz(0.1) q[0];\n"), "--device", "vigo"),
+         err="line 3, column 1: unsupported gate 'rz'"),
+    *(Case(f"TestTranspileCommand::test_oversized_register_exits_2[{name}]",
+           ("transpile", qasm(body), "--device", "vigo"), err=err)
+      for name, body, err in [
+          ("qreg-30", "qreg q[30];\nh q[0];\n",
+           "line 2, column 8: qreg q[30] brings the program to 30 qubits; at most 24 are "
+           "supported"),
+          ("qreg-creg-100000", "qreg q[100000];\ncreg c[100000];\nh q;\nmeasure q -> c;\n",
+           "line 2, column 8: qreg q[100000] brings the program to 100000 qubits; at most 24 "
+           "are supported"),
+          ("creg-100000", "qreg q[2];\ncreg c[100000];\nmeasure q -> c;\n",
+           "line 4, column 1: register sizes differ: 2 qubits -> 100000 clbits"),
+          ("qreg-5000-digits", "qreg q[" + "9" * 5000 + "];\n",
+           "line 2, column 8: register size has 5000 digits, past Python's limit for integer "
+           "strings"),
+      ]),
+    Case("TestTranspileCommand::test_non_ascii_digits_exit_2",
+         ("transpile", qasm("qreg q[\u0663];\nh q[\u0661];\n"), "--device", "vigo"),
+         err="line 2, column 8: unexpected character '\u0663'"),
+    *(Case(f"TestTranspileCommand::test_repeated_barrier_operand_exits_2[{operands}]",
+           ("transpile", qasm(f"qreg q[2];\nbarrier {operands};\n"), "--device", "vigo"),
+           err=f"line 3, column 1: repeated qubit in {qubits}")
+      for operands, qubits in (("q[0],q[0]", (0, 0)), ("q,q[1]", (0, 1, 1)))),
+    Case("TestTranspileCommand::test_bad_layout_exits_2", TRANSPILE + ("--layout", "1,1"),
+         err=LAYOUT.format("1, 1", 2)),
+    Case("TestTranspileCommand::test_negative_layout_after_a_space_is_one_error_line "
+         f"{REFUSALS}[layout-space--1,0,1] {MALFORMED}[layout-space--1,0,1]",
+         TRANSPILE + ("--layout", "-1,0,1"), err="argument --layout: expected one argument"),
+    *(Case(f"{MALFORMED}[layout-{text}]", TRANSPILE + ("--layout", text),
+           err=f"bad layout '{text}': invalid literal for int() with base 10: '{bad}'")
+      for text, bad in (("a", "a"), ("0,1,x", "x"), ("2.5", "2.5"))),
+    *(Case(f"{MALFORMED}[layout-{text}]", TRANSPILE + (f"--layout={text}",),
+           err=LAYOUT.format(text.replace(",", ", "), 2))
+      for text in ("1,1", "0,0,1", "0,1,7", "-1,0,1", "0,1,2,3,4,5")),
+    Case(f"{CASE}[three-qubits-on-layout-1,1]",
+         ("transpile", VALID, "--device", "vigo", "--layout", "1,1"), err=LAYOUT.format("1, 1", 3)),
+    Case(f"{CASE}[swap-through-a-measured-qubit]",
+         ("transpile", qasm('include "qelib1.inc";\nqreg q[5];\ncreg c[5];\n'
+                            'measure q[3] -> c[3];\ncx q[4],q[0];\n'), "--device", "vigo"),
+         code=3, err="cannot route the CNOT on logical qubits (4, 0): its SWAPs cross physical "
+                     "qubit 3, which is already measured", process=True),
+    # -- commands that succeed
+    Case("TestConfigFile::test_config_supplies_everything",
+         ("run", "--config", config(experiment="bomb", bomb=False, exact=True)), code=0,
+         check=lambda out, tmp: json.loads(out)["parameters"] == {"present": False}
+         and json.loads(out)["exact"] is True),
+    Case("TestConfigFile::test_flag_overrides_config",
+         ("run", "--config", config(experiment="bomb", bomb=False, exact=True), "--bomb"), code=0,
+         check=lambda out, tmp: json.loads(out)["parameters"] == {"present": True}),
+    Case("TestConfigFile::test_config_seed_and_shots",
+         ("run", "--config", config(experiment="eraser", shots=512, seed=11)), code=0,
+         check=lambda out, tmp: (json.loads(out)["shots"], json.loads(out)["seed"]) == (512, 11)),
+    Case("TestRunErrors::test_output_file_written",
+         ("run", "--experiment", "eraser", "--exact", "--output", "{tmp}/out.json"), code=0,
+         check=lambda out, tmp: out == "" and json.loads((tmp / "out.json").read_text())[
+             "probabilities"]["00"] == pytest.approx(0.5)),
+    Case("TestSweep::test_sweep_json_format",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.5",
+          "--theta-step", "0.1", "--format", "json"), code=0,
+         check=lambda out, tmp: [r["observable"] for r in json.loads(out)["rows"]] == ["gamma"]),
+    Case("TestSweep::test_sweep_output_file",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.5",
+          "--theta-step", "0.1", "--output", "{tmp}/out.csv"), code=0,
+         check=lambda out, tmp: out == "" and csv_lines(tmp) == 2
+         and (tmp / "out.csv").read_text().startswith(",".join(CSV_COLUMNS) + "\n")),
+    Case("TestTranspileCommand::test_explicit_layout", TRANSPILE + ("--layout", "2,1"), code=0,
+         check=lambda out, tmp: "initial layout: [2, 1" in out),
+    Case("TestTranspileCommand::test_fuse_flag", TRANSPILE + ("--fuse",), code=0,
+         check=lambda out, tmp: parse(out.split("\n\n", 1)[1]).count_gates().get("U3", 0) >= 1),
+    Case(f"{CASE}[mitigated-hardy-run]",
+         ("run", "--experiment", "hardy", "--theta0", "0.575", "--theta1", "0.575",
+          "--device", "vigo", "--shots", "256", "--mitigate"),
+         code=0, check=lambda out, tmp: mitigated_sum_is_1(out), process=True),
+    Case(f"{CASE}[unerased-eraser-run]",
+         ("run", "--experiment", "eraser", "--no-erase", "--shots", "1000"),
+         code=0, check=lambda out, tmp: sum(json.loads(out)["counts"].values()) == 1000),
+    Case(f"{CASE}[heavy7-mitigated-run]",  # readout 0.4 sends it to the constrained fallback
+         ("run", "--experiment", "general-bomb", "--angles", "0.15,0.15,0.15,0.15,0.15,0.15,0.1",
+          "--device", line_device("heavy7", [[0.4, 0.4]] * 7), "--shots", "1024", "--seed", "1",
+          "--mitigate"),
+         code=0, check=lambda out, tmp: mitigated_sum_is_1(out)),
+    Case(f"{CASE}[skew8-mitigated-run]",  # asymmetric readout: the factors decide the fallback
+         ("run", "--experiment", "general-bomb",
+          "--angles", "0.13,0.13,0.13,0.13,0.13,0.13,0.13,0.09",
+          "--device", line_device("skew8", [[0.01, 0.05], [0.02, 0.04], [0.015, 0.06],
+                                            [0.01, 0.03], [0.025, 0.05], [0.02, 0.07],
+                                            [0.01, 0.04], [0.03, 0.06]]),
+          "--shots", "1024", "--seed", "1", "--mitigate", "--output", "{tmp}/out.json"),
+         code=0, check=lambda out, tmp: mitigated_sum_is_1((tmp / "out.json").read_text())),
+    Case(f"{CASE}[mitigated-chain-sweep-json]",  # 2 chains x 3 points x 5 rows
+         ("sweep", "--experiment", "general-bomb", "--n-values", "2,3", "--theta-start", "0.3",
+          "--theta-stop", "0.5", "--theta-step", "0.1", "--device", "london", "--shots", "512",
+          "--repeats", "2", "--mitigate", "--format", "json"),
+         code=0, check=lambda out, tmp: len(json.loads(out)["rows"]) == 30),
+    Case(f"{CASE}[mitigated-full-hardy-grid]",  # a header, then 9 points x 5 rows
+         ("sweep", "--experiment", "hardy", "--hardy-grid", "full", "--theta-start", "0.55",
+          "--theta-stop", "0.6", "--theta-step", "0.025", "--device", "vigo", "--shots", "512",
+          "--repeats", "2", "--mitigate", "--output", "{tmp}/out.csv"),
+         code=0, check=lambda out, tmp: csv_lines(tmp) == 46),
+    Case(f"{CASE}[mitigated-chains-2-to-5]",  # a header, then 4 chains x 5 rows
+         ("sweep", "--experiment", "general-bomb", "--n-values", "2,3,4,5",
+          "--theta-start", "0.4", "--theta-stop", "0.4", "--theta-step", "0.1",
+          "--device", "london", "--shots", "512", "--repeats", "2", "--mitigate",
+          "--output", "{tmp}/out.csv"),
+         code=0, check=lambda out, tmp: csv_lines(tmp) == 21),
+    Case(f"{CASE}[fused-reversed-layout]",
+         ("transpile", VALID, "--device", "vigo", "--fuse", "--layout", "4,3,2,1,0"),
+         code=0, check=lambda out, tmp: "initial layout: [4, 3, 2, 1, 0]" in out
+         and parse(out.split("\n\n", 1)[1]).count_gates().get("U3", 0) >= 1),
+    Case(f"{CASE}[fused-runs]",  # one run is the identity, one an x, one starts at u1(-0)
+         ("transpile", qasm('include "qelib1.inc";\nqreg q[3];\ncreg c[3];\nu1(0.5) q[0];\n'
+                            'u1(-0.5) q[0];\nx q[1];\nu1(-0) q[2];\nu1(0.25) q[2];\n'
+                            'cx q[0],q[1];\nmeasure q -> c;\n'),
+          "--fuse", "--device", "vigo", "--output", "{tmp}/fused.qasm"),
+         code=0, check=lambda out, tmp: (tmp / "fused.qasm").read_text().count("\nu3(") == 2),
+    Case(f"{CASE}[5000-minus-signs]",
+         ("transpile", qasm("qreg q[2];\nry(" + "-" * 5000 + "1) q;\n"), "--device", "vigo"),
+         code=0),
+]
+
+
+def _argv(case: Case, tmp: Path) -> list[str]:
+    argv = []
+    for arg in case.argv:
+        if isinstance(arg, File):
+            (tmp / arg.name).write_text(arg.text, encoding="utf-8")
+            arg = str(tmp / arg.name)
+        argv.append(arg.replace("{tmp}", str(tmp)))
+    return argv
+
+
+def _check(case: Case, code: int, out: str, err: str, tmp: Path):
+    assert code == case.code, err
+    if code == 0:
+        assert err == ""
+        if case.check is not None:
+            assert case.check(out, tmp), out
+        return
+    assert out == ""  # a refusal or a failure prints one error line and nothing else
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    assert err == f"error: {case.err}\n".replace("{tmp}", str(tmp))
+
+
+def _run_in_process(case: Case, tmp: Path, capsys, monkeypatch):
+    if case.code == 2:  # a refusal comes before any shot is sampled
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the command was refused")
+
+        for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_points",
+                        "simulate_ideal"):
+            monkeypatch.setattr(cli, sampler, sample)
+    code = main(_argv(case, tmp))
+    out, err = capsys.readouterr()
+    _check(case, code, out, err, tmp)
+
+
+def _file_under_their_ids():
+    """Define the test functions that run the rows, one per id a row names."""
+    by_test = defaultdict(list)
+    for case in CASES:
+        for test_id in case.ids.split():
+            name, _, param = test_id.removesuffix("]").partition("[")
+            by_test[name].append((param, case))
+    for name, rows in by_test.items():
+        owner, _, function = name.rpartition("::")
+        if rows[0][0]:
+            @pytest.mark.parametrize("case", [case for _, case in rows],
+                                     ids=[param for param, _ in rows])
+            def test(case, tmp_path, capsys, monkeypatch):
+                _run_in_process(case, tmp_path, capsys, monkeypatch)
+        else:
+            ((_, case),) = rows
+
+            def test(tmp_path, capsys, monkeypatch, case=case):
+                _run_in_process(case, tmp_path, capsys, monkeypatch)
+        if owner:
+            cls = globals().setdefault(owner, type(owner, (), {}))
+            setattr(cls, function, staticmethod(test))
+        else:
+            globals()[function] = test
+
+
+_file_under_their_ids()
+
+
+def _env() -> dict:
+    """The environment of a child Python that imports mzsim from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.process],
+                         ids=lambda case: case.ids.removesuffix("]").partition("[")[2])
+def test_console_case_as_a_process(case, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "mzsim.cli", *_argv(case, tmp_path)],
+                          env=_env(), cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    _check(case, proc.returncode, proc.stdout, proc.stderr, tmp_path)
 
 
 def test_huge_num_qubits_rejected_before_readout_table(capsys, monkeypatch):
@@ -1248,7 +1222,6 @@ def test_sampled_commands_never_import_numpy_random():
     """A mitigated run and a noisy sweep draw every random word from `_streams`.
 
     Older numpy imports numpy.random with numpy itself; there is nothing to check."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import sys\n"
         "import numpy\n"
@@ -1262,9 +1235,7 @@ def test_sampled_commands_never_import_numpy_random():
         "             '--output', sys.argv[1]]) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     eager, loaded = proc.stdout.split()
