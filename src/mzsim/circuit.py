@@ -107,7 +107,9 @@ class Circuit:
         """append() of a gate that a pass over a valid circuit produced, so
         the record is well formed and its qubits are in range: the IR's one
         pass-internal shortcut.  Only measurement being terminal is checked:
-        a routing SWAP can reach a measured wire."""
+        a parsed program can put a gate after a measure.  `route` refuses a
+        SWAP through a measured qubit itself, so for its appends this check is
+        only a safety net."""
         if self._measured:
             self._check_unmeasured(instruction.qubits)
         self.instructions.append(instruction)

@@ -66,8 +66,9 @@ class ConfigError(ValueError):
 
 #: the most points a sweep may hold, all axes together (a step of 1e-4 over [0, 1])
 _MAX_GRID_POINTS = 10_001
-#: the most sampled rows (points x repeats) a sweep on a device may hold: seeding,
-#: sampling and output take about 1 KB a row, so this bounds them near 100 MB
+#: the most sampled rows (points x repeats) a sweep on a device may hold.  It bounds
+#: the seeds derived before sampling (about 13 MB at the cap), not the histograms a
+#: sweep keeps, which grow with its shots and qubits
 _MAX_SAMPLED_ROWS = 100_000
 #: the one refusal of a command that names no experiment, for run and sweep
 _NO_EXPERIMENT = "an experiment is required (--experiment or config file)"

@@ -14,7 +14,7 @@ import json
 import os
 import subprocess
 import sys
-from collections import defaultdict
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -46,435 +46,6 @@ def parse_csv(text):
     lines = text.rstrip("\n").split("\n")
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
-
-
-class TestRunExact:
-    def test_eraser_erased_probabilities(self, capsys):
-        code, out, err = run_cli(
-            capsys, "run", "--experiment", "eraser", "--exact")
-        assert code == 0 and err == ""
-        doc = json.loads(out)
-        assert doc["experiment"] == "eraser"
-        assert doc["observable"] == "distribution"
-        assert doc["exact"] is True
-        assert doc["shots"] is None
-        assert doc["device"] == "ideal"
-        assert doc["fidelity_estimate"] == 1.0
-        assert doc["probabilities"]["00"] == pytest.approx(0.5, abs=1e-12)
-        assert doc["probabilities"]["11"] == pytest.approx(0.5, abs=1e-12)
-        assert doc["theory"] == {"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}
-        assert doc["parameters"] == {"erase": True}
-
-    def test_eraser_without_erasure_is_uniform(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "eraser", "--no-erase", "--exact")
-        assert code == 0
-        doc = json.loads(out)
-        for key in ("00", "01", "10", "11"):
-            assert doc["probabilities"][key] == pytest.approx(0.25, abs=1e-12)
-
-    def test_bomb_eta_csv_row(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--exact",
-            "--format", "csv")
-        assert code == 0
-        header, rows = parse_csv(out)
-        assert header == list(CSV_COLUMNS)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["experiment"] == "bomb"
-        assert row["observable"] == "eta"
-        assert row["N"] == "2"
-        assert float(row["value"]) == pytest.approx(1 / 3, abs=1e-12)
-        assert float(row["theory"]) == pytest.approx(1 / 3, abs=1e-12)
-        assert row["shots"] == "" and row["seed"] == ""
-        assert row["device"] == "ideal"
-        assert row["mitigated"] == "false"
-
-    def test_bomb_absent_collapses_to_00(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--no-bomb", "--exact")
-        doc = json.loads(out)
-        assert code == 0
-        assert doc["value"]["00"] == pytest.approx(1.0)
-        assert all(v < 1e-12 for k, v in doc["value"].items() if k != "00")
-        assert doc["theory"]["00"] == 1.0
-
-    def test_general_bomb_matches_closed_form(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "general-bomb",
-            "--angles", "0.25,0.25,0.25,0.25", "--exact")
-        assert code == 0
-        doc = json.loads(out)
-        expected = eta_general(equal_angles(4))
-        assert doc["value"] == pytest.approx(expected, abs=1e-9)
-        assert doc["theory"] == pytest.approx(expected, abs=1e-12)
-        assert doc["parameters"]["angles_over_pi"] == pytest.approx([0.25] * 4)
-
-    def test_hardy_gamma(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "hardy",
-            "--theta0", "0.575", "--theta1", "0.575", "--exact")
-        assert code == 0
-        doc = json.loads(out)
-        expected = gamma_closed(0.575 * np.pi, 0.575 * np.pi)
-        assert doc["value"] == pytest.approx(expected, abs=1e-9)
-        assert doc["observable"] == "gamma"
-        assert doc["parameters"]["theta0_over_pi"] == pytest.approx(0.575)
-
-    def test_eraser_csv_distribution_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "eraser", "--exact",
-            "--format", "csv")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert [r["observable"] for r in rows] == [
-            "p_00", "p_01", "p_10", "p_11"]
-        probs = {r["observable"]: float(r["value"]) for r in rows}
-        assert probs["p_00"] == pytest.approx(0.5, abs=1e-12)
-        assert probs["p_11"] == pytest.approx(0.5, abs=1e-12)
-        assert probs["p_01"] == pytest.approx(0.0, abs=1e-12)
-        assert float(rows[0]["theory"]) == 0.5
-
-
-class TestRunSampled:
-    def test_ideal_sampling_document(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "eraser",
-            "--shots", "4096", "--seed", "7")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["shots"] == 4096
-        assert doc["seed"] == 7
-        assert sum(doc["counts"].values()) == 4096
-        # the erased interferometer never produces 01 or 10
-        assert set(doc["counts"]) <= {"00", "11"}
-        total = sum(doc["value"].values())
-        assert total == pytest.approx(1.0)
-
-    def test_same_seed_is_byte_identical(self, capsys):
-        _, first, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--shots", "2048",
-            "--seed", "3")
-        _, second, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--shots", "2048",
-            "--seed", "3")
-        assert first == second
-
-    def test_different_seeds_differ(self, capsys):
-        _, first, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--shots", "2048",
-            "--seed", "3")
-        _, second, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--shots", "2048",
-            "--seed", "4")
-        assert json.loads(first)["counts"] != json.loads(second)["counts"]
-
-    def test_noisy_device_document(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "bomb", "--device", "vigo",
-            "--shots", "1024", "--seed", "0")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["device"] == "vigo-0820"
-        assert 0.0 < doc["fidelity_estimate"] < 1.0
-        assert doc["error_estimate"] == pytest.approx(
-            1.0 - doc["fidelity_estimate"])
-        assert doc["swap_count"] == 0
-        assert sum(doc["counts"].values()) == 1024
-
-    def test_mitigated_run(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "eraser", "--device", "vigo",
-            "--shots", "4096", "--seed", "1", "--mitigate")
-        assert code == 0
-        doc = json.loads(out)
-        probs = doc["mitigated_probabilities"]
-        assert sum(probs.values()) == pytest.approx(1.0)
-        assert all(v >= 0 for v in probs.values())
-        assert isinstance(doc["mitigated_value"], dict)
-
-    def test_mitigated_csv_rows_flagged(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--experiment", "hardy",
-            "--theta0", "0.5", "--theta1", "0.5",
-            "--device", "vigo", "--shots", "1024", "--seed", "5",
-            "--mitigate", "--format", "csv")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert [r["mitigated"] for r in rows] == ["false", "true"]
-        assert all(r["observable"] == "gamma" for r in rows)
-        assert all(r["theta0_over_pi"] == "0.5" for r in rows)
-        assert all(r["device"] == "vigo-0820" for r in rows)
-
-
-class TestRunErrors:
-    @pytest.mark.parametrize("command", [
-        ("run", "--experiment", "bomb"),
-        ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
-         "--theta-step", "0.1"),
-    ])
-    def test_out_of_memory_exits_3_without_traceback(self, capsys, monkeypatch, command):
-        def sample(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.45 GiB for an array")
-
-        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)  # run
-        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)  # sweep
-        code, out, err = run_cli(capsys, *command, "--device", "vigo", "--shots", "4294967296")
-        assert code == 3
-        assert out == ""
-        assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
-
-
-
-class TestSweep:
-    def test_ideal_general_bomb_grid(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "general-bomb",
-            "--n-values", "2,3",
-            "--theta-start", "0.3", "--theta-stop", "0.5",
-            "--theta-step", "0.1")
-        assert code == 0
-        header, rows = parse_csv(out)
-        assert header == list(CSV_COLUMNS)
-        assert len(rows) == 6  # 2 chain lengths x 3 grid points
-        for row in rows:
-            n = int(row["N"])
-            t = float(row["theta_over_pi"])
-            expected = eta_general(chain_angles_for_sweep(t * np.pi, n))
-            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
-            assert float(row["theory"]) == pytest.approx(expected, abs=1e-9)
-            assert row["device"] == "ideal"
-            assert row["shots"] == "" and row["seed"] == ""
-            assert row["mitigated"] == "false"
-        assert [float(r["theta_over_pi"]) for r in rows[:3]] == [0.3, 0.4, 0.5]
-
-    def test_config_n_values_list_sweeps_each_length(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "experiment": "general-bomb", "n_values": [2, 3], "theta_start": 0.4,
-            "theta_stop": 0.4, "theta_step": 0.1,
-        }))
-        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert [row["N"] for row in rows] == ["2", "3"]
-        for row in rows:
-            expected = eta_general(chain_angles_for_sweep(0.4 * np.pi, int(row["N"])))
-            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
-
-    def test_hardy_diagonal(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.5", "--theta-stop", "0.6",
-            "--theta-step", "0.05")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert len(rows) == 3
-        for row in rows:
-            t = float(row["theta_over_pi"])
-            assert row["theta0_over_pi"] == row["theta1_over_pi"]
-            assert float(row["theta0_over_pi"]) == t
-            expected = gamma_closed(t * np.pi, t * np.pi)
-            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
-            assert row["observable"] == "gamma"
-
-    def test_hardy_full_grid(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "hardy",
-            "--theta-start", "0.4", "--theta-stop", "0.5",
-            "--theta-step", "0.1", "--hardy-grid", "full")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert len(rows) == 4
-        combos = {(r["theta0_over_pi"], r["theta1_over_pi"]) for r in rows}
-        assert combos == {("0.4", "0.4"), ("0.4", "0.5"),
-                          ("0.5", "0.4"), ("0.5", "0.5")}
-        assert all(r["theta_over_pi"] == "" for r in rows)
-
-    def test_noisy_sweep_with_repeats(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "general-bomb",
-            "--n-values", "2", "--theta-start", "0.5", "--theta-stop", "0.5",
-            "--theta-step", "0.1", "--device", "vigo-0820",
-            "--shots", "500", "--seed", "0", "--repeats", "2")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert len(rows) == 3  # one exact row + two sampled repeats
-        ideal, first, second = rows
-        assert ideal["device"] == "ideal" and ideal["std_dev"] == ""
-        # sampled rows carry self-reproducing derived seeds
-        for r, row in enumerate((first, second)):
-            expected_seed = int(
-                np.random.SeedSequence((0, 0, r)).generate_state(1)[0])
-            assert row["seed"] == str(expected_seed)
-            assert row["shots"] == "500"
-            assert row["device"] == "vigo-0820"
-        values = [float(first["value"]), float(second["value"])]
-        for row in (first, second):
-            assert float(row["std_dev"]) == pytest.approx(np.std(values))
-
-    def test_mitigated_sweep_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sweep", "--experiment", "general-bomb",
-            "--n-values", "2", "--theta-start", "0.5", "--theta-stop", "0.5",
-            "--theta-step", "0.1", "--device", "vigo-0820",
-            "--shots", "500", "--seed", "2", "--repeats", "2", "--mitigate")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert [r["mitigated"] for r in rows] == [
-            "false", "false", "false", "true", "true"]
-
-    @pytest.mark.parametrize("base", [0, 7, 2**32 + 3, 2**64 + 5])
-    def test_derived_seeds_match_seed_sequence(self, base):
-        """Bases of 1, 2 and 3 words, and a sweep with no point to sample."""
-        assert cli._derived_seeds(base, 3, 4) == [
-            [int(np.random.SeedSequence((base, index, r)).generate_state(1)[0]) for r in range(4)]
-            for index in range(3)]
-        assert cli._derived_seeds(base, 0, 2) == []
-
-    def test_sweep_determinism(self, capsys):
-        argv = ("sweep", "--experiment", "hardy", "--theta-start", "0.55",
-                "--theta-stop", "0.6", "--theta-step", "0.05",
-                "--device", "vigo", "--shots", "400", "--seed", "9",
-                "--repeats", "2")
-        _, first, _ = run_cli(capsys, *argv)
-        _, second, _ = run_cli(capsys, *argv)
-        assert first == second
-
-
-
-class TestSweepErrors:
-    @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
-    def test_undefined_point_exits_3_after_sampling_the_points_before_it(
-            self, capsys, monkeypatch, device):
-        """At theta = pi post-selection rejects every shot (ROADMAP known defect 4);
-        the sweep stops there, having sampled only the points before it."""
-        sampled = []
-
-        def sample(points, *args, **kwargs):
-            sampled.extend(points)
-            return noise.simulate_noisy_points(points, *args, **kwargs)
-
-        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)
-        code, out, err = run_cli(capsys, "sweep", "--experiment", "hardy", "--theta-start", "0.8",
-                                 "--theta-stop", "1.0", "--theta-step", "0.1", "--shots", "256",
-                                 *device)
-        assert (code, out) == (3, "")
-        assert err == "error: post-selection rejected every shot (witness always read 1)\n"
-        assert len(sampled) == (2 if device else 0)
-
-    def test_grid_cap_is_exact(self):
-        assert len(cli._grid(0.0, 1.0, 1e-4)) == cli._MAX_GRID_POINTS == 10_001
-        assert len(cli._grid(0.0, 0.9999, 1e-4)) == 10_000
-        with pytest.raises(cli.ConfigError, match="more than 10001 points"):
-            cli._grid(0.0, 1.0, 0.9999e-4)  # 10,002 points
-
-    def test_grid_cap_counts_every_axis_before_any_point_is_made(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 20)
-        grid = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
-                "--theta-stop", "0.9", "--theta-step", "0.1")
-        with monkeypatch.context() as patched:
-            def made(*args, **kwargs):
-                raise AssertionError("a point was made before the grid was counted")
-
-            patched.setattr(experiments, "ExperimentSpec", made)
-            code, out, err = run_cli(capsys, *grid, "--hardy-grid", "full")
-        assert code == 2
-        assert out == ""
-        assert err == "error: the sweep grid has 25 points, more than 20\n"
-        code, out, err = run_cli(capsys, *grid, "--hardy-grid", "diagonal")
-        assert code == 0 and err == ""
-        assert len(parse_csv(out)[1]) == 5
-
-    def test_sampled_rows_cap_is_exact(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_SAMPLED_ROWS", 6)
-        grid = ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
-                "--theta-step", "0.05", "--shots", "64")
-        code, out, err = run_cli(capsys, *grid, "--device", "vigo", "--repeats", "2")
-        assert code == 0 and err == ""
-        assert len(parse_csv(out)[1]) == 3 * 3
-        code, out, err = run_cli(capsys, *grid, "--device", "vigo", "--repeats", "3")
-        assert (code, out) == (2, "")
-        assert err == "error: the sweep would sample 3 point(s) x 3 repeats = 9 rows, more than 6\n"
-        code, _, err = run_cli(capsys, *grid, "--repeats", "3")  # no device samples no row
-        assert code == 0 and err == ""
-
-
-class TestTranspileCommand:
-    @pytest.fixture
-    def eraser_qasm(self, tmp_path):
-        path = tmp_path / "eraser.qasm"
-        path.write_text(emit(build_eraser(erase=True)))
-        return str(path)
-
-    def test_report_and_emitted_qasm(self, capsys, eraser_qasm):
-        code, out, err = run_cli(
-            capsys, "transpile", eraser_qasm, "--device", "vigo")
-        assert code == 0 and err == ""
-        assert "device: vigo-0820" in out
-        assert "qubits: logical 2 -> physical 5" in out
-        assert "swaps inserted: 0" in out
-        assert "estimated error: 0.046340" in out
-        # the QASM payload follows the report after a blank line
-        payload = out.split("\n\n", 1)[1]
-        circuit = parse(payload)
-        assert circuit.num_qubits == 5
-        kinds = {inst.gate.name for inst in circuit.instructions
-                 if inst.kind == "gate"}
-        assert kinds <= {"U1", "U2", "U3", "CNOT"}
-
-    def test_output_file_holds_qasm_only(self, capsys, eraser_qasm, tmp_path):
-        target = tmp_path / "routed.qasm"
-        code, out, _ = run_cli(
-            capsys, "transpile", eraser_qasm, "--device", "vigo",
-            "--output", str(target))
-        assert code == 0
-        assert "estimated fidelity" in out
-        assert "OPENQASM" not in out
-        parsed = parse(target.read_text())
-        assert parsed.num_qubits == 5
-
-    def test_signed_zeros_keep_their_lines(self, capsys, tmp_path):
-        source = tmp_path / "zeros.qasm"
-        source.write_text('OPENQASM 2.0;\nqreg q[2];\nu1(-0) q[0];\nu1(0) q[0];\n'
-                          'u1(0) q[1];\nu1(-0) q[1];\ncx q[0],q[1];\n')
-        code, out, _ = run_cli(capsys, "transpile", str(source), "--device", "vigo")
-        assert code == 0
-        assert "initial layout: [1, 0, 2, 3, 4]" in out
-        payload = out.split("\n\n", 1)[1]
-        assert payload.split("\n")[3:] == ["u1(-0) q[1];", "u1(0) q[1];", "u1(0) q[0];",
-                                           "u1(-0) q[0];", "cx q[1],q[0];", ""]
-
-
-def test_full_negated_flags_and_help_still_work(capsys):
-    code, out, _ = run_cli(capsys, "run", "--experiment", "bomb", "--no-bomb", "--exact")
-    assert code == 0 and json.loads(out)["parameters"] == {"present": False}
-    code, out, _ = run_cli(capsys, "run", "--experiment", "eraser", "--no-erase", "--exact")
-    assert code == 0 and json.loads(out)["parameters"] == {"erase": False}
-    with pytest.raises(SystemExit) as exited:
-        main(["run", "-h"])
-    assert exited.value.code == 0
-    assert "--shots" in capsys.readouterr().out
-
-
-def test_every_run_setting_is_a_run_flag_and_a_spec_field():
-    flags = set(vars(cli._build_parser().parse_args(["run"])))
-    fields = {f.name for f in dataclasses.fields(ExperimentSpec) if f.init}
-    for kind, settings in experiments.RUN_SETTINGS.items():
-        for setting, (field, _) in settings.items():
-            assert setting in flags, (kind, setting)
-            assert setting in cli._SETTING_CONVERTERS, (kind, setting)
-            assert field in fields, (kind, field)
-
-
-def test_config_key_of_another_experiment_is_ignored(capsys, tmp_path):
-    # as the --angles flag is on an eraser run
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "eraser", "angles": "0.5,0.5", "exact": True}))
-    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["parameters"] == {"erase": True}
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +91,11 @@ def csv_lines(tmp: Path) -> int:
     return (tmp / "out.csv").read_text().count("\n")
 
 
+def routed(out: str) -> str:
+    """The QASM of a transpile report, which follows the report after a blank line."""
+    return out.split("\n\n", 1)[1]
+
+
 ERASER = File("eraser.qasm", emit(build_eraser(erase=True)))
 VALID = qasm('include "qelib1.inc";\nqreg q[3];\ncreg c[3];\nh q[0];\nccx q[0],q[1],q[2];\n'
              'measure q -> c;\n', "valid.qasm")
@@ -559,12 +135,11 @@ CASE = "test_console_case"
 class Case:
     """One console case: `argv` exits `code`, and stderr is "error: `err`" or empty.
 
-    `ids` lists, split on spaces, the test ids the case runs under: a case
-    keeps the ids it had before the table, and a new one runs as
-    `test_console_case[...]`.  "{tmp}" in `argv` and `err` stands for the
-    case's directory.  `check(stdout, tmp)`
-    must hold for an exit-0 case.  A `process` case also runs as
-    `python -m mzsim.cli`.
+    `ids` lists, split on spaces, the test ids the case runs under, each
+    declared with `_filed_as`: a case keeps the ids its older tests gave it,
+    and a new one runs as `test_console_case[...]`.  "{tmp}" in `argv` and
+    `err` stands for the case's directory.  `check(stdout, tmp)` must hold
+    for an exit-0 case.  A `process` case also runs as `python -m mzsim.cli`.
     """
     ids: str
     argv: tuple
@@ -944,10 +519,42 @@ CASES = [
           "--theta-step", "0.1", "--output", "{tmp}/out.csv"), code=0,
          check=lambda out, tmp: out == "" and csv_lines(tmp) == 2
          and (tmp / "out.csv").read_text().startswith(",".join(CSV_COLUMNS) + "\n")),
+    Case("test_config_key_of_another_experiment_is_ignored",  # as --angles is on an eraser run
+         ("run", "--config", config(experiment="eraser", angles="0.5,0.5", exact=True)), code=0,
+         check=lambda out, tmp: json.loads(out)["parameters"] == {"erase": True}),
+    Case("TestSweep::test_hardy_full_grid",
+         ("sweep", "--experiment", "hardy", "--theta-start", "0.4", "--theta-stop", "0.5",
+          "--theta-step", "0.1", "--hardy-grid", "full"), code=0,
+         check=lambda out, tmp: sorted(
+             (r["theta0_over_pi"], r["theta1_over_pi"], r["theta_over_pi"])
+             for r in parse_csv(out)[1]) == [("0.4", "0.4", ""), ("0.4", "0.5", ""),
+                                             ("0.5", "0.4", ""), ("0.5", "0.5", "")]),
+    Case("TestSweep::test_mitigated_sweep_rows",
+         ("sweep", "--experiment", "general-bomb", "--n-values", "2", "--theta-start", "0.5",
+          "--theta-stop", "0.5", "--theta-step", "0.1", "--device", "vigo-0820", "--shots", "500",
+          "--seed", "2", "--repeats", "2", "--mitigate"), code=0,
+         check=lambda out, tmp: [r["mitigated"] for r in parse_csv(out)[1]] == [
+             "false", "false", "false", "true", "true"]),
+    Case("TestTranspileCommand::test_report_and_emitted_qasm", TRANSPILE, code=0,
+         check=lambda out, tmp: all(part in out for part in (
+             "device: vigo-0820", "qubits: logical 2 -> physical 5", "swaps inserted: 0",
+             "estimated error: 0.046340")) and parse(routed(out)).num_qubits == 5
+         and {inst.gate.name for inst in parse(routed(out)).gate_instructions()}
+         <= {"U1", "U2", "U3", "CNOT"}),
+    Case("TestTranspileCommand::test_output_file_holds_qasm_only",
+         TRANSPILE + ("--output", "{tmp}/routed.qasm"), code=0,
+         check=lambda out, tmp: "estimated fidelity" in out and "OPENQASM" not in out
+         and parse((tmp / "routed.qasm").read_text()).num_qubits == 5),
+    Case("TestTranspileCommand::test_signed_zeros_keep_their_lines",
+         ("transpile", qasm("qreg q[2];\nu1(-0) q[0];\nu1(0) q[0];\nu1(0) q[1];\nu1(-0) q[1];\n"
+                            "cx q[0],q[1];\n", "zeros.qasm"), "--device", "vigo"), code=0,
+         check=lambda out, tmp: "initial layout: [1, 0, 2, 3, 4]" in out
+         and routed(out).split("\n")[3:] == ["u1(-0) q[1];", "u1(0) q[1];", "u1(0) q[0];",
+                                              "u1(-0) q[0];", "cx q[1],q[0];", ""]),
     Case("TestTranspileCommand::test_explicit_layout", TRANSPILE + ("--layout", "2,1"), code=0,
          check=lambda out, tmp: "initial layout: [2, 1" in out),
     Case("TestTranspileCommand::test_fuse_flag", TRANSPILE + ("--fuse",), code=0,
-         check=lambda out, tmp: parse(out.split("\n\n", 1)[1]).count_gates().get("U3", 0) >= 1),
+         check=lambda out, tmp: parse(routed(out)).count_gates().get("U3", 0) >= 1),
     Case(f"{CASE}[mitigated-hardy-run]",
          ("run", "--experiment", "hardy", "--theta0", "0.575", "--theta1", "0.575",
           "--device", "vigo", "--shots", "256", "--mitigate"),
@@ -987,7 +594,7 @@ CASES = [
     Case(f"{CASE}[fused-reversed-layout]",
          ("transpile", VALID, "--device", "vigo", "--fuse", "--layout", "4,3,2,1,0"),
          code=0, check=lambda out, tmp: "initial layout: [4, 3, 2, 1, 0]" in out
-         and parse(out.split("\n\n", 1)[1]).count_gates().get("U3", 0) >= 1),
+         and parse(routed(out)).count_gates().get("U3", 0) >= 1),
     Case(f"{CASE}[fused-runs]",  # one run is the identity, one an x, one starts at u1(-0)
          ("transpile", qasm('include "qelib1.inc";\nqreg q[3];\ncreg c[3];\nu1(0.5) q[0];\n'
                             'u1(-0.5) q[0];\nx q[1];\nu1(-0) q[2];\nu1(0.25) q[2];\n'
@@ -1030,38 +637,457 @@ def _run_in_process(case: Case, tmp: Path, capsys, monkeypatch):
         for sampler in ("ideal_counts", "simulate_noisy", "simulate_noisy_points",
                         "simulate_ideal"):
             monkeypatch.setattr(cli, sampler, sample)
+    start = time.perf_counter()
     code = main(_argv(case, tmp))
     out, err = capsys.readouterr()
     _check(case, code, out, err, tmp)
+    assert time.perf_counter() - start < 60, "a console case took a minute or more"
 
 
-def _file_under_their_ids():
-    """Define the test functions that run the rows, one per id a row names."""
-    by_test = defaultdict(list)
-    for case in CASES:
-        for test_id in case.ids.split():
-            name, _, param = test_id.removesuffix("]").partition("[")
-            by_test[name].append((param, case))
-    for name, rows in by_test.items():
-        owner, _, function = name.rpartition("::")
-        if rows[0][0]:
-            @pytest.mark.parametrize("case", [case for _, case in rows],
-                                     ids=[param for param, _ in rows])
-            def test(case, tmp_path, capsys, monkeypatch):
-                _run_in_process(case, tmp_path, capsys, monkeypatch)
-        else:
-            ((_, case),) = rows
+def _filed_as(test: str):
+    """The test `test` ("function" or "Class::function"): it runs in process each
+    row whose ids name it, parametrized by what follows the name in brackets, or alone."""
+    rows = [(param, case) for case in CASES for name, _, param in
+            (i.removesuffix("]").partition("[") for i in case.ids.split()) if name == test]
+    if rows[0][0]:
+        @pytest.mark.parametrize("case", [case for _, case in rows],
+                                 ids=[param for param, _ in rows])
+        def run(case, tmp_path, capsys, monkeypatch):
+            _run_in_process(case, tmp_path, capsys, monkeypatch)
+    else:
+        ((_, case),) = rows
 
-            def test(tmp_path, capsys, monkeypatch, case=case):
-                _run_in_process(case, tmp_path, capsys, monkeypatch)
-        if owner:
-            cls = globals().setdefault(owner, type(owner, (), {}))
-            setattr(cls, function, staticmethod(test))
-        else:
-            globals()[function] = test
+        def run(tmp_path, capsys, monkeypatch):
+            _run_in_process(case, tmp_path, capsys, monkeypatch)
+    return staticmethod(run) if "::" in test else run
 
 
-_file_under_their_ids()
+# the tests that run the rows, under the ids the rows name
+test_a_missing_experiment_is_refused_in_one_wording = _filed_as(NO_KIND)
+test_missing_settings_are_named = _filed_as(MISSING)
+test_command_line_refusals_are_one_error_line = _filed_as(REFUSALS)
+test_malformed_input_exits_2 = _filed_as(MALFORMED)
+test_unknown_format_exits_2_before_sampling = _filed_as(FORMAT)
+test_flags_are_spelt_in_full = _filed_as(SPELT)
+test_flag_and_config_key_are_refused_alike = _filed_as("test_flag_and_config_key_are_refused_alike")
+test_settings_are_refused_in_a_fixed_order = _filed_as(ORDER)
+test_degenerate_chain_exits_2_before_sampling = _filed_as(DEGENERATE)
+test_circuit_wider_than_device_or_simulator_exits_2_before_sampling = _filed_as(WIDER)
+test_console_case = _filed_as(CASE)
+test_config_key_that_names_no_flag_is_named = _filed_as(
+    "test_config_key_that_names_no_flag_is_named")
+test_config_key_of_another_experiment_is_ignored = _filed_as(
+    "test_config_key_of_another_experiment_is_ignored")
+
+
+class TestConfigFile:
+    test_missing_config_file = _filed_as("TestConfigFile::test_missing_config_file")
+    test_config_not_json = _filed_as("TestConfigFile::test_config_not_json")
+    test_config_not_an_object = _filed_as("TestConfigFile::test_config_not_an_object")
+    test_config_supplies_everything = _filed_as("TestConfigFile::test_config_supplies_everything")
+    test_flag_overrides_config = _filed_as("TestConfigFile::test_flag_overrides_config")
+    test_config_seed_and_shots = _filed_as("TestConfigFile::test_config_seed_and_shots")
+
+
+class TestRunExact:
+    def test_eraser_erased_probabilities(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--experiment", "eraser", "--exact")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["experiment"] == "eraser"
+        assert doc["observable"] == "distribution"
+        assert doc["exact"] is True
+        assert doc["shots"] is None
+        assert doc["device"] == "ideal"
+        assert doc["fidelity_estimate"] == 1.0
+        assert doc["probabilities"]["00"] == pytest.approx(0.5, abs=1e-12)
+        assert doc["probabilities"]["11"] == pytest.approx(0.5, abs=1e-12)
+        assert doc["theory"] == {"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}
+        assert doc["parameters"] == {"erase": True}
+
+    def test_eraser_without_erasure_is_uniform(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "eraser", "--no-erase", "--exact")
+        assert code == 0
+        doc = json.loads(out)
+        for key in ("00", "01", "10", "11"):
+            assert doc["probabilities"][key] == pytest.approx(0.25, abs=1e-12)
+
+    def test_bomb_eta_csv_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--exact",
+            "--format", "csv")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == list(CSV_COLUMNS)
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["experiment"] == "bomb"
+        assert row["observable"] == "eta"
+        assert row["N"] == "2"
+        assert float(row["value"]) == pytest.approx(1 / 3, abs=1e-12)
+        assert float(row["theory"]) == pytest.approx(1 / 3, abs=1e-12)
+        assert row["shots"] == "" and row["seed"] == ""
+        assert row["device"] == "ideal"
+        assert row["mitigated"] == "false"
+
+    def test_bomb_absent_collapses_to_00(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--no-bomb", "--exact")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["value"]["00"] == pytest.approx(1.0)
+        assert all(v < 1e-12 for k, v in doc["value"].items() if k != "00")
+        assert doc["theory"]["00"] == 1.0
+
+    def test_general_bomb_matches_closed_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "general-bomb",
+            "--angles", "0.25,0.25,0.25,0.25", "--exact")
+        assert code == 0
+        doc = json.loads(out)
+        expected = eta_general(equal_angles(4))
+        assert doc["value"] == pytest.approx(expected, abs=1e-9)
+        assert doc["theory"] == pytest.approx(expected, abs=1e-12)
+        assert doc["parameters"]["angles_over_pi"] == pytest.approx([0.25] * 4)
+
+    def test_hardy_gamma(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "hardy",
+            "--theta0", "0.575", "--theta1", "0.575", "--exact")
+        assert code == 0
+        doc = json.loads(out)
+        expected = gamma_closed(0.575 * np.pi, 0.575 * np.pi)
+        assert doc["value"] == pytest.approx(expected, abs=1e-9)
+        assert doc["observable"] == "gamma"
+        assert doc["parameters"]["theta0_over_pi"] == pytest.approx(0.575)
+
+    def test_eraser_csv_distribution_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "eraser", "--exact",
+            "--format", "csv")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["observable"] for r in rows] == [
+            "p_00", "p_01", "p_10", "p_11"]
+        probs = {r["observable"]: float(r["value"]) for r in rows}
+        assert probs["p_00"] == pytest.approx(0.5, abs=1e-12)
+        assert probs["p_11"] == pytest.approx(0.5, abs=1e-12)
+        assert probs["p_01"] == pytest.approx(0.0, abs=1e-12)
+        assert float(rows[0]["theory"]) == 0.5
+
+
+class TestRunSampled:
+    def test_ideal_sampling_document(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "eraser",
+            "--shots", "4096", "--seed", "7")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["shots"] == 4096
+        assert doc["seed"] == 7
+        assert sum(doc["counts"].values()) == 4096
+        # the erased interferometer never produces 01 or 10
+        assert set(doc["counts"]) <= {"00", "11"}
+        total = sum(doc["value"].values())
+        assert total == pytest.approx(1.0)
+
+    def test_same_seed_is_byte_identical(self, capsys):
+        _, first, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--shots", "2048",
+            "--seed", "3")
+        _, second, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--shots", "2048",
+            "--seed", "3")
+        assert first == second
+
+    def test_different_seeds_differ(self, capsys):
+        _, first, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--shots", "2048",
+            "--seed", "3")
+        _, second, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--shots", "2048",
+            "--seed", "4")
+        assert json.loads(first)["counts"] != json.loads(second)["counts"]
+
+    def test_noisy_device_document(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "bomb", "--device", "vigo",
+            "--shots", "1024", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["device"] == "vigo-0820"
+        assert 0.0 < doc["fidelity_estimate"] < 1.0
+        assert doc["error_estimate"] == pytest.approx(
+            1.0 - doc["fidelity_estimate"])
+        assert doc["swap_count"] == 0
+        assert sum(doc["counts"].values()) == 1024
+
+    def test_mitigated_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "eraser", "--device", "vigo",
+            "--shots", "4096", "--seed", "1", "--mitigate")
+        assert code == 0
+        doc = json.loads(out)
+        probs = doc["mitigated_probabilities"]
+        assert sum(probs.values()) == pytest.approx(1.0)
+        assert all(v >= 0 for v in probs.values())
+        assert isinstance(doc["mitigated_value"], dict)
+
+    def test_mitigated_csv_rows_flagged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--experiment", "hardy",
+            "--theta0", "0.5", "--theta1", "0.5",
+            "--device", "vigo", "--shots", "1024", "--seed", "5",
+            "--mitigate", "--format", "csv")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["mitigated"] for r in rows] == ["false", "true"]
+        assert all(r["observable"] == "gamma" for r in rows)
+        assert all(r["theta0_over_pi"] == "0.5" for r in rows)
+        assert all(r["device"] == "vigo-0820" for r in rows)
+
+
+class TestRunErrors:
+    test_experiment_required = _filed_as("TestRunErrors::test_experiment_required")
+    test_hardy_needs_thetas = _filed_as("TestRunErrors::test_hardy_needs_thetas")
+    test_general_bomb_needs_angles = _filed_as("TestRunErrors::test_general_bomb_needs_angles")
+    test_invalid_experiment_choice_exits_2 = _filed_as(
+        "TestRunErrors::test_invalid_experiment_choice_exits_2")
+    test_mitigate_needs_device = _filed_as("TestRunErrors::test_mitigate_needs_device")
+    test_bad_angle_list = _filed_as("TestRunErrors::test_bad_angle_list")
+    test_angles_violating_sum_rule = _filed_as("TestRunErrors::test_angles_violating_sum_rule")
+    test_unknown_device = _filed_as("TestRunErrors::test_unknown_device")
+    test_shots_beyond_the_streams_exit_2_before_sampling = _filed_as(
+        "TestRunErrors::test_shots_beyond_the_streams_exit_2_before_sampling")
+    test_output_into_missing_directory = _filed_as(
+        "TestRunErrors::test_output_into_missing_directory")
+    test_output_file_written = _filed_as("TestRunErrors::test_output_file_written")
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--experiment", "bomb"),
+        ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
+         "--theta-step", "0.1"),
+    ])
+    def test_out_of_memory_exits_3_without_traceback(self, capsys, monkeypatch, command):
+        def sample(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr("mzsim.cli.simulate_noisy", sample)  # run
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)  # sweep
+        code, out, err = run_cli(capsys, *command, "--device", "vigo", "--shots", "4294967296")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
+
+
+class TestSweep:
+    test_sweep_json_format = _filed_as("TestSweep::test_sweep_json_format")
+    test_sweep_output_file = _filed_as("TestSweep::test_sweep_output_file")
+    test_mitigated_sweep_rows = _filed_as("TestSweep::test_mitigated_sweep_rows")
+    test_hardy_full_grid = _filed_as("TestSweep::test_hardy_full_grid")
+
+    def test_ideal_general_bomb_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--experiment", "general-bomb",
+            "--n-values", "2,3",
+            "--theta-start", "0.3", "--theta-stop", "0.5",
+            "--theta-step", "0.1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == list(CSV_COLUMNS)
+        assert len(rows) == 6  # 2 chain lengths x 3 grid points
+        for row in rows:
+            n = int(row["N"])
+            t = float(row["theta_over_pi"])
+            expected = eta_general(chain_angles_for_sweep(t * np.pi, n))
+            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
+            assert float(row["theory"]) == pytest.approx(expected, abs=1e-9)
+            assert row["device"] == "ideal"
+            assert row["shots"] == "" and row["seed"] == ""
+            assert row["mitigated"] == "false"
+        assert [float(r["theta_over_pi"]) for r in rows[:3]] == [0.3, 0.4, 0.5]
+
+    def test_config_n_values_list_sweeps_each_length(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "general-bomb", "n_values": [2, 3], "theta_start": 0.4,
+            "theta_stop": 0.4, "theta_step": 0.1,
+        }))
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row["N"] for row in rows] == ["2", "3"]
+        for row in rows:
+            expected = eta_general(chain_angles_for_sweep(0.4 * np.pi, int(row["N"])))
+            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
+
+    def test_hardy_diagonal(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--experiment", "hardy",
+            "--theta-start", "0.5", "--theta-stop", "0.6",
+            "--theta-step", "0.05")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            t = float(row["theta_over_pi"])
+            assert row["theta0_over_pi"] == row["theta1_over_pi"]
+            assert float(row["theta0_over_pi"]) == t
+            expected = gamma_closed(t * np.pi, t * np.pi)
+            assert float(row["value"]) == pytest.approx(expected, abs=1e-9)
+            assert row["observable"] == "gamma"
+
+    def test_noisy_sweep_with_repeats(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--experiment", "general-bomb",
+            "--n-values", "2", "--theta-start", "0.5", "--theta-stop", "0.5",
+            "--theta-step", "0.1", "--device", "vigo-0820",
+            "--shots", "500", "--seed", "0", "--repeats", "2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 3  # one exact row + two sampled repeats
+        ideal, first, second = rows
+        assert ideal["device"] == "ideal" and ideal["std_dev"] == ""
+        # sampled rows carry self-reproducing derived seeds
+        for r, row in enumerate((first, second)):
+            expected_seed = int(
+                np.random.SeedSequence((0, 0, r)).generate_state(1)[0])
+            assert row["seed"] == str(expected_seed)
+            assert row["shots"] == "500"
+            assert row["device"] == "vigo-0820"
+        values = [float(first["value"]), float(second["value"])]
+        for row in (first, second):
+            assert float(row["std_dev"]) == pytest.approx(np.std(values))
+
+    @pytest.mark.parametrize("base", [0, 7, 2**32 + 3, 2**64 + 5])
+    def test_derived_seeds_match_seed_sequence(self, base):
+        """Bases of 1, 2 and 3 words, and a sweep with no point to sample."""
+        assert cli._derived_seeds(base, 3, 4) == [
+            [int(np.random.SeedSequence((base, index, r)).generate_state(1)[0]) for r in range(4)]
+            for index in range(3)]
+        assert cli._derived_seeds(base, 0, 2) == []
+
+    def test_sweep_determinism(self, capsys):
+        argv = ("sweep", "--experiment", "hardy", "--theta-start", "0.55",
+                "--theta-stop", "0.6", "--theta-step", "0.05",
+                "--device", "vigo", "--shots", "400", "--seed", "9",
+                "--repeats", "2")
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+
+
+class TestSweepErrors:
+    test_missing_grid_flags = _filed_as("TestSweepErrors::test_missing_grid_flags")
+    test_general_bomb_needs_n_values = _filed_as(
+        "TestSweepErrors::test_general_bomb_needs_n_values")
+    test_unsupported_sweep_via_config = _filed_as(
+        "TestSweepErrors::test_unsupported_sweep_via_config")
+    test_grid_point_on_boundary = _filed_as("TestSweepErrors::test_grid_point_on_boundary")
+    test_negative_step = _filed_as("TestSweepErrors::test_negative_step")
+    test_empty_range = _filed_as("TestSweepErrors::test_empty_range")
+    test_bad_repeats = _filed_as("TestSweepErrors::test_bad_repeats")
+    test_bad_sweep_settings_exit_2_before_sampling = _filed_as(SWEEP_SETTING)
+
+    @pytest.mark.parametrize("device", [(), ("--device", "vigo")], ids=["ideal", "vigo"])
+    def test_undefined_point_exits_3_after_sampling_the_points_before_it(
+            self, capsys, monkeypatch, device):
+        """At theta = pi post-selection rejects every shot (ROADMAP known defect 4);
+        the sweep stops there, having sampled only the points before it."""
+        sampled = []
+
+        def sample(points, *args, **kwargs):
+            sampled.extend(points)
+            return noise.simulate_noisy_points(points, *args, **kwargs)
+
+        monkeypatch.setattr("mzsim.cli.simulate_noisy_points", sample)
+        code, out, err = run_cli(capsys, "sweep", "--experiment", "hardy", "--theta-start", "0.8",
+                                 "--theta-stop", "1.0", "--theta-step", "0.1", "--shots", "256",
+                                 *device)
+        assert (code, out) == (3, "")
+        assert err == "error: post-selection rejected every shot (witness always read 1)\n"
+        assert len(sampled) == (2 if device else 0)
+
+    def test_grid_cap_is_exact(self):
+        assert len(cli._grid(0.0, 1.0, 1e-4)) == cli._MAX_GRID_POINTS == 10_001
+        assert len(cli._grid(0.0, 0.9999, 1e-4)) == 10_000
+        with pytest.raises(cli.ConfigError, match="more than 10001 points"):
+            cli._grid(0.0, 1.0, 0.9999e-4)  # 10,002 points
+
+    def test_grid_cap_counts_every_axis_before_any_point_is_made(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 20)
+        grid = ("sweep", "--experiment", "hardy", "--theta-start", "0.5",
+                "--theta-stop", "0.9", "--theta-step", "0.1")
+        with monkeypatch.context() as patched:
+            def made(*args, **kwargs):
+                raise AssertionError("a point was made before the grid was counted")
+
+            patched.setattr(experiments, "ExperimentSpec", made)
+            code, out, err = run_cli(capsys, *grid, "--hardy-grid", "full")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the sweep grid has 25 points, more than 20\n"
+        code, out, err = run_cli(capsys, *grid, "--hardy-grid", "diagonal")
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)[1]) == 5
+
+    def test_sampled_rows_cap_is_exact(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_SAMPLED_ROWS", 6)
+        grid = ("sweep", "--experiment", "hardy", "--theta-start", "0.5", "--theta-stop", "0.6",
+                "--theta-step", "0.05", "--shots", "64")
+        code, out, err = run_cli(capsys, *grid, "--device", "vigo", "--repeats", "2")
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)[1]) == 3 * 3
+        code, out, err = run_cli(capsys, *grid, "--device", "vigo", "--repeats", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: the sweep would sample 3 point(s) x 3 repeats = 9 rows, more than 6\n"
+        code, _, err = run_cli(capsys, *grid, "--repeats", "3")  # no device samples no row
+        assert code == 0 and err == ""
+
+
+class TestTranspileCommand:
+    test_device_flag_required = _filed_as("TestTranspileCommand::test_device_flag_required")
+    test_ideal_device_rejected = _filed_as("TestTranspileCommand::test_ideal_device_rejected")
+    test_missing_input = _filed_as("TestTranspileCommand::test_missing_input")
+    test_parse_error_exits_2 = _filed_as("TestTranspileCommand::test_parse_error_exits_2")
+    test_oversized_register_exits_2 = _filed_as(
+        "TestTranspileCommand::test_oversized_register_exits_2")
+    test_non_ascii_digits_exit_2 = _filed_as("TestTranspileCommand::test_non_ascii_digits_exit_2")
+    test_repeated_barrier_operand_exits_2 = _filed_as(
+        "TestTranspileCommand::test_repeated_barrier_operand_exits_2")
+    test_bad_layout_exits_2 = _filed_as("TestTranspileCommand::test_bad_layout_exits_2")
+    test_negative_layout_after_a_space_is_one_error_line = _filed_as(
+        "TestTranspileCommand::test_negative_layout_after_a_space_is_one_error_line")
+    test_explicit_layout = _filed_as("TestTranspileCommand::test_explicit_layout")
+    test_fuse_flag = _filed_as("TestTranspileCommand::test_fuse_flag")
+    test_report_and_emitted_qasm = _filed_as("TestTranspileCommand::test_report_and_emitted_qasm")
+    test_output_file_holds_qasm_only = _filed_as(
+        "TestTranspileCommand::test_output_file_holds_qasm_only")
+    test_signed_zeros_keep_their_lines = _filed_as(
+        "TestTranspileCommand::test_signed_zeros_keep_their_lines")
+
+
+def test_full_negated_flags_and_help_still_work(capsys):
+    code, out, _ = run_cli(capsys, "run", "--experiment", "bomb", "--no-bomb", "--exact")
+    assert code == 0 and json.loads(out)["parameters"] == {"present": False}
+    code, out, _ = run_cli(capsys, "run", "--experiment", "eraser", "--no-erase", "--exact")
+    assert code == 0 and json.loads(out)["parameters"] == {"erase": False}
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "-h"])
+    assert exited.value.code == 0
+    assert "--shots" in capsys.readouterr().out
+
+
+def test_every_run_setting_is_a_run_flag_and_a_spec_field():
+    flags = set(vars(cli._build_parser().parse_args(["run"])))
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec) if f.init}
+    for kind, settings in experiments.RUN_SETTINGS.items():
+        for setting, (field, _) in settings.items():
+            assert setting in flags, (kind, setting)
+            assert setting in cli._SETTING_CONVERTERS, (kind, setting)
+            assert field in fields, (kind, field)
 
 
 def _env() -> dict:
